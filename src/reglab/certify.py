@@ -19,7 +19,6 @@ from .moduli import LiminfSchedule, check_on_graph, estimate_modulus, linear_mod
 from .rng import SplitMix64, derive_seed, shell_points
 from .setmaps import (
     INF,
-    LinearOp,
     SetMap,
     SingleValued,
     SumMap,
@@ -27,6 +26,7 @@ from .setmaps import (
     dist_to_value_set,
     graph_sample,
     preimage_search,
+    require_single_valued,
 )
 
 #: conclusion inequalities pass within this relative plus absolute tolerance
@@ -152,8 +152,10 @@ def check_descent_certificate(
     if c <= 0 or r <= 0:
         raise ValueError("constants c and r must be positive")
     alpha = float(constants.get("alpha", 0.0))
-    set_valued = not isinstance(F, (SingleValued, LinearOp))
-    if form.tag == "semireg_set" or (form.tag == "regularity" and set_valued):
+    # single-valued maps are callables; set-valued regularity uses the
+    # graphical form below
+    gv = F if callable(F) else None
+    if form.tag == "semireg_set" or (form.tag == "regularity" and gv is None):
         if not constants.get("alpha"):
             raise ValueError("set-valued forms need a positive alpha")
     if alpha and alpha * c >= 1:
@@ -196,14 +198,8 @@ def check_descent_certificate(
             )
         return xp, vp
 
-    gv = None
-    if form.tag in ("semireg_single", "regularity"):
-        if not isinstance(F, (SingleValued, LinearOp)):
-            # set-valued regularity uses the graphical form below
-            if form.tag == "semireg_single":
-                raise ValueError("semireg_single requires a single-valued map")
-        else:
-            gv = (lambda x: F.A @ x) if isinstance(F, LinearOp) else (lambda x: as_vector(F.fn(x), F.m))
+    if form.tag == "semireg_single" and gv is None:
+        raise ValueError("semireg_single requires a single-valued map")
 
     rng = SplitMix64(derive_seed(seed, "descent"))
     for j, rad in enumerate(schedule.radii()):
@@ -377,14 +373,6 @@ def _eval_subreg_premise(report, F, point, gp, c, cprime, r, form, run_oracle, n
 # perturbation estimates
 
 
-def _single_valued_from(f) -> SingleValued:
-    if isinstance(f, SingleValued):
-        return f
-    if isinstance(f, LinearOp):
-        return SingleValued(lambda x, A=f.A: A @ x, f.n, f.m)
-    raise ValueError("expected a single-valued map")
-
-
 def verify_linear_perturbation(
     f: SetMap,
     A,
@@ -398,7 +386,7 @@ def verify_linear_perturbation(
     The linear moduli are closed forms; lip/calm of the difference and
     sur/psopen of f are sampled estimates at x0.
     """
-    fsv = _single_valued_from(f)
+    fsv = require_single_valued(f)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     x0 = as_vector(x0, fsv.n)
     fx0 = fsv(x0)
@@ -445,7 +433,7 @@ def verify_setvalued_perturbation(
     norm: str = "euclidean",
 ) -> CertificateReport:
     """Check sur(g+F) >= sur F - lip g at the shifted reference point."""
-    gsv = _single_valued_from(g)
+    gsv = require_single_valued(g)
     check_on_graph(F, point, norm=norm)
     schedule = schedule or LiminfSchedule()
     sur_F = estimate_modulus("sur", F, point, schedule, norm, derive_seed(seed, "surF")).value

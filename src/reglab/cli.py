@@ -9,7 +9,6 @@ failed, 2 config or I/O error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import sys
@@ -286,20 +285,11 @@ def _cmd_solve(cfg: dict, out_dir: Path):
     )
 
 
-def _cmd_suite(cfg: dict, out_dir: Path, workers: int = 1):
+def _cmd_suite(cfg: dict, out_dir: Path):
     seed = cfg.get("seed", 42)
     suite = cfg.get("suite", "acceptance")
     if suite == "acceptance":
-        if workers > 1:
-            # checks are pure; run concurrently, emit in criterion order
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(fn, seed) for fn in acceptance.ALL_CRITERIA]
-                results = [f.result() for f in futures]
-            for res in results:
-                res.setdefault("runtime_ms", 0)
-        else:
-            results = acceptance.run_acceptance(seed=seed, quiet=True)
-        for res in results:
+        for res in acceptance.run_acceptance(seed=seed, quiet=True):
             verdict = "pass" if res["passed"] else "fail"
             yield f"acceptance_{res['criterion']:02d}", make_report(
                 f"acceptance:criterion{res['criterion']}",
@@ -335,7 +325,7 @@ def _jsonable(obj):
     return obj
 
 
-def run_suite(cfg: dict, quiet: bool = False, workers: int = 1) -> int:
+def run_suite(cfg: dict, quiet: bool = False) -> int:
     """Execute a validated config; returns the process exit status."""
     out_dir = Path(cfg.get("out", "reports"))
     command = cfg["command"]
@@ -348,7 +338,7 @@ def run_suite(cfg: dict, quiet: bool = False, workers: int = 1) -> int:
     elif command == "solve":
         jobs = list(_cmd_solve(cfg, out_dir))
     else:
-        jobs = list(_cmd_suite(cfg, out_dir, workers))
+        jobs = list(_cmd_suite(cfg, out_dir))
 
     rows = []
     failed = False
@@ -375,7 +365,6 @@ def main(argv=None) -> int:
     parser.add_argument("--norm", choices=list(NORM_KINDS), help="override the norm")
     parser.add_argument("--out", help="report output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress per-check lines")
-    parser.add_argument("--workers", type=int, default=1, help="suite worker limit")
     parser.add_argument("--print-defaults", action="store_true", help="print the default config and exit")
     args = parser.parse_args(argv)
 
@@ -395,7 +384,7 @@ def main(argv=None) -> int:
         if args.out:
             cfg["out"] = args.out
         cfg = validate_config(cfg)
-        return run_suite(cfg, quiet=args.quiet, workers=args.workers)
+        return run_suite(cfg, quiet=args.quiet)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,18 +22,13 @@ from .moduli import LiminfSchedule, check_on_graph, estimate_modulus, linear_mod
 from .rng import SplitMix64, derive_seed, sphere_directions
 from .setmaps import (
     INF,
-    BoxSet,
-    FinitePoints,
-    LinearOp,
-    PolyhedralSet,
     SetMap,
     SingleValued,
-    UnionSet,
-    UnsupportedOperation,
-    ValueSet,
+    _coordinate_polish,
     dist_to_value_set,
     graph_sample,
     preimage_search,
+    require_single_valued,
 )
 
 #: covering conclusions pass within this relative plus absolute tolerance
@@ -89,14 +84,6 @@ class PicardResult:
         }
 
 
-def _fn_of(f) -> tuple:
-    if isinstance(f, SingleValued):
-        return (lambda x: as_vector(f.fn(x), f.m)), f.n, f.m
-    if isinstance(f, LinearOp):
-        return (lambda x: f.A @ x), f.n, f.m
-    raise ValueError("expected a single-valued map")
-
-
 def solve_preimage_picard(
     f: SetMap,
     A,
@@ -113,7 +100,7 @@ def solve_preimage_picard(
     Success requires the residual test and the ball constraint; both are
     asserted on every successful return.
     """
-    fn, n, m = _fn_of(f)
+    fn, n, m = require_single_valued(f), f.n, f.m
     pinv = pseudo_inverse(A)
     xbar = as_vector(xbar, n)
     y = as_vector(y, m)
@@ -137,30 +124,27 @@ def solve_preimage_picard(
 
         grid = _ball_grid(xbar, t, grid_resolution if n == 1 else 41, "euclidean")
         resids = np.array([np.linalg.norm(fn(row) - y) for row in grid])
-        i = int(resids.argmin())
-        x = grid[i].copy()
-        step = 2.0 * t / (grid_resolution - 1)
-        resid = float(resids[i])
-        for _ in range(40):
-            improved = False
-            for k in range(n):
-                for s in (step, -step):
-                    z = x.copy()
-                    z[k] += s
-                    if np.linalg.norm(z - xbar) > t:
-                        continue
-                    rz = float(np.linalg.norm(fn(z) - y))
-                    if rz < resid:
-                        x, resid = z, rz
-                        improved = True
-            if not improved:
-                step *= 0.5
+        x, resid = _coordinate_polish(
+            lambda z: float(np.linalg.norm(fn(z) - y)),
+            lambda z: np.linalg.norm(z - xbar) <= t,
+            grid[int(resids.argmin())], 2.0 * t / (grid_resolution - 1), 40,
+        )
         if resid <= tol:
             result = PicardResult(x, True, "grid", iterations, resid)
             _assert_feasible(result, fn, y, xbar, t, tol)
             return result
         return PicardResult(None, False, "failed", iterations, resid)
     return PicardResult(None, False, "failed", iterations, best_resid)
+
+
+def _calm_of_difference(f, A: np.ndarray, xbar: np.ndarray, r0: float, seed: int) -> float:
+    """Sampled calm(f - A) at xbar, the margin both covering bounds need."""
+    diff = SingleValued(lambda x: f(x) - A @ as_vector(x, f.n), f.n, f.m, vectorized=False)
+    return estimate_modulus(
+        "calm", diff, GraphPoint(xbar, f(xbar) - A @ xbar),
+        LiminfSchedule(r0=r0, rho=0.5, shells=6, samples_per_shell=32),
+        seed=derive_seed(seed, "calm"),
+    ).value
 
 
 def _assert_feasible(result: PicardResult, fn, y, xbar, t, tol):
@@ -226,19 +210,11 @@ def covering_check_kaluza(
     calmness of f - A at xbar, since the covering guarantee needs that
     margin.  Each sampled target records its solver provenance.
     """
-    fn, n, m = _fn_of(f)
+    fn, n, m = require_single_valued(f), f.n, f.m
     A = np.atleast_2d(np.asarray(A, dtype=float))
     xbar = as_vector(xbar, n)
     sur_A = linear_moduli(A).sur
-    if calm_override is not None:
-        calm_est = calm_override
-    else:
-        diff = SingleValued(lambda x: fn(as_vector(x, n)) - A @ as_vector(x, n), n, m, vectorized=False)
-        calm_est = estimate_modulus(
-            "calm", diff, GraphPoint(xbar, fn(xbar) - A @ xbar),
-            LiminfSchedule(r0=min(0.1, r), rho=0.5, shells=6, samples_per_shell=32),
-            seed=derive_seed(seed, "calm"),
-        ).value
+    calm_est = calm_override if calm_override is not None else _calm_of_difference(fn, A, xbar, min(0.1, r), seed)
     report = CoveringReport(
         check="covering_kaluza",
         constants={"c": c, "r": r, "sur_A": sur_A, "calm_diff": calm_est},
@@ -318,21 +294,13 @@ def build_selection(
     B-corrected ratio ||sigma(y) - xbar - B(y - ybar)||/||y - ybar||, checked
     against 1/(sur A - calm(f-A)) and calm/(sur A (sur A - calm(f-A))).
     """
-    fn, n, m = _fn_of(f)
+    fn, n, m = require_single_valued(f), f.n, f.m
     A = np.atleast_2d(np.asarray(A, dtype=float))
     xbar = as_vector(xbar, n)
     ybar = fn(xbar)
     pinv = pseudo_inverse(A)
     sur_A = pinv.sur_A
-    if calm_override is not None:
-        calm_est = calm_override
-    else:
-        diff = SingleValued(lambda x: fn(as_vector(x, n)) - A @ as_vector(x, n), n, m, vectorized=False)
-        calm_est = estimate_modulus(
-            "calm", diff, GraphPoint(xbar, ybar - A @ xbar),
-            LiminfSchedule(r0=radius, rho=0.5, shells=6, samples_per_shell=32),
-            seed=derive_seed(seed, "calm"),
-        ).value
+    calm_est = calm_override if calm_override is not None else _calm_of_difference(fn, A, xbar, radius, seed)
     if calm_est >= sur_A:
         raise ValueError("selection bounds need calm(f-A) < sur A")
     c = 0.95 * (sur_A - calm_est)
@@ -368,53 +336,6 @@ def build_selection(
 
 # ---------------------------------------------------------------------------
 # ROSL / strong-monotonicity covering checks
-
-
-def _support_extremum(vs: ValueSet, d: np.ndarray, maximize: bool) -> float:
-    """sup (or inf) of <d, y> over the value set; +-inf for unbounded sets."""
-    sign = 1.0 if maximize else -1.0
-    if isinstance(vs, FinitePoints):
-        vals = vs.points @ d
-        return float(vals.max() if maximize else vals.min())
-    if isinstance(vs, BoxSet):
-        total = 0.0
-        for di, lo, hi in zip(d, vs.lo, vs.hi):
-            pick = hi if di * sign > 0 else lo
-            if di == 0:
-                continue
-            if not np.isfinite(pick):
-                return sign * INF
-            total += di * pick
-        return total
-    if isinstance(vs, UnionSet):
-        vals = [_support_extremum(p, d, maximize) for p in vs.parts]
-        return max(vals) if maximize else min(vals)
-    if isinstance(vs, PolyhedralSet):
-        if vs.dim == 1:
-            pts, ivs = vs.interval_structure_1d()
-            cands = list(pts) + [b for iv in ivs for b in iv]
-            vals = [d[0] * c for c in cands if np.isfinite(c)]
-            if any(not np.isfinite(c) for iv in ivs for c in iv):
-                # a ray: unbounded on the side the ray opens toward
-                for lo, hi in ivs:
-                    if maximize and ((d[0] > 0 and hi == INF) or (d[0] < 0 and lo == -INF)):
-                        return INF
-                    if not maximize and ((d[0] > 0 and lo == -INF) or (d[0] < 0 and hi == INF)):
-                        return -INF
-            return max(vals) if maximize else min(vals)
-        from scipy.optimize import linprog
-
-        best = -sign * INF
-        for A, b in vs.pieces:
-            res = linprog(-sign * d, A_ub=A, b_ub=b, bounds=[(None, None)] * vs.dim, method="highs")
-            if res.status == 3:  # unbounded
-                return sign * INF
-            if res.success:
-                val = sign * float(-res.fun) if maximize else float(res.fun)
-                val = float(d @ res.x)
-                best = max(best, val) if maximize else min(best, val)
-        return best
-    raise UnsupportedOperation(f"support function unavailable for {type(vs).__name__}")
 
 
 ROSL_CONDITIONS = ("C1", "C2", "ROSLw", "ROSL")
@@ -460,7 +381,7 @@ def rosl_check(
         vs = F.value_set(x)
         if vs.is_empty():
             return False, INF
-        inner_min = _support_extremum(vs, d, maximize=False)
+        inner_min = vs.support(d, maximize=False)
         val = float(anchor @ d) - inner_min
         return val >= need - STRICT_SLACK, val
 
@@ -473,7 +394,7 @@ def rosl_check(
             if vs.is_empty():
                 report.condition_violations.append({"x": list(xv), "reason": "empty value"})
                 continue
-            val = _support_extremum(vs, d, maximize=True) - float(ybar @ d)
+            val = vs.support(d, maximize=True) - float(ybar @ d)
             if val < ell * nd2 - STRICT_SLACK:
                 report.condition_violations.append({"x": list(xv), "lhs": val, "rhs": ell * nd2})
         elif condition == "C2":

@@ -29,7 +29,10 @@ from .setmaps import (
     PolyhedralGraph,
     SetMap,
     UnsupportedOperation,
+    _coordinate_polish,
     _eval_vectorized,
+    _grid_axes,
+    _value_candidates,
     dist_to_preimage,
     dist_to_value_set,
     dist_to_value_set_batch,
@@ -201,6 +204,7 @@ def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: in
     best = float(vals[i])
     x = xs[i]
     step = (hi - lo) / (resolution - 1)
+    # not _coordinate_polish: the step halves every round, moved or not, and moves clamp to [lo, hi]
     for _ in range(polish):
         for s in (step, -step):
             z = min(max(x + s, lo), hi)
@@ -273,12 +277,8 @@ def _linear_cover_rate(a_bytes: bytes, shape: tuple, norm: str, directions: int,
 
 
 def _ball_grid(center: np.ndarray, radius: float, per_axis: int, norm: str) -> np.ndarray:
-    axes = [np.linspace(c - radius, c + radius, per_axis) for c in center]
-    if center.size == 1:
-        return axes[0].reshape(-1, 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    if norm == "euclidean":
+    grid = _grid_axes(center, radius, per_axis)
+    if norm == "euclidean" and center.size > 1:
         keep = np.linalg.norm(grid - center, axis=1) <= radius + 1e-12
         grid = grid[keep]
     return grid
@@ -362,16 +362,6 @@ def _covered_c_nd(F, x, y, t, norm, directions, seed, cap, c_levels: int = 16):
 
 # ---------------------------------------------------------------------------
 # the sampled modulus estimator
-
-
-def _value_candidates(F, x, center_y, radius, rng, count, norm):
-    vs = F.value_set(x)
-    if vs.is_empty():
-        return []
-    try:
-        return vs.members_near(center_y, radius, count, rng, norm)
-    except UnsupportedOperation:
-        return []
 
 
 def estimate_modulus(
@@ -592,7 +582,6 @@ def convex_process_sur(
         while feasible(hi * v) and doubles < 40:
             hi *= 2.0
             doubles += 1
-        lo = 0.0 if not feasible(min(hi, 1.0) * v) else min(hi, 1.0) / 2
         lo = 0.0
         for _ in range(50):
             mid = 0.5 * (lo + hi)
@@ -905,21 +894,7 @@ def frechet_coderivative_bound(
         rng = SplitMix64(derive_seed(seed, "coder-starts"))
         starts = [np.zeros(n)] + [rng.uniform_vector(n, -1.0, 1.0) for _ in range(4)]
         for x0 in starts:
-            x = np.asarray(x0, dtype=float).copy()
-            step = 1.0
-            fx = g_at(x)
-            for _ in range(120):
-                improved = False
-                for i in range(n):
-                    for s in (step, -step):
-                        zc = x.copy()
-                        zc[i] += s
-                        fz = g_at(zc)
-                        if fz < fx:
-                            x, fx = zc, fz
-                            improved = True
-                if not improved:
-                    step *= 0.5
+            x, fx = _coordinate_polish(g_at, lambda _z: True, x0, 1.0, 120)
             if fx > tol:
                 continue
             if g_at(np.zeros(n)) <= tol:

@@ -673,7 +673,8 @@ def check_newton_assumptions(
 
     Checks: decay of the linearization gap sup_{A in H(x)} ||f(x) - f(xbar)
     - A(x - xbar)||/||x - xbar||; the inexactness bounds (analytic for the
-    ball model: any gamma > 0 works and ell = eta exactly); regularity of
+    ball model: any gamma > 0 works, so gamma is fixed at 1e-6 rather than
+    measured, and ell = eta exactly); regularity of
     every partial linearization at the solution; and the margin inequality
     chi + ell + gamma < min_A sur G_A with chi = 0 for finite derivative
     sets.
@@ -683,7 +684,6 @@ def check_newton_assumptions(
         raise ValueError("xbar does not solve the inclusion")
     sched = schedule or LiminfSchedule(r0=0.1, rho=0.5, shells=6, samples_per_shell=24)
     gaps = []
-    gamma_meas = 0.0
     for j, r in enumerate(sched.radii()):
         worst = 0.0
         for xv in shell_points(xbar, r * sched.rho, r, sched.samples_per_shell, derive_seed(seed, f"gap{j}")):
@@ -693,9 +693,8 @@ def check_newton_assumptions(
             fv = problem.f(xv) - problem.f(xbar)
             for A in H.candidates(xv):
                 worst = max(worst, float(np.linalg.norm(fv - A @ (xv - xbar))) / dx)
-            # ball model: dist(0, R(x, xbar)) = 0 identically
         gaps.append(worst)
-    gamma = max(1e-6, 2.0 * gamma_meas)
+    gamma = 1e-6
     ell = R.eta
     notes = [
         "ball inexactness model: dist(0, R(x, xbar)) = 0, so any gamma > 0 is admissible",

@@ -41,9 +41,6 @@ class SplitMix64:
         """Uniform integer in [0, n)."""
         return self.next_u64() % n
 
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
-
     def uniform_vector(self, dim: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
         return np.array([self.uniform(lo, hi) for _ in range(dim)])
 

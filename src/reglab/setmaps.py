@@ -10,6 +10,11 @@ polyhedra).  On top of the descriptors sit the three work-horse oracles:
   where possible and honest grid search with local refinement otherwise
 * ``graph_sample(F, center, r)``   seeded, feasibility-checked graph points
 
+The oracles name no map class: each kind decides its own paths through the
+hooks on :class:`SetMap`, so a new map kind is one class.  The batch, 1D and
+closed-form preimage hooks return ``None`` for "no special path"; the
+analytic inverse and the graph sampler raise UnsupportedOperation.
+
 All operations are pure; nothing here keeps mutable state.
 """
 
@@ -128,6 +133,10 @@ class ValueSet:
         """A few representative members within ``radius`` of ``center``."""
         raise UnsupportedOperation(f"{type(self).__name__} cannot be sampled")
 
+    def support(self, d: np.ndarray, maximize: bool) -> float:
+        """sup (or inf) of <d, y> over the set; +-inf for unbounded sets."""
+        raise UnsupportedOperation(f"support function unavailable for {type(self).__name__}")
+
     def interval_structure_1d(self):
         """(points, intervals) decomposition for 1D value sets."""
         raise UnsupportedOperation(f"{type(self).__name__} has no 1D structure")
@@ -186,6 +195,10 @@ class FinitePoints(ValueSet):
         out = [p for p in self.points if vec_dist(p, center, norm) <= radius]
         return out[:count]
 
+    def support(self, d, maximize):
+        vals = self.points @ d
+        return float(vals.max() if maximize else vals.min())
+
     def interval_structure_1d(self):
         if self.dim != 1:
             raise UnsupportedOperation("not one-dimensional")
@@ -228,6 +241,18 @@ class BoxSet(ValueSet):
         for _ in range(count - 1):
             out.append(np.array([rng.uniform(float(a), float(b)) for a, b in zip(lo, hi)]))
         return out
+
+    def support(self, d, maximize):
+        sign = 1.0 if maximize else -1.0
+        total = 0.0
+        for di, lo, hi in zip(d, self.lo, self.hi):
+            pick = hi if di * sign > 0 else lo
+            if di == 0:
+                continue
+            if not np.isfinite(pick):
+                return sign * INF
+            total += di * pick
+        return total
 
     def interval_structure_1d(self):
         if self.dim != 1:
@@ -366,6 +391,32 @@ class PolyhedralSet(ValueSet):
             k += 1
         return out[:count]
 
+    def support(self, d, maximize):
+        if self.dim == 1:
+            pts, ivs = self.interval_structure_1d()
+            cands = list(pts) + [b for iv in ivs for b in iv]
+            vals = [d[0] * c for c in cands if np.isfinite(c)]
+            if any(not np.isfinite(c) for iv in ivs for c in iv):
+                # a ray: unbounded on the side the ray opens toward
+                for lo, hi in ivs:
+                    if maximize and ((d[0] > 0 and hi == INF) or (d[0] < 0 and lo == -INF)):
+                        return INF
+                    if not maximize and ((d[0] > 0 and lo == -INF) or (d[0] < 0 and hi == INF)):
+                        return -INF
+            return max(vals) if maximize else min(vals)
+        from scipy.optimize import linprog
+
+        sign = 1.0 if maximize else -1.0
+        best = -sign * INF
+        for A, b in self.pieces:
+            res = linprog(-sign * d, A_ub=A, b_ub=b, bounds=[(None, None)] * self.dim, method="highs")
+            if res.status == 3:  # unbounded
+                return sign * INF
+            if res.success:
+                val = float(d @ res.x)
+                best = max(best, val) if maximize else min(best, val)
+        return best
+
     def interval_structure_1d(self):
         if self.dim != 1:
             raise UnsupportedOperation("not one-dimensional")
@@ -419,6 +470,10 @@ class UnionSet(ValueSet):
             out.extend(p.members_near(center, radius, max(1, count // len(self.parts)), rng, norm))
         return out[:count]
 
+    def support(self, d, maximize):
+        vals = [p.support(d, maximize) for p in self.parts]
+        return max(vals) if maximize else min(vals)
+
     def interval_structure_1d(self):
         points, intervals = [], []
         for p in self.parts:
@@ -432,8 +487,20 @@ class UnionSet(ValueSet):
 # set-valued map variants
 
 
+def _row_dist(diff: np.ndarray, norm: str) -> np.ndarray:
+    return np.linalg.norm(diff, axis=1) if norm == "euclidean" else np.abs(diff).max(axis=1)
+
+
 class SetMap:
-    """Base class; subclasses fix domain dim ``n`` and range dim ``m``."""
+    """Base class; subclasses fix domain dim ``n`` and range dim ``m``.
+
+    A kind defines ``_value_set`` and overrides the per-kind hooks where it
+    has a special path.  Here ``batch_values``, ``batch_dist``,
+    ``scalar_branches``, ``analytic_preimage`` and ``preimage_1d`` return
+    ``None`` (no vectorized images or distances, no 1D branches, no closed
+    form: search a grid); ``inverse_value_set`` and ``sample_graph`` raise
+    UnsupportedOperation.
+    """
 
     n: int
     m: int
@@ -446,6 +513,29 @@ class SetMap:
 
     def describe(self) -> str:
         return type(self).__name__
+
+    def batch_values(self, X: np.ndarray):
+        return None
+
+    def batch_dist(self, y: np.ndarray, X: np.ndarray, norm: str):
+        vals = self.batch_values(X)
+        return None if vals is None else _row_dist(vals - y, norm)
+
+    def scalar_branches(self):
+        return None
+
+    def analytic_preimage(self, x0: np.ndarray, y: np.ndarray, norm: str, tol_feas: float):
+        return None
+
+    def preimage_1d(self, x0: np.ndarray, y0: float, grid: np.ndarray, norm: str, tol_feas: float):
+        branches = scalar_branches(self)
+        return None if branches is None else _preimage_1d_branches(x0, branches, y0, grid, norm, tol_feas)
+
+    def inverse_value_set(self, y: np.ndarray) -> ValueSet:
+        raise UnsupportedOperation(f"no analytic inverse for {self.describe()}")
+
+    def sample_graph(self, s: "_GraphSampler") -> list[GraphPoint]:
+        raise UnsupportedOperation(f"graph sampling not supported for {self.describe()}")
 
 
 class SingleValued(SetMap):
@@ -460,6 +550,19 @@ class SingleValued(SetMap):
 
     def _value_set(self, x):
         return FinitePoints([self(x)])
+
+    def batch_values(self, X):
+        return _eval_vectorized(self.fn, X, self.n, self.m) if self.vectorized else None
+
+    def scalar_branches(self):
+        return [self.fn] if self.vectorized else None
+
+    def sample_graph(self, s):
+        for x in s.domain():
+            s.push(x, self(x))
+            if len(s.out) >= s.count:
+                break
+        return s.out
 
 
 class FiniteValued(SetMap):
@@ -477,6 +580,43 @@ class FiniteValued(SetMap):
     def _value_set(self, x):
         return FinitePoints([as_vector(b(x), self.m) for b in self.branches])
 
+    def batch_dist(self, y, X, norm):
+        if not self.vectorized:
+            return None
+        dists = []
+        for b in self.branches:
+            out = _eval_vectorized(b, X, self.n, self.m)
+            if out is None:
+                return None
+            dists.append(_row_dist(out - y, norm))
+        return np.min(dists, axis=0)
+
+    def scalar_branches(self):
+        return list(self.branches) if self.vectorized else None
+
+    def analytic_preimage(self, x0, y, norm, tol_feas):
+        if self.branch_inverses is None:
+            return None
+        best, arg = INF, None
+        for inv in self.branch_inverses:
+            try:
+                cand = as_vector(inv(y), self.n)
+            except (DomainError, ValueError):
+                continue
+            if dist_to_value_set(y, self, cand, norm) <= tol_feas:
+                d = vec_dist(cand, x0, norm)
+                if d < best:
+                    best, arg = d, cand
+        return best, arg
+
+    def sample_graph(self, s):
+        for x in s.domain():
+            for y in self._value_set(x).points:
+                s.push(x, y)
+            if len(s.out) >= s.count:
+                break
+        return s.out
+
 
 class Epigraph(SetMap):
     """x -> {y in R : y >= f(x)} for a scalar function f."""
@@ -490,14 +630,53 @@ class Epigraph(SetMap):
     def _value_set(self, x):
         return BoxSet([float(np.asarray(self.f(x)).reshape(-1)[0])], [INF])
 
+    def batch_dist(self, y, X, norm):
+        out = _eval_vectorized(self.f, X, self.n, 1) if self.vectorized else None
+        return None if out is None else np.maximum(out[:, 0] - y[0], 0.0)
+
+    def preimage_1d(self, x0, y0, grid, norm, tol_feas):
+        return _preimage_1d_epigraph(x0, self, y0, grid, tol_feas) if self.vectorized else None
+
+    def sample_graph(self, s):
+        for j, x in enumerate(s.domain()):
+            fx = float(np.asarray(self.f(x)).reshape(-1)[0])
+            if abs(fx - s.cy[0]) <= s.radius:
+                s.push(x, np.array([fx]))  # boundary sample
+            if j % 2 == 0:
+                lo = max(fx, s.cy[0] - s.radius)
+                hi = s.cy[0] + s.radius
+                if lo <= hi:
+                    s.push(x, np.array([s.rng.uniform(lo, hi)]))
+            if len(s.out) >= s.count:
+                break
+        return s.out
+
 
 class LinearOp(SetMap):
     def __init__(self, matrix):
         self.A = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.m, self.n = self.A.shape
 
+    def __call__(self, x):
+        return self.A @ as_vector(x, self.n)
+
     def _value_set(self, x):
         return FinitePoints([self.A @ x])
+
+    def batch_values(self, X):
+        return X @ self.A.T
+
+    def scalar_branches(self):
+        a = float(self.A[0, 0])
+        return [lambda x, a=a: a * np.asarray(x, dtype=float)]
+
+    def analytic_preimage(self, x0, y, norm, tol_feas):
+        return self.inverse_value_set(y).nearest(x0, norm)[::-1]
+
+    def inverse_value_set(self, y):
+        return AffineSet(self.A, y)
+
+    sample_graph = SingleValued.sample_graph
 
 
 class NormalConeBox(SetMap):
@@ -529,6 +708,29 @@ class NormalConeBox(SetMap):
                 lo[i] = hi[i] = 0.0
         return BoxSet(lo, hi)
 
+    def analytic_preimage(self, x0, y, norm, tol_feas):
+        try:
+            return self.inverse_value_set(y).nearest(x0, norm)[::-1]
+        except UnsupportedOperation:
+            return None  # unbounded box: search a grid instead
+
+    def inverse_value_set(self, y):
+        lo = np.empty(self.n)
+        hi = np.empty(self.n)
+        for i in range(self.n):
+            if y[i] > self.atol:
+                lo[i] = hi[i] = self.hi[i]
+            elif y[i] < -self.atol:
+                lo[i] = hi[i] = self.lo[i]
+            else:
+                lo[i], hi[i] = self.lo[i], self.hi[i]
+        if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
+            raise UnsupportedOperation("inverse of an unbounded-box normal cone")
+        return BoxSet(lo, hi)
+
+    def sample_graph(self, s):
+        return s.near_members()
+
 
 class PolyhedralGraph(SetMap):
     """Graph given as a finite union of convex polyhedra in R^{n+m}."""
@@ -553,6 +755,26 @@ class PolyhedralGraph(SetMap):
             slices.append((Ay, b - Ax @ x))
         ps = PolyhedralSet(slices, self.m)
         return ps if not ps.is_empty() else EmptySet(self.m)
+
+    def inverse_value_set(self, y):
+        swapped = []
+        for A, b in self.pieces:
+            swapped.append((np.hstack([A[:, self.n:], A[:, : self.n]]), b))
+        return PolyhedralGraph(swapped, self.m, self.n)._value_set(y)
+
+    def sample_graph(self, s):
+        s.near_members()
+        if len(s.out) < s.count:
+            # direct projections of ambient samples onto the graph pieces
+            for _ in range(3 * s.count):
+                z = np.concatenate([s.rng.in_ball(s.cx, s.radius, s.norm), s.rng.in_ball(s.cy, s.radius, s.norm)])
+                for A, b in self.pieces:
+                    proj = _project_polyhedron(z, A, b)
+                    if proj is not None:
+                        s.push(proj[0][: self.n], proj[0][self.n:])
+                if len(s.out) >= s.count:
+                    break
+        return s.out
 
 
 class SumMap(SetMap):
@@ -579,6 +801,24 @@ class SumMap(SetMap):
             return BoxSet(vf.lo + vg.lo, vf.hi + vg.hi)
         raise UnsupportedOperation("Minkowski sum needs a finite operand or two boxes")
 
+    def batch_dist(self, y, X, norm):
+        # fast only when one side is single-valued and vectorizable
+        for first, second in ((self.F, self.G), (self.G, self.F)):
+            shift = first.batch_values(X)
+            if shift is not None:
+                return np.array([second.value_set(row).dist(y - s, norm) for row, s in zip(X, shift)])
+        return None
+
+    def scalar_branches(self):
+        bf = scalar_branches(self.F)
+        bg = scalar_branches(self.G)
+        if bf is None or bg is None:
+            return None
+        return [lambda x, f=f, g=g: np.asarray(f(x), dtype=float) + np.asarray(g(x), dtype=float) for f in bf for g in bg]
+
+    def sample_graph(self, s):
+        return s.near_members()
+
 
 class InverseView(SetMap):
     """The inverse map y -> F^{-1}(y), sharing the graph of the base map."""
@@ -588,31 +828,18 @@ class InverseView(SetMap):
         self.n, self.m = base.m, base.n
 
     def _value_set(self, y):
-        base = self.base
-        if isinstance(base, InverseView):
-            return base.base._value_set(y)
-        if isinstance(base, LinearOp):
-            return AffineSet(base.A, y)
-        if isinstance(base, NormalConeBox):
-            lo = np.empty(self.m)
-            hi = np.empty(self.m)
-            for i in range(self.m):
-                if y[i] > base.atol:
-                    lo[i] = hi[i] = base.hi[i]
-                elif y[i] < -base.atol:
-                    lo[i] = hi[i] = base.lo[i]
-                else:
-                    lo[i], hi[i] = base.lo[i], base.hi[i]
-            if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-                raise UnsupportedOperation("inverse of an unbounded-box normal cone")
-            return BoxSet(lo, hi)
-        if isinstance(base, PolyhedralGraph):
-            swapped = []
-            for A, b in base.pieces:
-                swapped.append((np.hstack([A[:, base.n:], A[:, : base.n]]), b))
-            pg = PolyhedralGraph(swapped, base.m, base.n)
-            return pg._value_set(y)
-        raise UnsupportedOperation(f"no analytic inverse for {base.describe()}")
+        return self.base.inverse_value_set(y)
+
+    def inverse_value_set(self, y):
+        return self.base._value_set(y)
+
+    def analytic_preimage(self, x0, y, norm, tol_feas):
+        # preimage of the inverse is the forward value set of the base
+        return self.base.value_set(y).nearest(x0, norm)[::-1]
+
+    def sample_graph(self, s):
+        inner = graph_sample(self.base, GraphPoint(s.cy, s.cx), s.radius, s.count, s.seed, s.norm, s.tol_feas)
+        return [GraphPoint(p.y, p.x) for p in inner]
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +852,13 @@ def values(F: SetMap, x) -> ValueSet:
     if vs.is_empty():
         raise DomainError("point outside the domain of the map")
     return vs
+
+
+def require_single_valued(F: SetMap) -> SetMap:
+    """``F`` itself when it is single-valued (a callable x -> F(x))."""
+    if not callable(F):
+        raise ValueError("expected a single-valued map")
+    return F
 
 
 def dist_to_value_set(y, F: SetMap, x, norm: str = "euclidean") -> float:
@@ -664,45 +898,7 @@ def _eval_vectorized(fn, X: np.ndarray, n: int, m: int):
 
 
 def _batch_fast_path(y, F, X, norm):
-    if isinstance(F, LinearOp):
-        diff = X @ F.A.T - y
-        return np.linalg.norm(diff, axis=1) if norm == "euclidean" else np.abs(diff).max(axis=1)
-    if isinstance(F, SingleValued) and F.vectorized:
-        out = _eval_vectorized(F.fn, X, F.n, F.m)
-        if out is None:
-            return None
-        diff = out - y
-        return np.linalg.norm(diff, axis=1) if norm == "euclidean" else np.abs(diff).max(axis=1)
-    if isinstance(F, FiniteValued) and F.vectorized:
-        dists = []
-        for b in F.branches:
-            out = _eval_vectorized(b, X, F.n, F.m)
-            if out is None:
-                return None
-            diff = out - y
-            dists.append(np.linalg.norm(diff, axis=1) if norm == "euclidean" else np.abs(diff).max(axis=1))
-        return np.min(dists, axis=0)
-    if isinstance(F, Epigraph) and F.vectorized:
-        out = _eval_vectorized(F.f, X, F.n, 1)
-        if out is None:
-            return None
-        return np.maximum(out[:, 0] - y[0], 0.0)
-    if isinstance(F, SumMap):
-        # fast only when one side is single-valued and vectorizable
-        for first, second in ((F.F, F.G), (F.G, F.F)):
-            if isinstance(first, (SingleValued, LinearOp)):
-                if isinstance(first, LinearOp):
-                    shift = X @ first.A.T
-                else:
-                    if not first.vectorized:
-                        continue
-                    shift = _eval_vectorized(first.fn, X, first.n, first.m)
-                    if shift is None:
-                        continue
-                return np.array(
-                    [second.value_set(row).dist(y - s, norm) for row, s in zip(X, shift)]
-                )
-    return None
+    return F.batch_dist(y, X, norm)
 
 
 def _grid_axes(center: np.ndarray, radius: float, resolution: int) -> np.ndarray:
@@ -717,20 +913,7 @@ def scalar_branches(F: SetMap):
     """Vectorized scalar branch callables for 1D->1D maps, or None."""
     if F.n != 1 or F.m != 1:
         return None
-    if isinstance(F, LinearOp):
-        a = float(F.A[0, 0])
-        return [lambda x, a=a: a * np.asarray(x, dtype=float)]
-    if isinstance(F, SingleValued) and F.vectorized:
-        return [F.fn]
-    if isinstance(F, FiniteValued) and F.vectorized:
-        return list(F.branches)
-    if isinstance(F, SumMap):
-        bf = scalar_branches(F.F)
-        bg = scalar_branches(F.G)
-        if bf is None or bg is None:
-            return None
-        return [lambda x, f=f, g=g: np.asarray(f(x), dtype=float) + np.asarray(g(x), dtype=float) for f in bf for g in bg]
-    return None
+    return F.scalar_branches()
 
 
 def _bisect_root(fn, a: float, b: float, fa: float, fb: float, iters: int = 60) -> float:
@@ -782,24 +965,15 @@ def _preimage_1d_branches(x0, branches, y0: float, grid: np.ndarray, norm: str, 
                     abs(vals[i] - vals[max(i - 1, 0)]),
                     abs(vals[min(i + 1, vals.size - 1)] - vals[i]),
                 )
-                fx = abs(float(vals[i]))
-                if fx > 2.0 * local_delta + tol_feas:
+                if abs(float(vals[i])) > 2.0 * local_delta + tol_feas:
                     continue
-                x = float(xs[i])
-                step = h
-                for _ in range(60):
-                    if fx <= tol_feas / 4 or step < 1e-18:
-                        break
-                    moved = False
-                    for s in (step, -step):
-                        fz = abs(float(np.asarray(b(np.asarray(x + s)))) - y0)
-                        if fz < fx:
-                            x, fx = x + s, fz
-                            moved = True
-                    if not moved:
-                        step *= 0.5
+                z, fx = _coordinate_polish(
+                    lambda z, b=b: abs(float(np.asarray(b(np.asarray(z[0])))) - y0),
+                    lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4,
+                )
                 if fx <= tol_feas:
                     found = True
+                    x = float(z[0])
                     if abs(x - float(x0[0])) < best:
                         best, arg = abs(x - float(x0[0])), np.array([x])
     return (best, arg) if found else (INF, None)
@@ -866,36 +1040,17 @@ def preimage_search(
 ):
     """(distance, point) from x0 to F^{-1}(y) = {x: y in F(x)}.
 
-    Analytic for LinearOp / NormalConeBox / InverseView (global answer);
-    otherwise a grid search over ``region`` with feasibility restoration and
-    a polish pass toward x0.  Returns (+inf, None) when no feasible point is
-    found.
+    Closed form where the map kind has one (``SetMap.analytic_preimage``,
+    a global answer); otherwise a grid search over ``region`` with
+    feasibility restoration and a polish pass toward x0.  Returns
+    (+inf, None) when no feasible point is found.
     """
     x0 = as_vector(x0, F.n)
     y = as_vector(y, F.m)
 
-    if isinstance(F, LinearOp):
-        return AffineSet(F.A, y).nearest(x0, norm)[::-1]
-    if isinstance(F, NormalConeBox):
-        try:
-            return InverseView(F)._value_set(y).nearest(x0, norm)[::-1]
-        except UnsupportedOperation:
-            pass
-    if isinstance(F, InverseView):
-        # preimage of the inverse is the forward value set of the base
-        return F.base.value_set(y).nearest(x0, norm)[::-1]
-    if isinstance(F, FiniteValued) and F.branch_inverses is not None:
-        best, arg = INF, None
-        for inv in F.branch_inverses:
-            try:
-                cand = as_vector(inv(y), F.n)
-            except (DomainError, ValueError):
-                continue
-            if dist_to_value_set(y, F, cand, norm) <= tol_feas:
-                d = vec_dist(cand, x0, norm)
-                if d < best:
-                    best, arg = d, cand
-        return best, arg
+    closed = F.analytic_preimage(x0, y, norm, tol_feas)
+    if closed is not None:
+        return closed
 
     if F.n > 2:
         raise UnsupportedDimension(
@@ -909,14 +1064,9 @@ def preimage_search(
     h = 2.0 * region.radius / max(per_axis - 1, 1)
 
     if F.n == 1 and F.m == 1:
-        if isinstance(F, Epigraph) and F.vectorized:
-            d, p = _preimage_1d_epigraph(x0, F, float(y[0]), grid, tol_feas)
-            return d, p
-        branches = scalar_branches(F)
-        if branches is not None:
-            out = _preimage_1d_branches(x0, branches, float(y[0]), grid, norm, tol_feas)
-            if out is not None:
-                return out
+        out = F.preimage_1d(x0, float(y[0]), grid, norm, tol_feas)
+        if out is not None:
+            return out
 
     feas = dist_to_value_set_batch(y, F, grid, norm)
     dists = np.array([vec_dist(row, x0, norm) for row in grid])
@@ -989,11 +1139,46 @@ def dist_to_preimage(
 # graph sampling
 
 
-def _domain_samples(center: np.ndarray, radius: float, count: int, rng: SplitMix64) -> list[np.ndarray]:
-    if center.size == 1:
-        pts = shell_points_1d(float(center[0]), 0.0, radius, count)
-        return [np.array([p]) for p in pts]
-    return [rng.in_ball(center, radius, "max") for _ in range(count)]
+def _value_candidates(F: SetMap, x, center_y, radius, rng, count, norm) -> list[np.ndarray]:
+    """Up to ``count`` members of F(x) within ``radius`` of ``center_y``."""
+    vs = F.value_set(x)
+    if vs.is_empty():
+        return []
+    try:
+        return vs.members_near(center_y, radius, count, rng, norm)
+    except UnsupportedOperation:
+        return []
+
+
+class _GraphSampler:
+    """One :func:`graph_sample` call: its seeded stream and the points kept."""
+
+    def __init__(self, F: SetMap, center: GraphPoint, radius: float, count: int, seed: int, norm: str, tol_feas: float):
+        self.F, self.radius, self.count, self.seed, self.norm, self.tol_feas = F, radius, count, seed, norm, tol_feas
+        self.rng = SplitMix64(derive_seed(seed, "graph_sample"))
+        self.cx, self.cy = as_vector(center.x, F.n), as_vector(center.y, F.m)
+        self.out: list[GraphPoint] = []
+
+    def domain(self) -> list[np.ndarray]:
+        if self.cx.size == 1:
+            pts = shell_points_1d(float(self.cx[0]), 0.0, self.radius, 3 * self.count)
+            return [np.array([p]) for p in pts]
+        return [self.rng.in_ball(self.cx, self.radius, "max") for _ in range(3 * self.count)]
+
+    def push(self, x, y) -> None:
+        """Keep (x, y) when it lies in the product ball and on the graph."""
+        if vec_dist(x, self.cx, self.norm) <= self.radius + 1e-12 and vec_dist(y, self.cy, self.norm) <= self.radius + 1e-12:
+            if dist_to_value_set(y, self.F, x, self.norm) <= self.tol_feas:
+                self.out.append(GraphPoint(x, y))
+
+    def near_members(self) -> list[GraphPoint]:
+        """The generic sampler: up to two members of each sampled F(x) near the centre."""
+        for x in self.domain():
+            for y in _value_candidates(self.F, x, self.cy, self.radius, self.rng, 2, self.norm):
+                self.push(x, y)
+            if len(self.out) >= self.count:
+                break
+        return self.out
 
 
 def graph_sample(
@@ -1014,70 +1199,7 @@ def graph_sample(
         raise ValueError("radius must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = SplitMix64(derive_seed(seed, "graph_sample"))
-    cx, cy = as_vector(center.x, F.n), as_vector(center.y, F.m)
-    out: list[GraphPoint] = []
-
-    def push(x, y):
-        if vec_dist(x, cx, norm) <= radius + 1e-12 and vec_dist(y, cy, norm) <= radius + 1e-12:
-            if dist_to_value_set(y, F, x, norm) <= tol_feas:
-                out.append(GraphPoint(x, y))
-
-    if isinstance(F, InverseView):
-        inner = graph_sample(F.base, GraphPoint(cy, cx), radius, count, seed, norm, tol_feas)
-        return [GraphPoint(p.y, p.x) for p in inner]
-
-    if isinstance(F, (SingleValued, LinearOp)):
-        for x in _domain_samples(cx, radius, 3 * count, rng):
-            y = F.A @ x if isinstance(F, LinearOp) else as_vector(F.fn(x), F.m)
-            push(x, y)
-            if len(out) >= count:
-                break
-    elif isinstance(F, FiniteValued):
-        for x in _domain_samples(cx, radius, 3 * count, rng):
-            vs = F._value_set(x)
-            for y in vs.points:
-                push(x, y)
-            if len(out) >= count:
-                break
-    elif isinstance(F, Epigraph):
-        for j, x in enumerate(_domain_samples(cx, radius, 3 * count, rng)):
-            fx = float(np.asarray(F.f(x)).reshape(-1)[0])
-            if abs(fx - cy[0]) <= radius:
-                push(x, np.array([fx]))  # boundary sample
-            if j % 2 == 0:
-                lo = max(fx, cy[0] - radius)
-                hi = cy[0] + radius
-                if lo <= hi:
-                    push(x, np.array([rng.uniform(lo, hi)]))
-            if len(out) >= count:
-                break
-    elif isinstance(F, (NormalConeBox, PolyhedralGraph, SumMap)):
-        for x in _domain_samples(cx, radius, 3 * count, rng):
-            vs = F._value_set(x)
-            if vs.is_empty():
-                continue
-            try:
-                ys = vs.members_near(cy, radius, 2, rng, norm)
-            except UnsupportedOperation:
-                ys = []
-            for y in ys:
-                push(x, y)
-            if len(out) >= count:
-                break
-        if isinstance(F, PolyhedralGraph) and len(out) < count:
-            # direct projections of ambient samples onto the graph pieces
-            for _ in range(3 * count):
-                z = np.concatenate([rng.in_ball(cx, radius, norm), rng.in_ball(cy, radius, norm)])
-                for A, b in F.pieces:
-                    proj = _project_polyhedron(z, A, b)
-                    if proj is not None:
-                        push(proj[0][: F.n], proj[0][F.n:])
-                if len(out) >= count:
-                    break
-    else:
-        raise UnsupportedOperation(f"graph sampling not supported for {F.describe()}")
-    return out[:count]
+    return F.sample_graph(_GraphSampler(F, center, radius, count, seed, norm, tol_feas))[:count]
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,24 @@ import pytest
 from reglab.geometry import Ball, DomainError, GraphPoint
 from reglab.setmaps import (
     Epigraph,
+    FinitePoints,
     FiniteValued,
     InverseView,
     LinearOp,
     NormalConeBox,
     PolyhedralGraph,
+    SetMap,
     SingleValued,
     SumMap,
     UnsupportedDimension,
+    UnsupportedOperation,
     build_setmap,
     dist_to_preimage,
     dist_to_value_set,
+    dist_to_value_set_batch,
     graph_sample,
     preimage_search,
+    require_single_valued,
     values,
 )
 
@@ -202,3 +207,72 @@ def test_json_rejects_unknown_keys():
         build_setmap({"kind": "finite", "branches": ["x"], "extra": 1})
     with pytest.raises(ValueError):
         build_setmap({"kind": "mystery"})
+
+
+# ---------------------------------------------------------------------------
+# per-kind hooks: every map kind, through the generic oracles
+
+_X1 = np.linspace(-1.2, 1.3, 11).reshape(-1, 1)
+_X2 = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.3], [-0.4, 0.7], [0.2, -1.5], [1.0, 1.0]])
+_SUM_BRANCHES = FiniteValued([lambda x: arr(x), lambda x: 0.0 * arr(x) + 1.0])
+
+MAP_KINDS = {
+    "linear": (LinearOp([[1.0, 2.0], [0.5, -1.0]]), _X2, [0.3, -0.2]),
+    "single_vectorized": (SingleValued(lambda x: np.sin(arr(x)) + arr(x) ** 2), _X1, [0.4]),
+    "single_scalar": (SingleValued(lambda x: np.sin(arr(x)) + arr(x) ** 2, vectorized=False), _X1, [0.4]),
+    "finite": (two_branch(), _X1, [0.25]),
+    "epigraph": (Epigraph(lambda x: arr(x) ** 2), _X1, [0.5]),
+    "normal_cone_box": (NormalConeBox([0.0, 0.0], [1.0, 1.0]), _X2, [0.0, 0.5]),
+    "polyhedral_graph": (PolyhedralGraph([([[1, -1], [-1, 1]], [0, 1])], 1, 1), _X1, [0.2]),
+    "sum": (SumMap(SingleValued(lambda x: 0.5 * arr(x)), _SUM_BRANCHES), _X1, [0.7]),
+    "inverse": (InverseView(LinearOp([[2.0]])), _X1, [0.3]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MAP_KINDS))
+def test_batch_distance_matches_row_by_row(kind):
+    F, X, y = MAP_KINDS[kind]
+    for norm in ("euclidean", "max"):
+        rows = np.array([dist_to_value_set(y, F, x, norm) for x in X])
+        np.testing.assert_allclose(dist_to_value_set_batch(y, F, X, norm), rows, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(MAP_KINDS))
+def test_single_valued_kinds_are_callables(kind):
+    F, X, _ = MAP_KINDS[kind]
+    if kind.startswith(("linear", "single")):
+        assert require_single_valued(F) is F
+        for x in X:
+            assert np.array_equal(F(x), values(F, x).points[0])
+    else:
+        with pytest.raises(ValueError, match="expected a single-valued map"):
+            require_single_valued(F)
+
+
+def test_linear_op_call_is_matrix_product():
+    A = np.array([[1.0, 2.0, -1.0], [0.5, -1.0, 3.0]])
+    x = np.array([0.3, -0.7, 1.1])
+    assert np.array_equal(LinearOp(A)(x), A @ x)
+
+
+class _Shifted(SetMap):
+    """A kind that defines only its value sets: x -> {x + 1}."""
+
+    n = m = 1
+
+    def _value_set(self, x):
+        return FinitePoints([x + 1.0])
+
+
+def test_bare_kind_runs_on_base_defaults():
+    F = _Shifted()
+    X = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    assert F.batch_dist(np.array([0.5]), X, "euclidean") is None
+    np.testing.assert_allclose(dist_to_value_set_batch([0.5], F, X), np.abs(X[:, 0] + 0.5), atol=1e-12)
+    d, p = preimage_search([0.0], F, [1.25], Ball([0.0], 1.0))
+    assert d == pytest.approx(0.25, abs=1e-6) and dist_to_value_set([1.25], F, p) <= 1e-8
+    with pytest.raises(UnsupportedOperation):
+        graph_sample(F, GraphPoint([0.0], [1.0]), 0.5, 4)
+    with pytest.raises(UnsupportedOperation):
+        InverseView(F).value_set([1.0])
+
