@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import STRICT_SLACK, TOL_FEAS, Ball, GraphPoint, as_vector, vec_dist
+from .geometry import STRICT_SLACK, TOL_FEAS, Ball, GraphPoint, JsonReport, as_vector, vec_dist
 from .moduli import LiminfSchedule, check_on_graph, estimate_modulus, linear_moduli
 from .rng import SplitMix64, derive_seed, shell_points
 from .setmaps import (
@@ -50,7 +50,7 @@ class DescentForm:
 
 
 @dataclass
-class CertificateReport:
+class CertificateReport(JsonReport):
     check: str
     constants: dict
     premise_samples: int
@@ -72,21 +72,6 @@ class CertificateReport:
         else:
             self.verdict = "pass"
         return self
-
-    def to_json_dict(self) -> dict:
-        enc = lambda v: "inf" if isinstance(v, float) and v == INF else v
-        return {
-            "check": self.check,
-            "constants": {k: enc(v) for k, v in self.constants.items()},
-            "premise_samples": self.premise_samples,
-            "violations": self.violations,
-            "conclusion": self.conclusion,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "norm": self.norm,
-            "notes": self.notes,
-            "values": {k: enc(v) for k, v in self.values.items()},
-        }
 
 
 class OracleError(ValueError):

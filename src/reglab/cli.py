@@ -1,9 +1,10 @@
 """Experiment runner: config ingestion, suite orchestration, report files.
 
-Reports are canonical JSON (sorted keys) carrying a schema_version; given
-the same config and seed they are byte-identical up to the runtime_ms
-field.  Exit codes: 0 all checks passed, 1 at least one non-vacuous check
-failed, 2 config or I/O error.
+Reports are canonical JSON (sorted keys, non-finite numbers as the strings
+"inf", "-inf" and "nan") carrying a schema_version; given the same config
+and seed they are byte-identical up to the runtime_ms field.  Exit codes:
+0 all checks passed, 1 at least one non-vacuous check failed, 2 config or
+I/O error, including an example that lacks the parts its check needs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .certify import (
 )
 from .corpus import CorpusEntry, UnknownExample, corpus_names, load_example
 from .covering import build_selection, covering_check_kaluza
-from .geometry import GraphPoint, NORM_KINDS
+from .geometry import GraphPoint, NORM_KINDS, jsonable
 from .moduli import LiminfSchedule, MODULUS_KINDS, estimate_modulus
 from .newton import InexactnessModel, rate_report, run_newton
 from .setmaps import build_setmap
@@ -101,6 +102,22 @@ def _entry_from(cfg: dict) -> CorpusEntry:
         raise ConfigError(str(exc)) from exc
 
 
+def _require(entry, *keys: str) -> list:
+    """The named objects of a corpus example, or entries of a constants dict.
+
+    A missing one is a ConfigError, so pairing a check with an example that
+    lacks its parts exits 2 instead of crashing.
+    """
+    if isinstance(entry, CorpusEntry):
+        objects, where = entry.objects, f"example {entry.name!r}"
+    else:
+        objects, where = entry, "constants"
+    missing = [k for k in keys if objects.get(k) is None]
+    if missing:
+        raise ConfigError(f"{where} lacks {', '.join(missing)}, which this check needs")
+    return [objects[k] for k in keys]
+
+
 def _point_from(cfg: dict, entry: CorpusEntry | None):
     if "point" in cfg:
         return GraphPoint(cfg["point"]["x"], cfg["point"]["y"])
@@ -126,7 +143,7 @@ def write_report(report: dict, out_dir: Path, name: str, quiet: bool) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if not quiet:
         print(f"{report['verdict']:8s} {report['check']}  -> {path}")
@@ -145,9 +162,7 @@ def _cmd_moduli(cfg: dict):
         entry = None
     else:
         entry = _entry_from(cfg)
-        F = entry.objects.get("setmap")
-        if F is None:
-            raise ConfigError(f"example {entry.name!r} does not expose a plain set map")
+        (F,) = _require(entry, "setmap")
     point = _point_from(cfg, entry)
     schedule = _schedule_from(cfg)
     estimates = {}
@@ -158,7 +173,7 @@ def _cmd_moduli(cfg: dict):
         payload = est.to_json_dict()
         yield f"moduli_{kind}", make_report(
             f"moduli:{kind}",
-            {"example": cfg.get("example"), "norm": norm, "schedule": schedule.to_dict()},
+            {"example": cfg.get("example"), "norm": norm, "schedule": jsonable(schedule)},
             seed,
             "pass",
             {"estimate": payload},
@@ -176,9 +191,8 @@ def _cmd_moduli(cfg: dict):
                 payload = {"product": product, "pair": [a, b]}
             else:
                 small, large = (va, vb) if va <= vb else (vb, va)
-                verdict = "pass" if (small <= 1e-2 and (large >= 1e2 or not np.isfinite(large))) or (not np.isfinite(large)) else "fail"
-                payload = {"pair": [a, b], "degenerate": True,
-                           "values": ["inf" if not np.isfinite(v) else v for v in (va, vb)]}
+                verdict = "pass" if (small <= 1e-2 and large >= 1e2) or not np.isfinite(large) else "fail"
+                payload = {"pair": [a, b], "degenerate": True, "values": [va, vb]}
             yield f"product_{a}_{b}", make_report(
                 f"moduli:product:{a}*{b}", {"example": cfg.get("example")}, seed, verdict, payload
             )
@@ -191,13 +205,12 @@ def _cmd_certify(cfg: dict):
     constants = cfg.get("constants", {})
     t0 = time.perf_counter()
     if check == "sum_semiregularity":
-        entry = _entry_from(cfg)
-        if "F" not in entry.objects:
-            raise ConfigError("sum_semiregularity needs an example with F and G parts")
-        rep = verify_sum_semiregularity(entry.objects["F"], entry.objects["G"], entry.objects["point"], seed=seed, norm=norm)
+        F, G, point = _require(_entry_from(cfg), "F", "G", "point")
+        rep = verify_sum_semiregularity(F, G, point, seed=seed, norm=norm)
     elif check == "descent":
         entry = _entry_from(cfg)
-        F = entry.objects.get("setmap")
+        (F,) = _require(entry, "setmap")
+        _require(constants, "c", "r")
         point = _point_from(cfg, entry)
         oracle = NAMED_ORACLES.get(cfg.get("oracle", "target_pair"))
         if oracle is None:
@@ -206,8 +219,8 @@ def _cmd_certify(cfg: dict):
         consts = {k: v for k, v in constants.items() if k in ("c", "r", "alpha", "c_prime")}
         rep = check_descent_certificate(form, F, point, consts, oracle, seed=seed, norm=norm)
     elif check == "linear_perturbation":
-        entry = _entry_from(cfg)
-        rep = verify_linear_perturbation(entry.objects["f"], entry.objects["A"], entry.objects["xbar"], seed=seed, norm=norm)
+        f, A, xbar = _require(_entry_from(cfg), "f", "A", "xbar")
+        rep = verify_linear_perturbation(f, A, xbar, seed=seed, norm=norm)
     else:
         raise ConfigError(f"unknown certify check {check!r}")
     payload = rep.to_json_dict()
@@ -229,11 +242,10 @@ def _cmd_cover(cfg: dict):
     t0 = time.perf_counter()
     if check == "kaluza":
         entry = _entry_from(cfg)
-        if "A" not in entry.objects:
-            raise ConfigError("kaluza covering needs an example with a linear part A")
+        f, A, xbar = _require(entry, "f", "A", "xbar")
         sigma = entry.references["sigma_min"]["value"]
         rep = covering_check_kaluza(
-            entry.objects["f"], entry.objects["A"], entry.objects["xbar"],
+            f, A, xbar,
             c=constants.get("c", 0.7 * sigma), r=constants.get("r", 1e-2),
             samples=constants.get("samples", 100), seed=seed,
         )
@@ -245,11 +257,8 @@ def _cmd_cover(cfg: dict):
             witnesses=payload.pop("unattained"), runtime_ms=int(1000 * (time.perf_counter() - t0)),
         )
     elif check == "selection":
-        f_obj = _entry_from(cfg).objects if cfg.get("example") else None
-        f = f_obj["f"] if f_obj else None
-        if f is None:
-            raise ConfigError("selection needs an example with a single-valued part")
-        tr = build_selection(f, f_obj["A"], f_obj["xbar"], radius=constants.get("radius", 0.1), seed=seed)
+        f, A, xbar = _require(_entry_from(cfg), "f", "A", "xbar")
+        tr = build_selection(f, A, xbar, radius=constants.get("radius", 0.1), seed=seed)
         verdict = "pass" if tr.bounds_ok else "fail"
         yield "cover_selection", make_report(
             "covering:selection", {"example": cfg.get("example")}, seed, verdict, tr.to_json_dict(),
@@ -262,9 +271,7 @@ def _cmd_cover(cfg: dict):
 def _cmd_solve(cfg: dict, out_dir: Path):
     seed = cfg.get("seed", 42)
     entry = _entry_from(cfg)
-    if "problem" not in entry.objects:
-        raise ConfigError(f"example {entry.name!r} is not a generalized-equation problem")
-    problem, H = entry.objects["problem"], entry.objects["H"]
+    problem, H = _require(entry, "problem", "H")
     x0 = cfg.get("x0") or (entry.objects.get("x0") or [entry.objects["starts"][0]])
     R = InexactnessModel(cfg.get("eta", 0.0), adversarial=bool(cfg.get("adversarial", False)))
     t0 = time.perf_counter()
@@ -296,7 +303,7 @@ def _cmd_suite(cfg: dict, out_dir: Path):
                 {},
                 seed,
                 verdict,
-                {"details": _jsonable(res["details"])},
+                {"details": res["details"]},
                 runtime_ms=res["runtime_ms"],
             )
     elif suite == "moduli":
@@ -311,18 +318,6 @@ def _cmd_suite(cfg: dict, out_dir: Path):
         yield from _cmd_solve(sub, out_dir)
     else:
         raise ConfigError(f"unknown suite {suite!r}")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, float) and obj == float("inf"):
-        return "inf"
-    return obj
 
 
 def run_suite(cfg: dict, quiet: bool = False) -> int:
@@ -343,7 +338,7 @@ def run_suite(cfg: dict, quiet: bool = False) -> int:
     rows = []
     failed = False
     for name, report in jobs:
-        write_report(_jsonable(report), out_dir, name, quiet)
+        write_report(jsonable(report), out_dir, name, quiet)
         rows.append((name, report["check"], report["verdict"], report["runtime_ms"]))
         if report["verdict"] in ("fail", "rejected"):
             failed = True

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import STRICT_SLACK, TOL_FEAS, Ball, GraphPoint, as_vector
+from .geometry import STRICT_SLACK, TOL_FEAS, Ball, GraphPoint, JsonReport, as_vector
 from .moduli import LiminfSchedule, check_on_graph, estimate_modulus, linear_moduli
 from .rng import SplitMix64, derive_seed, sphere_directions
 from .setmaps import (
@@ -67,21 +67,12 @@ def pseudo_inverse(A) -> PseudoInverse:
 
 
 @dataclass
-class PicardResult:
+class PicardResult(JsonReport):
     x: np.ndarray | None
     converged: bool
     method: str  # picard | grid | failed
     iterations: int
     residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": None if self.x is None else [float(v) for v in self.x],
-            "converged": self.converged,
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-        }
 
 
 def solve_preimage_picard(
@@ -154,7 +145,7 @@ def _assert_feasible(result: PicardResult, fn, y, xbar, t, tol):
 
 
 @dataclass
-class CoveringReport:
+class CoveringReport(JsonReport):
     check: str
     constants: dict
     t_grid: list[float]
@@ -177,20 +168,6 @@ class CoveringReport:
         if not solved:
             return 0.0
         return sum(1 for a in solved if a["method"] == "picard") / len(solved)
-
-    def to_json_dict(self) -> dict:
-        enc = lambda v: "inf" if isinstance(v, float) and v == INF else v
-        return {
-            "check": self.check,
-            "constants": {k: enc(v) for k, v in self.constants.items()},
-            "t_grid": self.t_grid,
-            "attained": self.attained,
-            "unattained": self.unattained,
-            "condition_violations": self.condition_violations,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
 
 
 def covering_check_kaluza(
@@ -255,7 +232,7 @@ def covering_check_kaluza(
 
 
 @dataclass
-class SelectionTrace:
+class SelectionTrace(JsonReport):
     pairs: list[dict]
     calm_ratio_max: float
     corrected_ratio_max: float
@@ -264,18 +241,6 @@ class SelectionTrace:
     failures: int
     bounds_ok: bool
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "calm_ratio_max": self.calm_ratio_max,
-            "corrected_ratio_max": self.corrected_ratio_max,
-            "calm_bound": self.calm_bound,
-            "corrected_bound": self.corrected_bound,
-            "failures": self.failures,
-            "bounds_ok": self.bounds_ok,
-            "seed": self.seed,
-        }
 
 
 def build_selection(

@@ -1,12 +1,19 @@
-"""Vectors, norms, balls and graph points in R^n.
+"""Vectors, norms, balls and graph points in R^n, and the JSON encoding.
 
 The product metric on X × Y is the coordinatewise max of the component
 distances throughout the package.
+
+Every report is written through ``jsonable``: dataclasses become dicts of
+their fields, arrays and tuples become lists, numpy scalars become floats,
+and non-finite floats become the strings "inf", "-inf" and "nan", so report
+files are strict JSON.  Report dataclasses inherit ``JsonReport``, whose
+``to_json_dict`` is ``jsonable(self)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -83,3 +90,30 @@ class GraphPoint:
 def graph_dist(p: GraphPoint, q: GraphPoint, norm: str = "euclidean") -> float:
     """Product (box) metric: max of the component distances."""
     return max(vec_dist(p.x, q.x, norm), vec_dist(p.y, q.y, norm))
+
+
+def jsonable(obj):
+    """``obj`` as plain JSON data: dict, list, str, int, finite float, bool or None."""
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else str(obj)
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable((obj.astype(float) if obj.dtype.kind in "iu" else obj).tolist())
+    if isinstance(obj, np.integer):
+        return float(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
+
+
+class JsonReport:
+    """Mixin for report dataclasses: the JSON form is every field, encoded."""
+
+    def to_json_dict(self) -> dict:
+        return jsonable(self)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import TOL_FEAS, Ball, GraphPoint, as_vector, vec_dist
+from .geometry import TOL_FEAS, Ball, GraphPoint, JsonReport, as_vector, jsonable, vec_dist
 from .rng import SplitMix64, derive_seed, shell_points, sphere_directions
 from .setmaps import (
     INF,
@@ -69,17 +69,9 @@ class LiminfSchedule:
     def radii(self) -> list[float]:
         return [self.r0 * self.rho**j for j in range(self.shells)]
 
-    def to_dict(self) -> dict:
-        return {
-            "r0": self.r0,
-            "rho": self.rho,
-            "shells": self.shells,
-            "samples_per_shell": self.samples_per_shell,
-        }
-
 
 @dataclass
-class ModulusEstimate:
+class ModulusEstimate(JsonReport):
     kind: str
     point: GraphPoint
     value: float
@@ -90,23 +82,6 @@ class ModulusEstimate:
     norm: str
     samples_used: int = 0
     notes: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        def enc(v):
-            return "inf" if v == INF else v
-
-        return {
-            "kind": self.kind,
-            "point": {"x": list(self.point.x), "y": list(self.point.y)},
-            "value": enc(self.value),
-            "bracket": [enc(self.bracket[0]), enc(self.bracket[1])],
-            "shell_infima": [enc(s) for s in self.shell_infima],
-            "schedule": self.schedule.to_dict(),
-            "seed": self.seed,
-            "norm": self.norm,
-            "samples_used": self.samples_used,
-            "notes": list(self.notes),
-        }
 
 
 def _assemble(kind, point, shell_stats, schedule, seed, norm, samples, notes) -> ModulusEstimate:
@@ -491,24 +466,13 @@ def estimate_modulus(
 
 
 @dataclass(frozen=True)
-class LinearModuli:
+class LinearModuli(JsonReport):
     sur: float
     reg: float
     semireg: float
     subreg_strong: float
     injective: bool
     surjective: bool
-
-    def to_json_dict(self) -> dict:
-        enc = lambda v: "inf" if v == INF else v
-        return {
-            "sur": enc(self.sur),
-            "reg": enc(self.reg),
-            "semireg": enc(self.semireg),
-            "subreg_strong": enc(self.subreg_strong),
-            "injective": self.injective,
-            "surjective": self.surjective,
-        }
 
 
 def linear_moduli(A) -> LinearModuli:
@@ -704,17 +668,17 @@ class SlopeProfile:
     norm: str
 
     def to_json_dict(self) -> dict:
-        enc = lambda v: "inf" if v == INF else v
-        return {
-            "S_estimate": enc(self.S_estimate),
-            "lopen_estimate": enc(self.lopen_estimate),
-            "shell_infima": [enc(s) for s in self.shell_infima],
+        # the samples themselves stay in memory; the report gives their count
+        return jsonable({
+            "S_estimate": self.S_estimate,
+            "lopen_estimate": self.lopen_estimate,
+            "shell_infima": self.shell_infima,
             "sandwich_lower_ok": self.sandwich_lower_ok,
             "sandwich_upper_ok": self.sandwich_upper_ok,
             "samples": len(self.phi_samples),
             "seed": self.seed,
             "norm": self.norm,
-        }
+        })
 
 
 def slope_sandwich(
@@ -805,18 +769,10 @@ def slope_sandwich(
 
 
 @dataclass
-class CoderivativeBound:
+class CoderivativeBound(JsonReport):
     bound: float
     per_direction: list[float]
     inverse_coderivative_trivial: bool
-
-    def to_json_dict(self) -> dict:
-        enc = lambda v: "inf" if v == INF else v
-        return {
-            "bound": enc(self.bound),
-            "per_direction": [enc(v) for v in self.per_direction],
-            "inverse_coderivative_trivial": self.inverse_coderivative_trivial,
-        }
 
 
 def _cone_residual(w: np.ndarray, generators: np.ndarray) -> float:

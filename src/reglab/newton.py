@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import TOL_FEAS, GraphPoint, as_vector
+from .geometry import TOL_FEAS, GraphPoint, JsonReport, as_vector
 from .moduli import LiminfSchedule, estimate_modulus, linear_moduli
 from .rng import SplitMix64, derive_seed, shell_points
 from .setmaps import (
@@ -397,7 +397,7 @@ class IterationRecord:
 
 
 @dataclass
-class IterationTrace:
+class IterationTrace(JsonReport):
     records: list[IterationRecord]
     termination: str
     policy: str
@@ -419,31 +419,6 @@ class IterationTrace:
             return None
         return [float(np.linalg.norm(r.x - self.known_solution)) for r in self.records]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "termination": self.termination,
-            "policy": self.policy,
-            "seed": self.seed,
-            "eta": self.eta,
-            "adversarial": self.adversarial,
-            "known_solution": None if self.known_solution is None else [float(v) for v in self.known_solution],
-            "records": [
-                {
-                    "k": r.k,
-                    "x": [float(v) for v in r.x],
-                    "residual": r.residual,
-                    "A": None if r.A is None else [[float(v) for v in row] for row in r.A],
-                    "step_norm": r.step_norm,
-                    "pattern": r.pattern,
-                    "subproblem_residual": r.subproblem_residual,
-                    "inexact_budget": r.inexact_budget,
-                    "perturbation_norm": r.perturbation_norm,
-                    "error_to_solution": r.error_to_solution,
-                }
-                for r in self.records
-            ],
-        }
-
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -460,7 +435,7 @@ class IterationTrace:
 
     def write_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def run_newton(
@@ -529,21 +504,12 @@ def run_newton(
 
 
 @dataclass
-class RateReport:
+class RateReport(JsonReport):
     t_hat: float
     ratios: list[float]
     residual_ratios: list[float]
     superlinear: bool
     used_residuals: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t_hat": self.t_hat,
-            "ratios": self.ratios,
-            "residual_ratios": self.residual_ratios,
-            "superlinear": self.superlinear,
-            "used_residuals": self.used_residuals,
-        }
 
 
 def rate_report(trace: IterationTrace, solution=None) -> RateReport:
@@ -586,7 +552,7 @@ def rate_report(trace: IterationTrace, solution=None) -> RateReport:
 
 
 @dataclass
-class NewtonAssumptionsReport:
+class NewtonAssumptionsReport(JsonReport):
     linearization_gap_first: float
     linearization_gap_last: float
     gamma: float
@@ -597,21 +563,6 @@ class NewtonAssumptionsReport:
     margin: float
     passed: bool
     notes: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        enc = lambda v: "inf" if isinstance(v, float) and v == INF else v
-        return {
-            "linearization_gap_first": self.linearization_gap_first,
-            "linearization_gap_last": self.linearization_gap_last,
-            "gamma": self.gamma,
-            "ell": self.ell,
-            "chi": self.chi,
-            "sur_per_matrix": [enc(v) for v in self.sur_per_matrix],
-            "sur_exact": self.sur_exact,
-            "margin": enc(self.margin),
-            "passed": self.passed,
-            "notes": self.notes,
-        }
 
 
 def partial_linearization_sur(problem: GEProblem, A, xbar, schedule: LiminfSchedule | None = None, seed: int = 42) -> tuple[float, bool]:

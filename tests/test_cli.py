@@ -195,3 +195,23 @@ def test_corpus_smooth2d_strict_complementarity():
     assert prob.residual([0.0, 0.5]) <= 1e-12
     fx = prob.f(np.array([0.0, 0.5]))
     assert fx[0] > 0.1 and abs(fx[1]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"command": "moduli", "example": "sum_remark"},
+        {"command": "certify", "example": "two_branch", "check": "sum_semiregularity"},
+        {"command": "certify", "example": "two_branch", "check": "linear_perturbation"},
+        {"command": "certify", "example": "two_branch", "check": "descent"},
+        {"command": "certify", "example": "sum_remark", "check": "descent", "constants": {"c": 0.9, "r": 0.5}},
+        {"command": "cover", "example": "two_branch", "check": "kaluza"},
+        {"command": "cover", "example": "two_branch", "check": "selection"},
+        {"command": "solve", "example": "two_branch"},
+    ],
+    ids=lambda cfg: "-".join(str(cfg.get(k)) for k in ("command", "check", "example") if k in cfg),
+)
+def test_example_without_the_parts_a_check_needs_exits_two(tmp_path, cfg, capsys):
+    path = write_cfg(tmp_path, {**cfg, "out": str(tmp_path / "r")})
+    assert run_cli(["--config", path, "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err

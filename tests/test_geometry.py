@@ -1,8 +1,25 @@
+import json
+from dataclasses import dataclass, fields
+
 import numpy as np
 import pytest
 
-from reglab.geometry import Ball, GraphPoint, as_vector, graph_dist, vec_dist, vec_norm
+from reglab.certify import CertificateReport
+from reglab.corpus import load_example
+from reglab.covering import CoveringReport, PicardResult, SelectionTrace
+from reglab.geometry import Ball, GraphPoint, JsonReport, as_vector, graph_dist, jsonable, vec_dist, vec_norm
+from reglab.moduli import (
+    CoderivativeBound,
+    LiminfSchedule,
+    LinearModuli,
+    ModulusEstimate,
+    estimate_modulus,
+    frechet_coderivative_bound,
+    linear_moduli,
+)
+from reglab.newton import IterationTrace, NewtonAssumptionsReport, RateReport, run_newton
 from reglab.rng import SplitMix64
+from reglab.setmaps import INF, LinearOp
 
 
 def test_as_vector_rejects_nan_and_empty():
@@ -44,3 +61,87 @@ def test_product_metric_is_componentwise_max():
     q = GraphPoint([0.5], [2.0])
     assert graph_dist(p, q) == 2.0
     assert graph_dist(p, q, "max") == 2.0
+
+
+# ---------------------------------------------------------------------------
+# JSON encoding
+
+
+@dataclass
+class _Inner:
+    v: np.ndarray
+    pair: tuple
+
+
+@dataclass
+class _Outer:
+    inner: _Inner
+    items: list
+    count: np.int64
+    table: dict
+    flag: bool
+    label: str | None
+
+
+def test_jsonable_encodes_nested_dataclasses_arrays_and_non_finite_values():
+    obj = _Outer(
+        inner=_Inner(np.array([1.0, np.inf]), (np.float64("inf"), -np.inf)),
+        items=[np.nan, 2.5, np.arange(2)],
+        count=np.int64(3),
+        table={1: np.float64(0.5)},
+        flag=True,
+        label=None,
+    )
+    encoded = jsonable(obj)
+    assert encoded == {
+        "inner": {"v": [1.0, "inf"], "pair": ["inf", "-inf"]},
+        "items": ["nan", 2.5, [0.0, 1.0]],
+        "count": 3.0,
+        "table": {"1": 0.5},
+        "flag": True,
+        "label": None,
+    }
+    assert json.loads(json.dumps(encoded, allow_nan=False)) == encoded
+    assert jsonable(encoded) == encoded
+
+
+def _certificate_report():
+    witness = {"x": np.array([0.0]), "ratio": INF}
+    return CertificateReport("descent:semireg_set:sufficient", {"c": 0.9, "r": 0.5}, 12,
+                             conclusion={"passed": True, "witness": witness}).finalize()
+
+
+def _boxvi_trace():
+    # x0 outside the box: the residual of record 0 is +inf
+    entry = load_example("smooth2d_boxvi")
+    return run_newton(entry.objects["problem"], entry.objects["H"], x0=[1.5, 0.7])
+
+
+#: one real instance of every JsonReport subclass, each holding an infinite value
+REPORTS = {
+    ModulusEstimate: lambda: estimate_modulus(
+        "reg", LinearOp([[0.0]]), GraphPoint([0.0], [0.0]), LiminfSchedule(shells=3, samples_per_shell=8)),
+    LinearModuli: lambda: linear_moduli([[1.0, 0.0]]),
+    CoderivativeBound: lambda: frechet_coderivative_bound(
+        load_example("two_branch").objects["setmap_polyhedral"], GraphPoint([0.0], [0.0]), sphere_samples=8),
+    CertificateReport: _certificate_report,
+    PicardResult: lambda: PicardResult(None, False, "failed", 200, INF),
+    CoveringReport: lambda: CoveringReport("covering_kaluza", {"c": 0.5, "calm_diff": INF}, [0.1]),
+    SelectionTrace: lambda: SelectionTrace([{"x": [0.0], "ratio": INF}], INF, 0.1, 1.0, 1.0, 0, False, 42),
+    IterationTrace: _boxvi_trace,
+    RateReport: lambda: RateReport(INF, [INF, 0.5], [], False, True),
+    NewtonAssumptionsReport: lambda: NewtonAssumptionsReport(0.0, 0.0, 1e-6, 0.3, 0.0, [INF], True, -INF, False),
+}
+
+
+def test_every_json_report_has_a_case():
+    assert set(REPORTS) == set(JsonReport.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", list(REPORTS), ids=lambda c: c.__name__)
+def test_json_report_is_strict_json_of_its_fields(cls):
+    report = REPORTS[cls]()
+    assert type(report) is cls
+    text = json.dumps(report.to_json_dict(), allow_nan=False, sort_keys=True)
+    assert '"inf"' in text
+    assert set(json.loads(text)) == {f.name for f in fields(cls)}

@@ -244,3 +244,20 @@ def test_trace_serialization(tmp_path):
     data = json.loads(json_path.read_text())
     assert data["termination"] == "converged"
     assert len(data["records"]) == 2
+
+
+def test_trace_json_is_strict_with_an_infinite_residual(tmp_path):
+    # x0 outside the box: the residual of record 0 is +inf
+    entry = load_example("smooth2d_boxvi")
+    tr = run_newton(entry.objects["problem"], entry.objects["H"], x0=[1.5, 0.7])
+    assert tr.records[0].residual == np.inf
+    path = tmp_path / "trace.json"
+    tr.write_json(path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    import json
+
+    data = json.loads(path.read_text(), parse_constant=reject)
+    assert data["records"][0]["residual"] == "inf"
