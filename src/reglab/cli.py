@@ -215,9 +215,12 @@ def _cmd_certify(cfg: dict):
         oracle = NAMED_ORACLES.get(cfg.get("oracle", "target_pair"))
         if oracle is None:
             raise ConfigError(f"unknown named oracle {cfg.get('oracle')!r}")
-        form = DescentForm(constants.get("form", "semireg_set"), constants.get("direction", "sufficient"))
         consts = {k: v for k, v in constants.items() if k in ("c", "r", "alpha", "c_prime")}
-        rep = check_descent_certificate(form, F, point, consts, oracle, seed=seed, norm=norm)
+        try:
+            form = DescentForm(constants.get("form", "semireg_set"), constants.get("direction", "sufficient"))
+            rep = check_descent_certificate(form, F, point, consts, oracle, seed=seed, norm=norm)
+        except ValueError as exc:  # the form, direction, constants and point all come from the config
+            raise ConfigError(str(exc)) from exc
     elif check == "linear_perturbation":
         f, A, xbar = _require(_entry_from(cfg), "f", "A", "xbar")
         rep = verify_linear_perturbation(f, A, xbar, seed=seed, norm=norm)

@@ -24,6 +24,7 @@ from .setmaps import (
     INF,
     SetMap,
     SingleValued,
+    _ball_grid,
     _coordinate_polish,
     dist_to_value_set,
     graph_sample,
@@ -111,8 +112,6 @@ def solve_preimage_picard(
         if np.linalg.norm(u) > 4.0:
             break
     if n <= 2:
-        from .moduli import _ball_grid
-
         grid = _ball_grid(xbar, t, grid_resolution if n == 1 else 41, "euclidean")
         resids = np.array([np.linalg.norm(fn(row) - y) for row in grid])
         x, resid = _coordinate_polish(

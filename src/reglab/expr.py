@@ -171,10 +171,9 @@ def compile_expression(text: str, n_vars: int = 1):
     def fn(point):
         arr = np.asarray(point, dtype=float)
         if n_vars == 1:
-            coords = arr if arr.ndim == 0 else arr.reshape(-1) if arr.ndim == 1 and arr.size != 1 else arr.reshape(())
-            # a single 1-vector collapses to a scalar; a batch stays 1D
-            if arr.ndim == 1 and arr.size == 1:
-                coords = arr[0]
+            # 0-d and (1,) give a scalar; (k,) and (k, 1) batches a length-k array
+            coords = arr.reshape(arr.shape[:1]) if arr.ndim else arr
+            coords = coords[0] if coords.shape == (1,) else coords
             env = {"x": coords, "x1": coords}
         else:
             if arr.ndim == 1:

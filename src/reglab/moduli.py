@@ -14,7 +14,6 @@ sandwich, and polyhedral Fréchet coderivatives.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,14 +23,12 @@ from .geometry import TOL_FEAS, Ball, GraphPoint, JsonReport, as_vector, jsonabl
 from .rng import SplitMix64, derive_seed, shell_points, sphere_directions
 from .setmaps import (
     INF,
-    Epigraph,
-    LinearOp,
-    PolyhedralGraph,
     SetMap,
     UnsupportedOperation,
+    _ball_grid,
+    _bisect_threshold,
     _coordinate_polish,
     _eval_vectorized,
-    _grid_axes,
     _value_candidates,
     dist_to_preimage,
     dist_to_value_set,
@@ -167,32 +164,6 @@ def _ray_coverage_1d(origin: float, direction: float, points, intervals, gap_tol
     return max(cur, 0.0)
 
 
-def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: int = 30) -> float:
-    xs = np.linspace(lo, hi, resolution)
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise ValueError
-    except Exception:
-        vals = np.array([float(np.asarray(f(np.array([x]))).reshape(-1)[0]) for x in xs])
-    i = int(np.argmin(vals))
-    best = float(vals[i])
-    x = xs[i]
-    step = (hi - lo) / (resolution - 1)
-    # not _coordinate_polish: the step halves every round, moved or not, and moves clamp to [lo, hi]
-    for _ in range(polish):
-        for s in (step, -step):
-            z = min(max(x + s, lo), hi)
-            try:
-                fz = float(np.asarray(f(np.asarray(z))).reshape(-1)[0])
-            except Exception:
-                continue
-            if fz < best:
-                x, best = z, fz
-        step *= 0.5
-    return best
-
-
 def largest_covered_c(
     F: SetMap,
     x,
@@ -206,26 +177,18 @@ def largest_covered_c(
 ) -> float:
     """sup{c >= 0 : B[y, c t] subset F(B[x, t])}, sampled.
 
-    Exact for linear operators; interval arithmetic for epigraphs; ray
-    coverage of the attained value structure for one-dimensional ranges;
+    The map kind's closed form where it has one (``SetMap.covered_c``: exact
+    for linear operators, interval arithmetic for epigraphs); otherwise ray
+    coverage of the attained value structure for one-dimensional ranges and
     sampled target grids elsewhere.  Sampling can overestimate coverage when
     failures are sparse, which is documented behavior.
     """
     x = as_vector(x, F.n)
     y = as_vector(y, F.m)
 
-    if isinstance(F, LinearOp):
-        # point- and scale-independent for linear maps
-        return min(_linear_cover_rate(F.A.tobytes(), F.A.shape, norm, directions, seed), cap)
-
-    if isinstance(F, Epigraph):
-        if F.n == 1:
-            lo_f = _inf_on_interval(F.f, float(x[0]) - t, float(x[0]) + t, resolution)
-        else:
-            grid = _ball_grid(x, t, 41 if F.n == 2 else 11, norm)
-            vals = np.array([float(np.asarray(F.f(row)).reshape(-1)[0]) for row in grid])
-            lo_f = float(vals.min())
-        return min(max(0.0, (float(y[0]) - lo_f) / t), cap)
+    closed = F.covered_c(x, y, t, norm, directions, resolution, seed)
+    if closed is not None:
+        return min(closed, cap)
 
     if F.m == 1:
         pts, ivs, gap_tol = _attained_structure_1d(F, x, t, resolution, norm)
@@ -236,27 +199,6 @@ def largest_covered_c(
         return min(best, cap)
 
     return _covered_c_nd(F, x, y, t, norm, directions, seed, cap)
-
-
-@functools.lru_cache(maxsize=256)
-def _linear_cover_rate(a_bytes: bytes, shape: tuple, norm: str, directions: int, seed: int) -> float:
-    from .setmaps import AffineSet
-
-    A = np.frombuffer(a_bytes).reshape(shape)
-    best = INF
-    origin = np.zeros(shape[1])
-    for v in sphere_directions(shape[0], directions, derive_seed(seed, "cover-dirs"), norm):
-        d = AffineSet(A, v).dist(origin, norm)
-        best = min(best, 0.0 if d == INF else (1.0 / d if d > 0 else INF))
-    return best
-
-
-def _ball_grid(center: np.ndarray, radius: float, per_axis: int, norm: str) -> np.ndarray:
-    grid = _grid_axes(center, radius, per_axis)
-    if norm == "euclidean" and center.size > 1:
-        keep = np.linalg.norm(grid - center, axis=1) <= radius + 1e-12
-        grid = grid[keep]
-    return grid
 
 
 def _attained_structure_1d(F: SetMap, x: np.ndarray, t: float, resolution: int, norm: str):
@@ -506,14 +448,15 @@ def convex_process_sur(
 
     The graph must be a cone: every polyhedral piece contains the origin and
     sampled positive homogeneity holds.  The inner maximum along each target
-    direction is found by bisection against a feasibility oracle (exact for
-    linear operators, grid-based for n <= 2).
+    direction is found by bisection against a feasibility oracle, under the
+    rule of ``preimage_search``: the closed-form preimage where the map kind
+    has one (``SetMap.analytic_preimage``), a grid search over the unit ball
+    otherwise (n <= 2).  Directions follow ``norm``.
     """
     origin = GraphPoint(np.zeros(F.n), np.zeros(F.m))
-    if isinstance(F, PolyhedralGraph):
-        for A, b in F.pieces:
-            if np.any(A @ np.zeros(F.n + F.m) > b + 1e-12):
-                raise ValueError("polyhedral piece does not contain the origin: graph is not a cone")
+    for A, b in F.graph_pieces() or ():
+        if np.any(A @ np.zeros(F.n + F.m) > b + 1e-12):
+            raise ValueError("polyhedral piece does not contain the origin: graph is not a cone")
     check_on_graph(F, origin, norm=norm)
     pts = graph_sample(F, origin, 1.0, homogeneity_samples, derive_seed(seed, "cone"), norm)
     for gp in pts:
@@ -523,21 +466,18 @@ def convex_process_sur(
                     f"sampled positive-homogeneity check failed at (x,y)=({gp.x},{gp.y}), tau={tau}"
                 )
 
-    if isinstance(F, LinearOp):
-        def feasible(target):
-            from .setmaps import AffineSet
+    grid = _ball_grid(origin.x, 1.0, 201 if F.n == 1 else 41, norm) if F.n <= 2 else None
 
-            return AffineSet(F.A, target).dist(np.zeros(F.n), norm) <= 1.0 + 1e-12
-    else:
-        if F.n > 2:
+    def feasible(target):
+        closed = F.analytic_preimage(origin.x, target, norm, TOL_FEAS)
+        if closed is not None:
+            return closed[0] <= 1.0 + 1e-12
+        if grid is None:
             raise UnsupportedOperation("grid feasibility oracle supports n <= 2")
-        grid = _ball_grid(np.zeros(F.n), 1.0, 201 if F.n == 1 else 41, norm)
-
-        def feasible(target):
-            return bool(np.min(dist_to_value_set_batch(target, F, grid, norm)) <= 1e-9)
+        return bool(np.min(dist_to_value_set_batch(target, F, grid, norm)) <= 1e-9)
 
     rhos = []
-    for v in sphere_directions(F.m, directions, derive_seed(seed, "cp-dirs")):
+    for v in sphere_directions(F.m, directions, derive_seed(seed, "cp-dirs"), norm):
         if not feasible(1e-9 * v):
             rhos.append(0.0)
             continue
@@ -546,14 +486,7 @@ def convex_process_sur(
         while feasible(hi * v) and doubles < 40:
             hi *= 2.0
             doubles += 1
-        lo = 0.0
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid * v):
-                lo = mid
-            else:
-                hi = mid
-        rhos.append(lo)
+        rhos.append(_bisect_threshold(lambda s: feasible(s * v), 0.0, hi, 50))
 
     value = min(rhos) if rhos else 0.0
     schedule = LiminfSchedule(r0=1.0, rho=0.5, shells=3, samples_per_shell=directions)
@@ -786,7 +719,7 @@ def _cone_residual(w: np.ndarray, generators: np.ndarray) -> float:
 
 
 def frechet_coderivative_bound(
-    F: PolyhedralGraph,
+    F: SetMap,
     point: GraphPoint,
     sphere_samples: int = 32,
     seed: int = 42,
@@ -800,13 +733,14 @@ def frechet_coderivative_bound(
     normal cone.  Also reports whether the inverse coderivative at 0 is
     trivial (a necessary condition for openness with a linear rate).
     """
-    if not isinstance(F, PolyhedralGraph):
+    pieces = F.graph_pieces()
+    if pieces is None:
         raise UnsupportedOperation("coderivative bound requires a polyhedral graph")
     check_on_graph(F, point)
     z = np.concatenate([point.x, point.y])
     scale = max(1.0, float(np.abs(z).max()))
     containing = []
-    for A, b in F.pieces:
+    for A, b in pieces:
         if np.all(A @ z <= b + 1e-9 * scale):
             active = np.abs(A @ z - b) <= 1e-9 * scale
             containing.append(A[active])
@@ -837,14 +771,7 @@ def frechet_coderivative_bound(
                 return INF
             if g_at(np.array([0.0])) <= tol:
                 return 0.0
-            a, b_ = 0.0, xf
-            for _ in range(80):
-                mid = 0.5 * (a + b_)
-                if g_at(np.array([mid])) <= tol:
-                    b_ = mid
-                else:
-                    a = mid
-            return abs(b_)
+            return abs(_bisect_threshold(lambda s: g_at(np.array([s])) <= tol, xf, 0.0, 80))
         # n == 2: coordinate descent to a feasible point, then radial shrink
         best = INF
         rng = SplitMix64(derive_seed(seed, "coder-starts"))
@@ -855,14 +782,8 @@ def frechet_coderivative_bound(
                 continue
             if g_at(np.zeros(n)) <= tol:
                 return 0.0
-            a, b_ = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (a + b_)
-                if g_at(mid * x) <= tol:
-                    b_ = mid
-                else:
-                    a = mid
-            best = min(best, float(np.linalg.norm(b_ * x)))
+            shrink = _bisect_threshold(lambda s: g_at(s * x) <= tol, 1.0, 0.0, 60)
+            best = min(best, float(np.linalg.norm(shrink * x)))
         return best
 
     per_direction = []

@@ -35,6 +35,7 @@ from .setmaps import (
     SetMap,
     SingleValued,
     SumMap,
+    _bisect_threshold,
     dist_to_value_set,
 )
 
@@ -197,10 +198,6 @@ class InexactnessModel:
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
 
-    @property
-    def variant(self) -> str:
-        return "zero" if self.eta == 0 else "ball_proportional"
-
     def radius(self, x, u) -> float:
         return self.eta * float(np.linalg.norm(np.asarray(u, dtype=float) - np.asarray(x, dtype=float)))
 
@@ -216,6 +213,8 @@ class SubproblemSolution:
     linear_residual: float
     inclusion_gap: float
     perturbation_norm: float = 0.0
+    #: free coordinates of a box-VI solution; None for the other solvers
+    free: list[int] | None = None
 
 
 class SubproblemInfeasible(RuntimeError):
@@ -322,7 +321,7 @@ def _solve_box_vi(x_k, A_k, fx, box: NormalConeBox) -> SubproblemSolution:
     feasible.sort(key=lambda rec: (rec[0], rec[1]))
     dist, pattern, u, lin_res = feasible[0]
     tag = "".join("LFH"[p] for p in pattern)
-    return SubproblemSolution(u, tag, lin_res, 0.0)
+    return SubproblemSolution(u, tag, lin_res, 0.0, free=[i for i, p in enumerate(pattern) if p == 1])
 
 
 def _solve_finite_branches(x_k, A_k, fx, F: FiniteValued, problem: GEProblem) -> SubproblemSolution:
@@ -356,12 +355,11 @@ def _adversarial_perturb(sol, problem, x_k, A_k, R, tol, seed):
     if step <= 1e-15:
         return sol
     rng = SplitMix64(derive_seed(seed, "adversarial"))
-    if isinstance(problem.F, NormalConeBox):
-        free = [i for i, ch in enumerate(sol.pattern) if ch == "F"]
-        if not free:
+    if sol.free is not None:
+        if not sol.free:
             return sol
         direction = np.zeros(problem.n)
-        for i in free:
+        for i in sol.free:
             direction[i] = rng.uniform(-1.0, 1.0)
     else:
         direction = rng.uniform_vector(problem.n)
@@ -712,13 +710,6 @@ def detect_convergence_radius(
                     return False
         return True
 
-    lo, hi = 0.0, r_max
     if works(r_max):
         return r_max
-    for _ in range(bisections):
-        mid = 0.5 * (lo + hi)
-        if works(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_threshold(works, 0.0, r_max, bisections)

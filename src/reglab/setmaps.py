@@ -10,16 +10,19 @@ polyhedra).  On top of the descriptors sit the three work-horse oracles:
   where possible and honest grid search with local refinement otherwise
 * ``graph_sample(F, center, r)``   seeded, feasibility-checked graph points
 
-The oracles name no map class: each kind decides its own paths through the
-hooks on :class:`SetMap`, so a new map kind is one class.  The batch, 1D and
-closed-form preimage hooks return ``None`` for "no special path"; the
-analytic inverse and the graph sampler raise UnsupportedOperation.
+The oracles, and the moduli built on them, name no map class: each kind
+decides its own paths through the hooks on :class:`SetMap`, so a new map
+kind is one class.  The batch, 1D and closed-form preimage hooks, the
+covering rate ``covered_c`` and the half-space pieces ``graph_pieces``
+return ``None`` for "no special path"; the analytic inverse and the graph
+sampler raise UnsupportedOperation.
 
 All operations are pure; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -36,7 +39,7 @@ from .geometry import (
     vec_dist,
     vec_norm,
 )
-from .rng import SplitMix64, derive_seed, shell_points_1d
+from .rng import SplitMix64, derive_seed, shell_points_1d, sphere_directions
 
 INF = float("inf")
 
@@ -83,8 +86,8 @@ def _project_polyhedron(point: np.ndarray, A: np.ndarray, b: np.ndarray):
     return best
 
 
-def _chebyshev_to_polyhedron(point: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """(nearest, max-norm distance) to {z: Az <= b} via a small LP."""
+def _chebyshev_to_polyhedron(point: np.ndarray, A: np.ndarray, b: np.ndarray, A_eq=None, b_eq=None):
+    """(nearest, max-norm distance) to {z: Az <= b, A_eq z = b_eq} via a small LP."""
     from scipy.optimize import linprog
 
     point = np.asarray(point, dtype=float)
@@ -100,9 +103,13 @@ def _chebyshev_to_polyhedron(point: np.ndarray, A: np.ndarray, b: np.ndarray):
         ]
     )
     b_ub = np.concatenate([point, -point, b])
+    if A_eq is not None:
+        A_eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
     c = np.zeros(d + 1)
     c[-1] = 1.0
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * d + [(0, None)], method="highs")
+    res = linprog(
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=[(None, None)] * d + [(0, None)], method="highs"
+    )
     if not res.success:
         return None, INF
     return res.x[:d], float(res.x[-1])
@@ -119,9 +126,6 @@ class ValueSet:
     def nearest(self, y, norm: str = "euclidean"):
         """(point, dist) of a nearest member; (None, inf) when empty."""
         raise UnsupportedOperation(f"{type(self).__name__} has no nearest-point query")
-
-    def contains(self, y, tol: float = TOL_FEAS, norm: str = "euclidean") -> bool:
-        return self.dist(y, norm) <= tol
 
     def is_empty(self) -> bool:
         return False
@@ -285,27 +289,7 @@ class AffineSet(ValueSet):
         if norm == "euclidean":
             corr, *_ = np.linalg.lstsq(self.A, self.rhs - self.A @ y, rcond=None)
             return y + corr, float(np.linalg.norm(corr))
-        from scipy.optimize import linprog
-
-        d = self.dim
-        eye = np.eye(d)
-        ones = np.ones((d, 1))
-        A_ub = np.vstack([np.hstack([eye, -ones]), np.hstack([-eye, -ones])])
-        b_ub = np.concatenate([y, -y])
-        c = np.zeros(d + 1)
-        c[-1] = 1.0
-        res = linprog(
-            c,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=np.hstack([self.A, np.zeros((self.A.shape[0], 1))]),
-            b_eq=self.rhs,
-            bounds=[(None, None)] * d + [(0, None)],
-            method="highs",
-        )
-        if not res.success:
-            return None, INF
-        return res.x[:d], float(res.x[-1])
+        return _chebyshev_to_polyhedron(y, np.zeros((0, self.dim)), np.zeros(0), self.A, self.rhs)
 
     def translate(self, v):
         v = as_vector(v, self.dim)
@@ -496,9 +480,11 @@ class SetMap:
 
     A kind defines ``_value_set`` and overrides the per-kind hooks where it
     has a special path.  Here ``batch_values``, ``batch_dist``,
-    ``scalar_branches``, ``analytic_preimage`` and ``preimage_1d`` return
-    ``None`` (no vectorized images or distances, no 1D branches, no closed
-    form: search a grid); ``inverse_value_set`` and ``sample_graph`` raise
+    ``scalar_branches``, ``analytic_preimage``, ``preimage_1d``,
+    ``covered_c`` and ``graph_pieces`` return ``None`` (no vectorized images
+    or distances, no 1D branches, no closed-form preimage: search a grid; no
+    closed-form covering rate: sample it; no half-space description of the
+    graph); ``inverse_value_set`` and ``sample_graph`` raise
     UnsupportedOperation.
     """
 
@@ -536,6 +522,14 @@ class SetMap:
 
     def sample_graph(self, s: "_GraphSampler") -> list[GraphPoint]:
         raise UnsupportedOperation(f"graph sampling not supported for {self.describe()}")
+
+    def covered_c(self, x: np.ndarray, y: np.ndarray, t: float, norm: str, directions: int, resolution: int, seed: int):
+        """sup{c >= 0 : B[y, c t] subset F(B[x, t])} in closed form, uncapped."""
+        return None
+
+    def graph_pieces(self):
+        """The graph as a union of convex polyhedra: a list of (A, b) with A z <= b."""
+        return None
 
 
 class SingleValued(SetMap):
@@ -637,6 +631,16 @@ class Epigraph(SetMap):
     def preimage_1d(self, x0, y0, grid, norm, tol_feas):
         return _preimage_1d_epigraph(x0, self, y0, grid, tol_feas) if self.vectorized else None
 
+    def covered_c(self, x, y, t, norm, directions, resolution, seed):
+        # interval arithmetic: F(B[x, t]) = [inf of f over the ball, +inf)
+        if self.n == 1:
+            lo_f = _inf_on_interval(self.f, float(x[0]) - t, float(x[0]) + t, resolution)
+        else:
+            grid = _ball_grid(x, t, 41 if self.n == 2 else 11, norm)
+            vals = np.array([float(np.asarray(self.f(row)).reshape(-1)[0]) for row in grid])
+            lo_f = float(vals.min())
+        return max(0.0, (float(y[0]) - lo_f) / t)
+
     def sample_graph(self, s):
         for j, x in enumerate(s.domain()):
             fx = float(np.asarray(self.f(x)).reshape(-1)[0])
@@ -677,6 +681,10 @@ class LinearOp(SetMap):
         return AffineSet(self.A, y)
 
     sample_graph = SingleValued.sample_graph
+
+    def covered_c(self, x, y, t, norm, directions, resolution, seed):
+        # point- and scale-independent for linear maps
+        return _linear_cover_rate(self.A.tobytes(), self.A.shape, norm, directions, seed)
 
 
 class NormalConeBox(SetMap):
@@ -761,6 +769,9 @@ class PolyhedralGraph(SetMap):
         for A, b in self.pieces:
             swapped.append((np.hstack([A[:, self.n:], A[:, : self.n]]), b))
         return PolyhedralGraph(swapped, self.m, self.n)._value_set(y)
+
+    def graph_pieces(self):
+        return self.pieces
 
     def sample_graph(self, s):
         s.near_members()
@@ -907,6 +918,62 @@ def _grid_axes(center: np.ndarray, radius: float, resolution: int) -> np.ndarray
         return axes[0].reshape(-1, 1)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _ball_grid(center: np.ndarray, radius: float, per_axis: int, norm: str) -> np.ndarray:
+    grid = _grid_axes(center, radius, per_axis)
+    if norm == "euclidean" and center.size > 1:
+        keep = np.linalg.norm(grid - center, axis=1) <= radius + 1e-12
+        grid = grid[keep]
+    return grid
+
+
+def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: int = 30) -> float:
+    xs = np.linspace(lo, hi, resolution)
+    try:
+        vals = np.asarray(f(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise ValueError
+    except Exception:
+        vals = np.array([float(np.asarray(f(np.array([x]))).reshape(-1)[0]) for x in xs])
+    i = int(np.argmin(vals))
+    best = float(vals[i])
+    x = xs[i]
+    step = (hi - lo) / (resolution - 1)
+    # not _coordinate_polish: the step halves every round, moved or not, and moves clamp to [lo, hi]
+    for _ in range(polish):
+        for s in (step, -step):
+            z = min(max(x + s, lo), hi)
+            try:
+                fz = float(np.asarray(f(np.asarray(z))).reshape(-1)[0])
+            except Exception:
+                continue
+            if fz < best:
+                x, best = z, fz
+        step *= 0.5
+    return best
+
+
+@functools.lru_cache(maxsize=256)
+def _linear_cover_rate(a_bytes: bytes, shape: tuple, norm: str, directions: int, seed: int) -> float:
+    A = np.frombuffer(a_bytes).reshape(shape)
+    best = INF
+    origin = np.zeros(shape[1])
+    for v in sphere_directions(shape[0], directions, derive_seed(seed, "cover-dirs"), norm):
+        d = AffineSet(A, v).dist(origin, norm)
+        best = min(best, 0.0 if d == INF else (1.0 / d if d > 0 else INF))
+    return best
+
+
+def _bisect_threshold(pred, good: float, bad: float, iters: int) -> float:
+    """Bisect ``iters`` times between ``good`` (pred holds) and ``bad``; the last good point."""
+    for _ in range(iters):
+        mid = 0.5 * (good + bad)
+        if pred(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def scalar_branches(F: SetMap):

@@ -205,6 +205,20 @@ def test_corpus_smooth2d_strict_complementarity():
         {"command": "certify", "example": "two_branch", "check": "linear_perturbation"},
         {"command": "certify", "example": "two_branch", "check": "descent"},
         {"command": "certify", "example": "sum_remark", "check": "descent", "constants": {"c": 0.9, "r": 0.5}},
+        pytest.param(
+            {"command": "certify", "example": "two_branch", "check": "descent", "constants": {"c": -1, "r": 0.5}},
+            id="certify-descent-two_branch-negative_c",
+        ),
+        pytest.param(
+            {"command": "certify", "example": "two_branch", "check": "descent",
+             "constants": {"c": 0.9, "r": 0.5, "form": "bogus"}},
+            id="certify-descent-two_branch-unknown_form",
+        ),
+        pytest.param(
+            {"command": "certify", "example": "two_branch", "check": "descent",
+             "constants": {"c": 0.9, "r": 0.5, "alpha": 2.0}},
+            id="certify-descent-two_branch-alpha_c_at_least_1",
+        ),
         {"command": "cover", "example": "two_branch", "check": "kaluza"},
         {"command": "cover", "example": "two_branch", "check": "selection"},
         {"command": "solve", "example": "two_branch"},

@@ -19,6 +19,9 @@ def test_vectorized_evaluation():
     f = compile_expression("sin(x) + x**2")
     xs = np.linspace(-1, 1, 11)
     assert np.allclose(f(xs), np.sin(xs) + xs**2)
+    # a (k, 1) batch of one-variable points gives k values, like (k,)
+    assert np.allclose(f(xs.reshape(-1, 1)), np.sin(xs) + xs**2)
+    assert compile_expression("x**2")(np.zeros((5, 1))).shape == (5,)
 
 
 def test_piecewise_is_lazy_on_guarded_singularity():

@@ -18,6 +18,7 @@ from reglab.rng import SplitMix64
 from reglab.setmaps import (
     Epigraph,
     FiniteValued,
+    InverseView,
     LinearOp,
     PolyhedralGraph,
     SingleValued,
@@ -156,6 +157,23 @@ def test_convex_process_identity_and_diag():
     assert convex_process_sur(LinearOp([[1.0]])).value == pytest.approx(1.0, abs=1e-6)
     est = convex_process_sur(LinearOp(np.diag([2.0, 1.0])))
     assert est.value == pytest.approx(1.0, rel=0.1)
+
+
+def test_convex_process_uses_closed_form_preimages():
+    # F^{-1} of diag(2, 1) maps the unit ball onto an ellipse with semi-axes 1/2 and 1
+    assert convex_process_sur(InverseView(LinearOp(np.diag([2.0, 1.0])))).value == pytest.approx(0.5, abs=1e-9)
+    # no grid in 3D: the closed form answers (sampled directions only overestimate)
+    value = convex_process_sur(InverseView(LinearOp(np.diag([2.0, 1.0, 1.0])))).value
+    assert 0.5 - 1e-9 <= value <= 1.0
+
+
+def test_convex_process_max_norm_directions():
+    # the 45-degree rotation maps the unit square onto |u| + |v| <= sqrt(2),
+    # which holds the max-norm ball of radius 1/sqrt(2)
+    c = np.cos(np.pi / 4)
+    rot = LinearOp([[c, -c], [c, c]])
+    assert convex_process_sur(rot, norm="max").value == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+    assert largest_covered_c(rot, [0.0, 0.0], [0.0, 0.0], 1.0, norm="max") == pytest.approx(1 / np.sqrt(2), abs=1e-9)
 
 
 def test_convex_process_halfspace_graph():

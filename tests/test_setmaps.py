@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reglab.geometry import Ball, DomainError, GraphPoint
+from reglab.moduli import frechet_coderivative_bound, largest_covered_c
 from reglab.setmaps import (
     Epigraph,
     FinitePoints,
@@ -275,4 +276,9 @@ def test_bare_kind_runs_on_base_defaults():
         graph_sample(F, GraphPoint([0.0], [1.0]), 0.5, 4)
     with pytest.raises(UnsupportedOperation):
         InverseView(F).value_set([1.0])
+    # no closed-form covering rate: the attained value structure is sampled
+    assert largest_covered_c(F, [0.0], [1.0], 0.5) == pytest.approx(1.0, abs=1e-6)
+    # no half-space pieces: no polyhedral coderivative
+    with pytest.raises(UnsupportedOperation):
+        frechet_coderivative_bound(F, GraphPoint([0.0], [1.0]))
 

@@ -1,0 +1,26 @@
+"""The benchmark tracer wraps reglab helpers by name; keep those names alive.
+
+``bench/tracer.py`` skips a helper it cannot find (``hasattr``), so moving or
+renaming one would silently drop its per-layer metrics.  This test loads the
+tracer as it is and checks every named helper against the package.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+_spec = importlib.util.spec_from_file_location("reglab_bench_tracer", TRACER)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+
+@pytest.mark.parametrize("layer", sorted(tracer.HELPERS))
+def test_every_traced_helper_exists(layer):
+    module = importlib.import_module(f"reglab.{layer}")
+    missing = [name for name in tracer.HELPERS[layer] if not hasattr(module, name)]
+    assert not missing, f"reglab.{layer} lacks {missing}, which bench/tracer.py wraps"
