@@ -101,10 +101,16 @@ def jsonable(obj):
         return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list) and all(type(v) is float and math.isfinite(v) for v in obj):
+        return list(obj)  # already JSON: skip the call per scalar
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return jsonable((obj.astype(float) if obj.dtype.kind in "iu" else obj).tolist())
+        arr = obj.astype(float) if obj.dtype.kind in "iu" else obj
+        # float64 and narrower list as Python floats; finite ones need no encoding
+        if arr.dtype.kind == "f" and arr.dtype.itemsize <= 8 and np.isfinite(arr).all():
+            return arr.tolist()
+        return jsonable(arr.tolist())
     if isinstance(obj, np.integer):
         return float(obj)
     if is_dataclass(obj) and not isinstance(obj, type):

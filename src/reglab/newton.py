@@ -19,6 +19,7 @@ inequalities (n <= 8), and branch enumeration for finitely-valued F.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -244,10 +245,15 @@ def solve_subproblem(
     optionally spend the inexactness budget (adversarial mode).
 
     F = 0: least-norm solve.  F = NormalConeBox: enumeration of the 3^n
-    lower/upper/free patterns with per-pattern reduced linear solves,
-    feasibility- and complementarity-checked; ties broken by distance to x_k
-    then lexicographic pattern.  F finitely valued (constant branches):
-    branch enumeration.
+    lower/upper/free patterns (n <= 8), feasibility- and
+    complementarity-checked; ties broken by distance to x_k then
+    lexicographic pattern.  The patterns are grouped by free-set size and
+    each group's reduced linear systems are solved as one stack of
+    single-column solves, n + 1 stacks in all, with the same arithmetic as
+    one solve per pattern, so results are bit-identical to it; a group
+    holding a singular block falls back to one solve per pattern and skips
+    the singular ones.  F finitely valued (constant branches): branch
+    enumeration.
     """
     R = R or InexactnessModel()
     x_k = as_vector(x_k, problem.n)
@@ -273,51 +279,64 @@ def solve_subproblem(
     return sol
 
 
+@functools.lru_cache(maxsize=None)
+def _box_patterns(n: int) -> tuple:
+    """The 3^n bound patterns of an n-box (0: lower, 1: free, 2: upper),
+    grouped by free count: one ``(patterns, free, others)`` triple for each
+    nf = 0..n, holding each pattern's free and fixed indices in ascending
+    order.  The arrays are shared by every call, so they are read-only."""
+    every = np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=np.int8).reshape(-1, n)
+    groups = []
+    for nf in range(n + 1):
+        P = every[(every == 1).sum(axis=1) == nf]
+        order = np.argsort(P != 1, axis=1, kind="stable")  # free first, both parts ascending
+        group = (P, order[:, :nf], order[:, nf:])
+        for a in group:
+            a.setflags(write=False)
+        groups.append(group)
+    return tuple(groups)
+
+
 def _solve_box_vi(x_k, A_k, fx, box: NormalConeBox) -> SubproblemSolution:
     n = box.n
     if n > 8:
         raise SubproblemInfeasible("active-set enumeration supports n <= 8")
     q = fx - A_k @ x_k  # residual of the affine part at u: q + A_k u
     scale = max(1.0, float(np.abs(q).max()), float(np.abs(A_k).max()))
+    tol = 1e-10 * scale
     feasible: list[tuple] = []
-    for pattern in itertools.product((0, 1, 2), repeat=n):  # 0: lower, 1: free, 2: upper
-        fixed = np.zeros(n)
-        free = [i for i, p in enumerate(pattern) if p == 1]
-        ok = True
-        for i, p in enumerate(pattern):
-            if p == 0:
-                fixed[i] = box.lo[i]
-            elif p == 2:
-                fixed[i] = box.hi[i]
-            if p != 1 and not np.isfinite(fixed[i]):
-                ok = False
-        if not ok:
-            continue
-        u = fixed.copy()
-        if free:
-            Aff = A_k[np.ix_(free, free)]
-            others = [i for i in range(n) if i not in free]
-            rhs = -(q[free] + (A_k[np.ix_(free, others)] @ fixed[others] if others else 0.0))
+    for P, fidx, oidx in _box_patterns(n):
+        U = np.where(P == 0, box.lo, np.where(P == 2, box.hi, 0.0))
+        keep = np.all(np.isfinite(U) | (P == 1), axis=1)  # no fixed coordinate on an infinite bound
+        P, fidx, oidx, U = P[keep], fidx[keep], oidx[keep], U[keep]
+        ok = np.ones(len(P), dtype=bool)
+        if fidx.shape[1]:
+            # one single-column solve per pattern, stacked; each product is the
+            # per-pattern mat-vec, so every bit matches a pattern-by-pattern loop
+            Aff = A_k[fidx[:, :, None], fidx[:, None, :]]
+            Afo = A_k[fidx[:, :, None], oidx[:, None, :]]
+            Uo = np.take_along_axis(U, oidx, axis=1)
+            rhs = -(q[fidx] + (np.matmul(Afo, Uo[..., None])[..., 0] if oidx.shape[1] else 0.0))
             try:
-                u_free = np.linalg.solve(Aff, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            u[free] = u_free
-            if np.any(u_free < box.lo[free] - 1e-12) or np.any(u_free > box.hi[free] + 1e-12):
-                continue
-        w = -(q + A_k @ u)  # must lie in the normal cone at u
-        ok = True
-        for i, p in enumerate(pattern):
-            if p == 0 and w[i] > 1e-10 * scale:
-                ok = False
-            elif p == 2 and w[i] < -1e-10 * scale:
-                ok = False
-            elif p == 1 and abs(w[i]) > 1e-10 * scale:
-                ok = False
-        if ok:
-            feasible.append((float(np.linalg.norm(u - x_k)), pattern, u, float(np.abs(w[free]).max() if free else 0.0)))
+                Uf = np.linalg.solve(Aff, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:  # a singular block skips only its own pattern
+                Uf = np.zeros_like(rhs)
+                for k in range(len(P)):
+                    try:
+                        Uf[k] = np.linalg.solve(Aff[k], rhs[k])
+                    except np.linalg.LinAlgError:
+                        ok[k] = False
+            np.put_along_axis(U, fidx, Uf, axis=1)
+            ok &= ~np.any((Uf < box.lo[fidx] - 1e-12) | (Uf > box.hi[fidx] + 1e-12), axis=1)
+        P, U, fidx = P[ok], U[ok], fidx[ok]
+        W = -(q + np.matmul(A_k, U[..., None])[..., 0])  # must lie in the normal cone at u
+        good = ~np.any(np.where(P == 0, W > tol, np.where(P == 2, W < -tol, np.abs(W) > tol)), axis=1)
+        for p, u, w, free in zip(P[good], U[good], W[good], fidx[good].tolist()):
+            feasible.append((float(np.linalg.norm(u - x_k)), tuple(p.tolist()), u.copy(),
+                             float(np.abs(w[free]).max() if free else 0.0)))
     if not feasible:
         raise SubproblemInfeasible("no bound pattern is feasible")
+    feasible.sort(key=lambda rec: rec[1])  # enumeration order, which decides ties of NaN distances
     feasible.sort(key=lambda rec: (rec[0], rec[1]))
     dist, pattern, u, lin_res = feasible[0]
     tag = "".join("LFH"[p] for p in pattern)

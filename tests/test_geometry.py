@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -103,6 +104,48 @@ def test_jsonable_encodes_nested_dataclasses_arrays_and_non_finite_values():
     }
     assert json.loads(json.dumps(encoded, allow_nan=False)) == encoded
     assert jsonable(encoded) == encoded
+
+
+def _recursive_jsonable(obj):
+    """The one-call-per-scalar encoder without fast paths: the reference."""
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else str(obj)
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _recursive_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_recursive_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _recursive_jsonable((obj.astype(float) if obj.dtype.kind in "iu" else obj).tolist())
+    if isinstance(obj, np.integer):
+        return float(obj)
+    return obj
+
+
+@pytest.mark.parametrize("value", [
+    np.array([0.1, -2.5, 1e300, -0.0]),
+    np.arange(6.0).reshape(2, 3) / 7.0,
+    np.arange(-3, 3),
+    np.array([[1, 2], [3, 4]], dtype=np.uint8),
+    np.array([1.0, np.inf, -np.inf, np.nan]),
+    np.array([[0.5, np.nan], [-np.inf, 2.0]]),
+    np.array([0.1, 1e-45], dtype=np.float32),
+    np.array([np.inf], dtype=np.float32),
+    np.float64(2.0) * np.ones(()),
+    np.array([1.0, 2.0], dtype=np.longdouble),
+    np.array([True, False]),
+    np.empty((0, 2)),
+    [0.25, -0.0, 3.0],
+    [0.25, np.float64(0.5)],
+    [0.25, np.inf],
+    [],
+], ids=lambda v: f"{type(v).__name__}-{getattr(v, 'dtype', '')}-{np.shape(v)}")
+def test_jsonable_fast_paths_match_the_recursive_encoder(value):
+    fast, slow = jsonable(value), _recursive_jsonable(value)
+    assert json.dumps(fast, allow_nan=False) == json.dumps(slow, allow_nan=False)
+    assert repr(fast) == repr(slow)
 
 
 def _certificate_report():

@@ -1,14 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from reglab.corpus import load_example
 from reglab.newton import (
+    ClarkeSampleJacobian,
     CoveredMatrixFamily,
     ExactJacobian,
+    FiniteDifferenceJacobian,
     GEProblem,
     InexactnessModel,
     IterationTrace,
     SubproblemInfeasible,
+    SubproblemSolution,
+    _box_patterns,
+    _solve_box_vi,
     check_newton_assumptions,
     clarke_sample,
     detect_convergence_radius,
@@ -55,6 +62,28 @@ def test_finite_difference_jacobian_2d():
     f = SingleValued(lambda x: np.array([x[0] ** 2 + x[1], 3.0 * x[1]]), 2, 2, vectorized=False)
     J = finite_difference_jacobian(f, [1.0, 2.0])
     assert np.allclose(J, [[2.0, 1.0], [0.0, 3.0]], atol=1e-6)
+
+
+SMOOTH2D_POINTS = ([0.3, 0.7], [0.0, 0.5], [0.9, 0.1])
+
+
+def test_finite_difference_oracle_matches_exact_jacobian():
+    entry = load_example("smooth2d_boxvi")
+    exact, fd = entry.objects["H"], FiniteDifferenceJacobian(entry.objects["problem"].f)
+    for x in SMOOTH2D_POINTS:
+        (J,), (K,) = exact.candidates(x), fd.candidates(x)
+        assert np.abs(J - K).max() <= 1e-6
+
+
+def test_newton_with_each_jacobian_oracle_reaches_the_same_solution():
+    entry = load_example("smooth2d_boxvi")
+    prob = entry.objects["problem"]
+    oracles = (entry.objects["H"], FiniteDifferenceJacobian(prob.f), ClarkeSampleJacobian(prob.f))
+    traces = [run_newton(prob, H, x0=entry.objects["x0"]) for H in oracles]
+    assert [tr.termination for tr in traces] == ["converged"] * 3
+    finals = [tr.records[-1].x for tr in traces]
+    for x in finals[1:]:
+        assert np.abs(x - finals[0]).max() <= 1e-8
 
 
 def test_measure_noncompactness():
@@ -117,6 +146,131 @@ def test_subproblem_infeasible_reported():
     # with an incompatible matrix that pushes the solve outside every pattern
     with pytest.raises(SubproblemInfeasible):
         solve_subproblem([0.5], [[0.0]], GEProblem(SingleValued(lambda x: 0.0 * arr(x) + 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# box-VI solver: the stacked enumeration against the pattern-by-pattern loop
+
+
+def _reference_solve_box_vi(x_k, A_k, fx, box: NormalConeBox) -> SubproblemSolution:
+    """The one-pattern-at-a-time enumeration that the stacked solver must
+    reproduce bit for bit (kept verbatim as the oracle)."""
+    n = box.n
+    if n > 8:
+        raise SubproblemInfeasible("active-set enumeration supports n <= 8")
+    q = fx - A_k @ x_k  # residual of the affine part at u: q + A_k u
+    scale = max(1.0, float(np.abs(q).max()), float(np.abs(A_k).max()))
+    feasible: list[tuple] = []
+    for pattern in itertools.product((0, 1, 2), repeat=n):  # 0: lower, 1: free, 2: upper
+        fixed = np.zeros(n)
+        free = [i for i, p in enumerate(pattern) if p == 1]
+        ok = True
+        for i, p in enumerate(pattern):
+            if p == 0:
+                fixed[i] = box.lo[i]
+            elif p == 2:
+                fixed[i] = box.hi[i]
+            if p != 1 and not np.isfinite(fixed[i]):
+                ok = False
+        if not ok:
+            continue
+        u = fixed.copy()
+        if free:
+            Aff = A_k[np.ix_(free, free)]
+            others = [i for i in range(n) if i not in free]
+            rhs = -(q[free] + (A_k[np.ix_(free, others)] @ fixed[others] if others else 0.0))
+            try:
+                u_free = np.linalg.solve(Aff, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            u[free] = u_free
+            if np.any(u_free < box.lo[free] - 1e-12) or np.any(u_free > box.hi[free] + 1e-12):
+                continue
+        w = -(q + A_k @ u)  # must lie in the normal cone at u
+        ok = True
+        for i, p in enumerate(pattern):
+            if p == 0 and w[i] > 1e-10 * scale:
+                ok = False
+            elif p == 2 and w[i] < -1e-10 * scale:
+                ok = False
+            elif p == 1 and abs(w[i]) > 1e-10 * scale:
+                ok = False
+        if ok:
+            feasible.append((float(np.linalg.norm(u - x_k)), pattern, u, float(np.abs(w[free]).max() if free else 0.0)))
+    if not feasible:
+        raise SubproblemInfeasible("no bound pattern is feasible")
+    feasible.sort(key=lambda rec: (rec[0], rec[1]))
+    dist, pattern, u, lin_res = feasible[0]
+    tag = "".join("LFH"[p] for p in pattern)
+    return SubproblemSolution(u, tag, lin_res, 0.0, free=[i for i, p in enumerate(pattern) if p == 1])
+
+
+def _random_box_vi(rng, kind):
+    n = int(rng.integers(1, 6))
+    M = rng.normal(size=(n, n))
+    if kind == "spd":
+        A = M @ M.T + 0.1 * np.eye(n)
+    elif kind == "nonsymmetric":
+        A = M
+    else:  # integer entries and a zero diagonal entry: some principal blocks are singular
+        A = np.round(M)
+        A[rng.integers(n), rng.integers(n)] = 0.0
+        j = rng.integers(n)
+        A[j, j] = 0.0
+    if rng.random() < 0.05:  # NaN distances: the choice falls to enumeration order
+        A[rng.integers(n), rng.integers(n)] = np.nan
+    if rng.random() < 0.2:
+        lo, hi = np.zeros(n), np.ones(n)
+    else:
+        lo = np.round(rng.uniform(-2.0, 0.5, n), 2)
+        hi = lo + np.round(rng.uniform(0.0, 2.0, n), 2)
+    box = NormalConeBox(lo, hi)
+    if rng.random() < 0.3:
+        # the constructor takes finite bounds only; the solver still skips a
+        # pattern that fixes a coordinate on an infinite bound
+        i = rng.integers(n)
+        if rng.random() < 0.5:
+            box.lo[i] = -np.inf
+        else:
+            box.hi[i] = np.inf
+    if rng.random() < 0.1:  # q = -0.0: the sign of a zero right-hand side reaches u
+        return np.zeros(n), A, np.full(n, -0.0), box
+    return rng.normal(size=n), A, rng.normal(size=n), box
+
+
+def _outcome(solver, *args):
+    try:
+        sol = solver(*args)
+    except Exception as exc:  # the two solvers must fail alike
+        return type(exc)
+    return sol.u.tobytes(), sol.pattern, np.float64(sol.linear_residual).tobytes(), sol.free
+
+
+@pytest.mark.parametrize("kind", ["spd", "nonsymmetric", "singular"])
+def test_stacked_box_vi_solver_is_bit_identical_to_the_pattern_loop(kind):
+    rng = np.random.default_rng(["spd", "nonsymmetric", "singular"].index(kind))
+    outcomes = []
+    for _ in range(110):
+        args = _random_box_vi(rng, kind)
+        expected = _outcome(_reference_solve_box_vi, *args)
+        assert _outcome(_solve_box_vi, *args) == expected
+        outcomes.append(expected)
+    assert sum(o is not SubproblemInfeasible for o in outcomes) >= 50
+
+
+def test_box_pattern_table_and_size_limit():
+    for n in range(1, 6):
+        groups = _box_patterns(n)
+        seen = sorted(tuple(p) for P, _, _ in groups for p in P.tolist())
+        assert seen == sorted(itertools.product((0, 1, 2), repeat=n))
+        for nf, (P, fidx, oidx) in enumerate(groups):
+            assert fidx.shape == (len(P), nf) and oidx.shape == (len(P), n - nf)
+            for p, f, o in zip(P.tolist(), fidx.tolist(), oidx.tolist()):
+                assert f == [i for i in range(n) if p[i] == 1] and o == [i for i in range(n) if p[i] != 1]
+            assert not any(a.flags.writeable for a in (P, fidx, oidx))
+    box = NormalConeBox(np.zeros(9), np.ones(9))
+    with pytest.raises(SubproblemInfeasible):
+        _solve_box_vi(np.zeros(9), np.eye(9), np.zeros(9), box)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ tracer as it is and checks every named helper against the package.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,12 @@ def test_every_traced_helper_exists(layer):
     module = importlib.import_module(f"reglab.{layer}")
     missing = [name for name in tracer.HELPERS[layer] if not hasattr(module, name)]
     assert not missing, f"reglab.{layer} lacks {missing}, which bench/tracer.py wraps"
+
+
+def test_box_vi_solver_takes_the_box_fourth():
+    # the tracer counts 3 ** args[3].n patterns per call of newton._solve_box_vi
+    from reglab.newton import _solve_box_vi
+
+    params = list(inspect.signature(_solve_box_vi).parameters.values())
+    assert params[3].name == "box"
+    assert params[3].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
