@@ -34,11 +34,12 @@ class DomainError(ValueError):
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Validate and coerce to a finite 1D float array of dimension >= 1."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    """Validate and coerce to a finite 1D float array of dimension >= 1 (a float64 1D array as it is)."""
+    v = x if type(x) is np.ndarray and x.dtype == np.float64 else np.asarray(x, dtype=float)
+    v = v.reshape(1) if v.ndim == 0 else v
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not (math.isfinite(v[0]) if v.size == 1 else np.isfinite(v).all()):
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")

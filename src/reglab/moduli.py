@@ -146,22 +146,19 @@ def _bridged_structure_1d(curves: list[np.ndarray]):
 
 
 def _ray_coverage_1d(origin: float, direction: float, points, intervals, gap_tol: float) -> float:
-    """Largest rho with [origin, origin + rho*direction] covered contiguously."""
-    segs = []
-    for p in points:
-        s = (p - origin) * direction
-        segs.append((s - gap_tol, s + gap_tol))
-    for lo, hi in intervals:
-        a, b = (lo - origin) * direction, (hi - origin) * direction
-        segs.append((min(a, b), max(a, b)))
-    segs = [s for s in segs if s[1] >= -gap_tol]
-    segs.sort()
-    cur = 0.0
-    for lo, hi in segs:
-        if lo > cur + gap_tol:
-            break
-        cur = max(cur, hi)
-    return max(cur, 0.0)
+    """Largest rho with [origin, origin + rho*direction] covered contiguously:
+    a sweep of the segments in (lo, hi) order, exact since sorting and max do no rounding."""
+    s = (np.asarray(points, dtype=float) - origin) * direction
+    iv = (np.asarray(intervals, dtype=float).reshape(-1, 2) - origin) * direction
+    a, b = iv[:, 0], iv[:, 1]
+    lo = np.concatenate([s - gap_tol, np.where(b < a, b, a)])
+    hi = np.concatenate([s + gap_tol, np.where(b > a, b, a)])
+    keep = hi >= -gap_tol
+    order = np.lexsort((hi[keep], lo[keep]))
+    lo, hi = lo[keep][order], hi[keep][order]
+    cur = np.maximum.accumulate(np.concatenate([[0.0], hi]))  # cur[i]: covered end before segment i
+    stop = np.flatnonzero(lo > cur[:-1] + gap_tol)
+    return max(float(cur[stop[0] if stop.size else -1]), 0.0) + 0.0  # + 0.0: never -0.0
 
 
 def largest_covered_c(
@@ -204,24 +201,20 @@ def largest_covered_c(
 def _attained_structure_1d(F: SetMap, x: np.ndarray, t: float, resolution: int, norm: str):
     """Attained (points, intervals) of F over B[x, t] for 1D ranges."""
     grid = _ball_grid(x, t, resolution if F.n == 1 else 41, norm)
-    curves: list[np.ndarray] = []
-    if F.n == 1:
-        branches = scalar_branches(F)
-        if branches is not None:
-            ok = True
-            tmp = []
-            for b in branches:
-                out = _eval_vectorized(b, grid, F.n, 1)
-                if out is None:
-                    ok = False
-                    break
-                tmp.append(out[:, 0])
-            if ok:
-                curves.extend(tmp)
-    if curves:
-        pts, ivs = _bridged_structure_1d(curves)
-        return pts, ivs, max(1e-9, 1e-9 * t)
-    # descriptor path: collect per-grid-point structure
+    gap_tol = max(1e-9, 1e-9 * t)
+    curves = [_eval_vectorized(b, grid, 1, 1) for b in scalar_branches(F) or []]
+    if curves and all(c is not None for c in curves):
+        pts, ivs = _bridged_structure_1d([c[:, 0] for c in curves])
+        return pts, ivs, gap_tol
+    # descriptor path: per-grid-point structure, from the branch values where
+    # the kind has them (listed row-major, as value_set lists them)
+    outs = F.branch_values(grid)
+    if outs is not None:
+        vals = as_vector(np.hstack(outs).ravel())  # non-finite values raise, as in value_set
+        if len(outs) > 1:
+            return vals.tolist(), [], gap_tol
+        pts, ivs = _bridged_structure_1d([vals])
+        return pts, ivs, gap_tol
     points: list[float] = []
     intervals: list[tuple[float, float]] = []
     single_pts: list[float] = []
@@ -245,7 +238,7 @@ def _attained_structure_1d(F: SetMap, x: np.ndarray, t: float, resolution: int, 
         pp, ii = _bridged_structure_1d([vals])
         points.extend(pp)
         intervals.extend(ii)
-    return points, intervals, max(1e-9, 1e-9 * t)
+    return points, intervals, gap_tol
 
 
 def _covered_c_nd(F, x, y, t, norm, directions, seed, cap, c_levels: int = 16):

@@ -253,12 +253,18 @@ def solve_subproblem(
     one solve per pattern, so results are bit-identical to it; a group
     holding a singular block falls back to one solve per pattern and skips
     the singular ones.  F finitely valued (constant branches): branch
-    enumeration.
+    enumeration.  An A_k that is not a finite m x n matrix, or an f(x_k)
+    that is not a finite vector, raises SubproblemInfeasible.
     """
     R = R or InexactnessModel()
     x_k = as_vector(x_k, problem.n)
     A_k = np.atleast_2d(np.asarray(A_k, dtype=float))
-    fx = problem.f(x_k)
+    if A_k.shape != (problem.m, problem.n) or not np.isfinite(A_k).all():
+        raise SubproblemInfeasible(f"A_k is not a finite {problem.m}x{problem.n} matrix")
+    try:
+        fx = problem.f(x_k)
+    except ValueError as exc:  # f(x_k) is not a finite m-vector
+        raise SubproblemInfeasible(f"f(x_k): {exc}") from exc
 
     if problem.F is None:
         du, *_ = np.linalg.lstsq(A_k, -fx, rcond=None)

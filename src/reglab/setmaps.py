@@ -479,13 +479,16 @@ class SetMap:
     """Base class; subclasses fix domain dim ``n`` and range dim ``m``.
 
     A kind defines ``_value_set`` and overrides the per-kind hooks where it
-    has a special path.  Here ``batch_values``, ``batch_dist``,
-    ``scalar_branches``, ``analytic_preimage``, ``preimage_1d``,
-    ``covered_c`` and ``graph_pieces`` return ``None`` (no vectorized images
-    or distances, no 1D branches, no closed-form preimage: search a grid; no
-    closed-form covering rate: sample it; no half-space description of the
-    graph); ``inverse_value_set`` and ``sample_graph`` raise
-    UnsupportedOperation.
+    has a special path.  Here ``batch_values``, ``branch_values``,
+    ``batch_dist``, ``scalar_branches``, ``analytic_preimage``,
+    ``preimage_1d``, ``covered_c`` and ``graph_pieces`` return ``None`` (no
+    vectorized images, branch values or distances, no 1D branches, no
+    closed-form preimage: search a grid; no closed-form covering rate: sample
+    it; no half-space description of the graph); ``inverse_value_set`` and
+    ``sample_graph`` raise UnsupportedOperation.  ``branch_values(X)`` gives
+    one ``(k, m)`` array per branch, F(X[i]) = {out_j[i]} (by default the
+    batch values as one branch); the base ``batch_dist`` is the minimum over
+    branches of their row distances.
     """
 
     n: int
@@ -503,9 +506,13 @@ class SetMap:
     def batch_values(self, X: np.ndarray):
         return None
 
-    def batch_dist(self, y: np.ndarray, X: np.ndarray, norm: str):
+    def branch_values(self, X: np.ndarray):
         vals = self.batch_values(X)
-        return None if vals is None else _row_dist(vals - y, norm)
+        return None if vals is None else [vals]
+
+    def batch_dist(self, y: np.ndarray, X: np.ndarray, norm: str):
+        outs = self.branch_values(X)
+        return None if outs is None else np.min([_row_dist(out - y, norm) for out in outs], axis=0)
 
     def scalar_branches(self):
         return None
@@ -548,6 +555,9 @@ class SingleValued(SetMap):
     def batch_values(self, X):
         return _eval_vectorized(self.fn, X, self.n, self.m) if self.vectorized else None
 
+    def branch_values(self, X):
+        return [_branch_rows(self.fn, X, self.n, self.m, self.vectorized)]
+
     def scalar_branches(self):
         return [self.fn] if self.vectorized else None
 
@@ -574,16 +584,8 @@ class FiniteValued(SetMap):
     def _value_set(self, x):
         return FinitePoints([as_vector(b(x), self.m) for b in self.branches])
 
-    def batch_dist(self, y, X, norm):
-        if not self.vectorized:
-            return None
-        dists = []
-        for b in self.branches:
-            out = _eval_vectorized(b, X, self.n, self.m)
-            if out is None:
-                return None
-            dists.append(_row_dist(out - y, norm))
-        return np.min(dists, axis=0)
+    def branch_values(self, X):
+        return [_branch_rows(b, X, self.n, self.m, self.vectorized) for b in self.branches]
 
     def scalar_branches(self):
         return list(self.branches) if self.vectorized else None
@@ -688,11 +690,14 @@ class LinearOp(SetMap):
 
 
 class NormalConeBox(SetMap):
-    """x -> normal cone to the box [lo, hi] at x (empty outside the box)."""
+    """x -> normal cone to the box [lo, hi] at x (empty outside the box); lo may be -inf and hi +inf."""
 
     def __init__(self, lo, hi, atol: float = 1e-9):
-        self.lo = as_vector(lo)
-        self.hi = as_vector(hi, self.lo.size)
+        self.lo = np.atleast_1d(np.asarray(lo, dtype=float))
+        self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        # as_vector's checks, with the open-side infinities let through
+        as_vector(np.where(self.lo == -INF, 0.0, self.lo))
+        as_vector(np.where(self.hi == INF, 0.0, self.hi), self.lo.size)
         if np.any(self.lo > self.hi):
             raise ValueError("box lower bounds exceed upper bounds")
         self.n = self.m = self.lo.size
@@ -906,6 +911,13 @@ def _eval_vectorized(fn, X: np.ndarray, n: int, m: int):
     if out.shape == (m, k):
         return out.T
     return None
+
+
+def _branch_rows(fn, X: np.ndarray, n: int, m: int, vectorized: bool) -> np.ndarray:
+    """(k, m) values of ``fn`` on the rows of X: one batch call when it passes
+    the shape check, else row by row with the call ``value_set`` makes."""
+    out = _eval_vectorized(fn, X, n, m) if vectorized else None
+    return out if out is not None else np.array([as_vector(fn(row), m) for row in X]).reshape(len(X), m)
 
 
 def _batch_fast_path(y, F, X, norm):

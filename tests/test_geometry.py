@@ -8,7 +8,7 @@ import pytest
 from reglab.certify import CertificateReport
 from reglab.corpus import load_example
 from reglab.covering import CoveringReport, PicardResult, SelectionTrace
-from reglab.geometry import Ball, GraphPoint, JsonReport, as_vector, graph_dist, jsonable, vec_dist, vec_norm
+from reglab.geometry import Ball, DimensionMismatch, GraphPoint, JsonReport, as_vector, graph_dist, jsonable, vec_dist, vec_norm
 from reglab.moduli import (
     CoderivativeBound,
     LiminfSchedule,
@@ -30,6 +30,51 @@ def test_as_vector_rejects_nan_and_empty():
         as_vector([])
     with pytest.raises(ValueError):
         as_vector([1.0, np.inf])
+
+
+def test_as_vector_returns_float64_vectors_as_they_are():
+    v = np.array([0.5, -1.0, 2.0])
+    assert as_vector(v) is v
+    assert as_vector(v, 3) is v
+    w = as_vector(np.float64(2.5))
+    assert w.shape == (1,) and w[0] == 2.5
+    assert as_vector(np.array(3.0)).shape == (1,) and as_vector(4.0).shape == (1,)
+
+
+@pytest.mark.parametrize("x", [[1, 2], np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32), (1.0, 2.0)])
+def test_as_vector_converts_to_a_float_copy(x):
+    v = as_vector(x, 2)
+    assert v.dtype == np.float64 and v.shape == (2,) and v is not x
+    assert np.array_equal(v, [1.0, 2.0])
+    if isinstance(x, np.ndarray):
+        v[0] = 9.0
+        assert x[0] == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("size", [1, 3])
+def test_as_vector_rejects_non_finite_entries(bad, size):
+    v = np.zeros(size)
+    v[-1] = bad
+    for x in (v, v.tolist()):
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            as_vector(x)
+    if size == 1:
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            as_vector(bad)
+
+
+@pytest.mark.parametrize("x", [np.zeros((2, 2)), [[1.0, 2.0]], np.zeros((1, 1)), [], np.zeros(0)])
+def test_as_vector_rejects_other_shapes(x):
+    with pytest.raises(DimensionMismatch, match="expected a 1D vector"):
+        as_vector(x)
+
+
+def test_as_vector_checks_the_dimension():
+    with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
+        as_vector(np.array([1.0, 2.0]), 3)
+    with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
+        as_vector(1.0, 2)
 
 
 def test_norms():

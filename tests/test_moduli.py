@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reglab.corpus import load_example, sinkink_fn, staircase_fn
 from reglab.geometry import GraphPoint
 from reglab.moduli import (
     LiminfSchedule,
+    _attained_structure_1d,
+    _bridged_structure_1d,
+    _ray_coverage_1d,
     NotOnGraph,
     convex_process_sur,
     estimate_modulus,
@@ -23,6 +30,9 @@ from reglab.setmaps import (
     PolyhedralGraph,
     SingleValued,
     SumMap,
+    UnsupportedOperation,
+    _ball_grid,
+    build_setmap,
 )
 
 arr = lambda x: np.asarray(x, dtype=float)
@@ -274,3 +284,109 @@ def test_estimate_serialization_roundtrip():
     d = est.to_json_dict()
     assert d["kind"] == "lopen" and d["norm"] == "euclidean"
     assert isinstance(d["shell_infima"], list) and len(d["shell_infima"]) == FAST.shells
+
+
+# ---------------------------------------------------------------------------
+# the attained value structure of sur, against the loops it replaced
+
+
+def _reference_descriptor_structure(F, grid, t):
+    """The per-row descriptor loop of ``_attained_structure_1d`` that branch
+    values replaced (kept verbatim as the oracle)."""
+    points: list[float] = []
+    intervals: list[tuple[float, float]] = []
+    single_pts: list[float] = []
+    for row in grid:
+        vs = F.value_set(row)
+        if vs.is_empty():
+            single_pts.append(math.nan)
+            continue
+        try:
+            pp, ii = vs.interval_structure_1d()
+        except UnsupportedOperation:
+            pp, ii = [], []
+        if len(pp) == 1 and not ii:
+            single_pts.append(pp[0])
+        else:
+            points.extend(pp)
+            intervals.extend(ii)
+            single_pts.append(math.nan)
+    vals = np.array([p for p in single_pts if not math.isnan(p)])
+    if vals.size:
+        pp, ii = _bridged_structure_1d([vals])
+        points.extend(pp)
+        intervals.extend(ii)
+    return points, intervals, max(1e-9, 1e-9 * t)
+
+
+def _reference_ray_coverage(origin, direction, points, intervals, gap_tol):
+    """The tuple loop of ``_ray_coverage_1d`` before the sorted sweep (kept
+    verbatim as the oracle)."""
+    segs = []
+    for p in points:
+        s = (p - origin) * direction
+        segs.append((s - gap_tol, s + gap_tol))
+    for lo, hi in intervals:
+        a, b = (lo - origin) * direction, (hi - origin) * direction
+        segs.append((min(a, b), max(a, b)))
+    segs = [s for s in segs if s[1] >= -gap_tol]
+    segs.sort()
+    cur = 0.0
+    for lo, hi in segs:
+        if lo > cur + gap_tol:
+            break
+        cur = max(cur, hi)
+    return max(cur, 0.0)
+
+
+_STRUCTURE_MAPS = {
+    # the inline map whose constant branch fails the batch shape check
+    "finite_x0": (build_setmap({"kind": "finite", "branches": ["x", "0"]}), [0.0], [0.1, 0.025, 0.7]),
+    "single_not_vectorized": (SingleValued(lambda x: np.abs(arr(x)) - arr(x) ** 2, vectorized=False), [0.2], [0.5]),
+    "single_2d": (build_setmap({"kind": "single", "expr": "x1*x2 + x1", "n": 2, "m": 1}), [0.1, -0.3], [0.4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRUCTURE_MAPS))
+def test_attained_structure_matches_per_row_loop_bitwise(name):
+    F, x, radii = _STRUCTURE_MAPS[name]
+    x = arr(x)
+    for t in radii:
+        for norm in ("euclidean", "max"):
+            got = _attained_structure_1d(F, x, t, 801, norm)
+            ref = _reference_descriptor_structure(F, _ball_grid(x, t, 801 if F.n == 1 else 41, norm), t)
+            assert len(got[0]) == len(ref[0]) and len(got[1]) == len(ref[1])
+            assert np.array_equal(np.array(got[0]), np.array(ref[0]))
+            assert np.array_equal(np.array(got[1]).reshape(-1, 2), np.array(ref[1]).reshape(-1, 2))
+            assert got[2] == ref[2]
+
+
+_ends = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    origin=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-1.0, 1.0)),
+    direction=st.sampled_from([1.0, -1.0]),
+    points=st.lists(_ends, max_size=12),
+    intervals=st.lists(st.tuples(_ends, st.one_of(_ends, st.sampled_from([-np.inf, np.inf]))), max_size=8),
+    gap_tol=st.sampled_from([1e-9, 0.05, 0.3]),
+)
+def test_ray_coverage_matches_tuple_loop_bitwise(origin, direction, points, intervals, gap_tol):
+    got = _ray_coverage_1d(origin, direction, points, intervals, gap_tol)
+    ref = _reference_ray_coverage(origin, direction, points, intervals, gap_tol)
+    assert float(got).hex() == float(ref).hex()
+
+
+def test_ray_coverage_edge_cases():
+    assert _ray_coverage_1d(0.0, 1.0, [], [], 1e-9) == 0.0
+    # tied lower ends, a negative direction and a gap that stops the cover
+    pts, ivs = [0.0, -0.1], [(-0.5, 0.0), (-0.5, -0.3), (-0.3, -0.2), (-2.0, -1.0)]
+    for direction in (1.0, -1.0):
+        got = _ray_coverage_1d(0.0, direction, pts, ivs, 0.05)
+        assert got == _reference_ray_coverage(0.0, direction, pts, ivs, 0.05)
+    assert _ray_coverage_1d(0.0, -1.0, pts, ivs, 0.05) == 0.5
+    # a gap of exactly gap_tol is bridged
+    assert _ray_coverage_1d(0.0, 1.0, [], [(0.0, 1.0), (1.5, 2.0)], 0.5) == 2.0
+    # a degenerate interval that maps to -0.0 leaves the cover at +0.0
+    assert _ray_coverage_1d(0.0, -1.0, [], [(0.0, 0.0)], 1e-9).hex() == (0.0).hex()

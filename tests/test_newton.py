@@ -148,6 +148,48 @@ def test_subproblem_infeasible_reported():
         solve_subproblem([0.5], [[0.0]], GEProblem(SingleValued(lambda x: 0.0 * arr(x) + 1.0)))
 
 
+def _unit_box_problem():
+    b = np.array([0.4, 1.3])
+    return GEProblem(SingleValued(lambda x: arr(x) - b, 2, 2, vectorized=False), NormalConeBox([0, 0], [1, 1]))
+
+
+@pytest.mark.parametrize(
+    "A_k", [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], np.eye(3), [[1.0, 0.0]]],
+    ids=["nan", "inf", "3x3", "1x2"],
+)
+def test_subproblem_rejects_a_bad_matrix(A_k):
+    with pytest.raises(SubproblemInfeasible, match="A_k is not a finite 2x2 matrix"):
+        solve_subproblem([0.2, 0.3], A_k, _unit_box_problem())
+
+
+def test_subproblem_rejects_a_non_finite_residual():
+    f = SingleValued(lambda x: arr(x) + np.nan, 1, 1, vectorized=False)
+    prob = GEProblem(f, NormalConeBox([0.0], [1.0]))
+    with pytest.raises(SubproblemInfeasible, match="f\\(x_k\\)"):
+        solve_subproblem([0.2], [[1.0]], prob)
+
+
+def test_nan_jacobian_ends_the_run_with_a_reason():
+    trace = run_newton(_unit_box_problem(), ExactJacobian(lambda x: [[np.nan, 0.0], [0.0, 1.0]]), x0=[0.2, 0.3])
+    assert trace.termination == "subproblem_failed: A_k is not a finite 2x2 matrix"
+    assert len(trace.records) == 1
+
+
+def test_newton_solves_a_complementarity_problem():
+    # x >= 0, A x + q >= 0, x . (A x + q) = 0, stated as a box VI with hi = +inf
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    q = np.array([-1.0, 1.0])
+    f = SingleValued(lambda x: A @ arr(x) + q, 2, 2, vectorized=False)
+    prob = GEProblem(f, NormalConeBox([0.0, 0.0], [np.inf, np.inf]))
+    trace = run_newton(prob, ExactJacobian(lambda x: A), x0=[1.0, 1.0])
+    x = np.ones(2)
+    for _ in range(2000):  # projected fixed point x = max(0, x - (A x + q) / 4)
+        x = np.maximum(0.0, x - 0.25 * (A @ x + q))
+    assert trace.termination == "converged"
+    np.testing.assert_allclose(trace.records[-1].x, x, atol=1e-12)
+    assert trace.records[-1].x[1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # box-VI solver: the stacked enumeration against the pattern-by-pattern loop
 

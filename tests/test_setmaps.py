@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reglab.expr import compile_expression
 from reglab.geometry import Ball, DomainError, GraphPoint
 from reglab.moduli import frechet_coderivative_bound, largest_covered_c
 from reglab.setmaps import (
@@ -282,3 +283,67 @@ def test_bare_kind_runs_on_base_defaults():
     with pytest.raises(UnsupportedOperation):
         frechet_coderivative_bound(F, GraphPoint([0.0], [1.0]))
 
+
+
+# ---------------------------------------------------------------------------
+# branch values: the batch distance equals the row-by-row one bit for bit
+
+_BRANCH_CASES = {
+    # the constant branch fails the batch shape check and is evaluated row by row
+    "constant_branch": (FiniteValued([compile_expression("x"), compile_expression("0")]), _X1, [0.25]),
+    "not_vectorized": (FiniteValued([lambda x: arr(x) ** 2, lambda x: 1.0 - arr(x)], vectorized=False), _X1, [0.3]),
+    "two_branches_m2": (
+        build_setmap({"kind": "finite", "n": 2, "m": 2, "branches": [["x1 + x2", "x1*x2"], ["2*x1", "x2 - 1"]]}),
+        _X2, [0.4, -0.1]),
+    "single_not_vectorized": (SingleValued(lambda x: np.sin(arr(x)) + arr(x) ** 2, vectorized=False), _X1, [0.4]),
+}
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("case", sorted(_BRANCH_CASES))
+def test_branch_value_batch_distance_is_row_by_row_bitwise(case, norm):
+    F, X, y = _BRANCH_CASES[case]
+    assert F.batch_dist(arr(y), X, norm) is not None  # no per-row fallback
+    rows = np.array([dist_to_value_set(y, F, x, norm) for x in X])
+    assert np.array_equal(dist_to_value_set_batch(y, F, X, norm), rows)
+
+
+@pytest.mark.parametrize("case", sorted(_BRANCH_CASES))
+def test_branch_values_list_the_value_set(case):
+    F, X, _ = _BRANCH_CASES[case]
+    outs = F.branch_values(X)
+    assert all(out.shape == (len(X), F.m) for out in outs)
+    for i, x in enumerate(X):
+        assert np.array_equal(np.array([out[i] for out in outs]), values(F, x).points)
+
+
+# ---------------------------------------------------------------------------
+# normal cones of boxes with infinite bounds
+
+
+def test_normal_cone_box_accepts_open_side_infinite_bounds():
+    F = NormalConeBox([0.0, -np.inf], [np.inf, 1.0])
+    at_bound, interior = F.value_set([0.0, 1.0]), F.value_set([2.0, -5.0])
+    assert list(at_bound.lo) == [-np.inf, 0.0] and list(at_bound.hi) == [0.0, np.inf]
+    assert list(interior.lo) == [0.0, 0.0] and list(interior.hi) == [0.0, 0.0]
+    assert F.value_set([-0.5, 0.0]).is_empty()
+    assert dist_to_value_set([-3.0, 2.0], F, [0.0, 1.0]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [([np.nan], [1.0]), ([0.0], [np.nan]), ([np.inf], [np.inf]), ([-np.inf], [-np.inf]), ([1.0], [0.0])],
+)
+def test_normal_cone_box_rejects_bad_bounds(lo, hi):
+    with pytest.raises(ValueError):
+        NormalConeBox(lo, hi)
+
+
+def test_normal_cone_box_unbounded_inverse_searches_a_grid():
+    F = NormalConeBox([0.0], [np.inf])
+    # y = 0 has the preimage [0, inf): no finite box, so no closed form
+    assert F.analytic_preimage(arr([0.5]), arr([0.0]), "euclidean", 1e-8) is None
+    d, p = preimage_search([0.5], F, [0.0])
+    assert d == 0.0 and np.array_equal(p, [0.5])
+    # y < 0 pins x to the finite lower bound: closed form
+    assert F.analytic_preimage(arr([0.5]), arr([-1.0]), "euclidean", 1e-8)[0] == 0.5
