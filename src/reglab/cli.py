@@ -4,7 +4,8 @@ Reports are canonical JSON (sorted keys, non-finite numbers as the strings
 "inf", "-inf" and "nan") carrying a schema_version; given the same config
 and seed they are byte-identical up to the runtime_ms field.  Exit codes:
 0 all checks passed, 1 at least one non-vacuous check failed, 2 config or
-I/O error, including an example that lacks the parts its check needs.
+I/O error, including an example that lacks the parts its check needs and a
+bad inline mapping or reference point.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .certify import (
 from .corpus import CorpusEntry, UnknownExample, corpus_names, load_example
 from .covering import build_selection, covering_check_kaluza
 from .geometry import GraphPoint, NORM_KINDS, jsonable
-from .moduli import LiminfSchedule, MODULUS_KINDS, estimate_modulus
+from .moduli import LiminfSchedule, MODULUS_KINDS, NotOnGraph, estimate_modulus
 from .newton import InexactnessModel, rate_report, run_newton
 from .setmaps import build_setmap
 
@@ -89,7 +90,10 @@ def validate_config(cfg: dict) -> dict:
 def _schedule_from(cfg: dict) -> LiminfSchedule:
     sched = dict(DEFAULT_CONFIG["schedule"])
     sched.update(cfg.get("schedule", {}))
-    return LiminfSchedule(**sched)
+    try:
+        return LiminfSchedule(**sched)
+    except ValueError as exc:
+        raise ConfigError(f"bad schedule: {exc}") from exc
 
 
 def _entry_from(cfg: dict) -> CorpusEntry:
@@ -120,7 +124,13 @@ def _require(entry, *keys: str) -> list:
 
 def _point_from(cfg: dict, entry: CorpusEntry | None):
     if "point" in cfg:
-        return GraphPoint(cfg["point"]["x"], cfg["point"]["y"])
+        point = cfg["point"]
+        if not isinstance(point, dict) or "x" not in point or "y" not in point:
+            raise ConfigError("'point' needs both 'x' and 'y'")
+        try:
+            return GraphPoint(point["x"], point["y"])
+        except ValueError as exc:
+            raise ConfigError(f"bad point: {exc}") from exc
     if entry is not None and "point" in entry.objects:
         return entry.objects["point"]
     raise ConfigError("no reference point available: give 'point': {x: [...], y: [...]} ")
@@ -158,17 +168,25 @@ def _cmd_moduli(cfg: dict):
     seed = cfg.get("seed", 42)
     norm = cfg.get("norm", "euclidean")
     if "mapping" in cfg:
-        F = build_setmap(cfg["mapping"])
+        try:
+            F = build_setmap(cfg["mapping"])
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"bad mapping: {exc}") from exc
         entry = None
     else:
         entry = _entry_from(cfg)
         (F,) = _require(entry, "setmap")
     point = _point_from(cfg, entry)
+    if (point.x.size, point.y.size) != (F.n, F.m):
+        raise ConfigError(f"point has dimensions {point.x.size}, {point.y.size}; the map needs {F.n}, {F.m}")
     schedule = _schedule_from(cfg)
     estimates = {}
     for kind in cfg.get("kinds", DEFAULT_CONFIG["kinds"]):
         t0 = time.perf_counter()
-        est = estimate_modulus(kind, F, point, schedule, norm, seed)
+        try:
+            est = estimate_modulus(kind, F, point, schedule, norm, seed)
+        except NotOnGraph as exc:  # raised by the graph check that precedes any sampling
+            raise ConfigError(str(exc)) from exc
         estimates[kind] = est
         payload = est.to_json_dict()
         yield f"moduli_{kind}", make_report(

@@ -1,17 +1,21 @@
 """Safe scalar expression grammar for JSON-described maps.
 
-Supported: + - * / ** , abs, sin, cos, sqrt, min, max, piecewise, numeric
-literals, and the variables ``x`` (1D) or ``x1..xn``.  ``piecewise`` takes
-alternating (condition, value) pairs followed by a default value and
-evaluates lazily, so guarded sub-expressions such as ``sin(1/x)`` are never
-touched when their guard is false.
+Supported: + - * / ** , comparisons, abs, sin, cos, sqrt, min, max,
+piecewise, numeric literals, and the variables ``x`` (1D) or ``x1..xn``.
+abs/sin/cos/sqrt take one argument and min/max at least one.  ``piecewise``
+takes alternating (condition, value) pairs followed by a default value (an
+odd count of at least 3) and evaluates lazily, so guarded sub-expressions
+such as ``sin(1/x)`` are never touched when their guard is false.
 
-Compiled callables accept scalars or numpy arrays for each variable.
+An expression is checked against the whitelist below, then compiled once into
+nested closures with each operator chosen at compile time.  Compiled
+callables accept scalars or numpy arrays for each variable.
 """
 
 from __future__ import annotations
 
 import ast
+import operator
 
 import numpy as np
 
@@ -20,31 +24,17 @@ class ExpressionError(ValueError):
     pass
 
 
-_ALLOWED_CALLS = {"abs", "sin", "cos", "sqrt", "min", "max", "piecewise"}
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+_COMPARE = {ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt, ast.LtE: operator.le,
+            ast.Gt: operator.gt, ast.GtE: operator.ge}
+_UFUNCS = {"abs": np.abs, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+_REDUCE = {"min": np.minimum, "max": np.maximum}
 
-_ALLOWED_NODES = (
-    ast.Expression,
-    ast.BinOp,
-    ast.UnaryOp,
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Div,
-    ast.Pow,
-    ast.USub,
-    ast.UAdd,
-    ast.Constant,
-    ast.Name,
-    ast.Call,
-    ast.Compare,
-    ast.Eq,
-    ast.NotEq,
-    ast.Lt,
-    ast.LtE,
-    ast.Gt,
-    ast.GtE,
-    ast.Load,
-)
+_ALLOWED_CALLS = {*_UFUNCS, *_REDUCE, "piecewise"}
+_ALLOWED_NODES = (ast.Expression, ast.UnaryOp, ast.BinOp, ast.Compare, ast.Call, ast.Constant, ast.Name, ast.Load,
+                  *_UNARY, *_BINARY, *_COMPARE)
 
 
 def _validate(tree: ast.AST, var_names: set[str]) -> None:
@@ -56,100 +46,84 @@ def _validate(tree: ast.AST, var_names: set[str]) -> None:
                 raise ExpressionError("only abs/sin/cos/sqrt/min/max/piecewise calls are allowed")
             if node.keywords:
                 raise ExpressionError("keyword arguments are not allowed")
+            name, count = node.func.id, len(node.args)
+            if not (count == 1 if name in _UFUNCS else count >= 1 if name in _REDUCE else count >= 3 and count % 2):
+                raise ExpressionError(f"{name} cannot take {count} arguments: abs/sin/cos/sqrt take 1, "
+                                      "min/max at least 1, piecewise an odd count of at least 3")
         if isinstance(node, ast.Name) and node.id not in var_names and node.id not in _ALLOWED_CALLS:
             raise ExpressionError(f"unknown name {node.id!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ExpressionError("only numeric literals are allowed")
 
 
-def _eval(node: ast.AST, env: dict) -> object:
-    if isinstance(node, ast.Expression):
-        return _eval(node.body, env)
+def _compile(node: ast.AST):
+    """A closure env -> value for a validated expression node."""
     if isinstance(node, ast.Constant):
-        return node.value
+        value = node.value
+        return lambda env: value
     if isinstance(node, ast.Name):
-        return env[node.id]
+        name = node.id
+        return lambda env: env[name]
     if isinstance(node, ast.UnaryOp):
-        v = _eval(node.operand, env)
-        return -v if isinstance(node.op, ast.USub) else +v
+        op, operand = _UNARY[type(node.op)], _compile(node.operand)
+        return lambda env: op(operand(env))
     if isinstance(node, ast.BinOp):
-        a, b = _eval(node.left, env), _eval(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return a + b
-        if isinstance(node.op, ast.Sub):
-            return a - b
-        if isinstance(node.op, ast.Mult):
-            return a * b
-        if isinstance(node.op, ast.Div):
-            return a / b
-        if isinstance(node.op, ast.Pow):
-            return a**b
-        raise ExpressionError("unsupported operator")
+        op, left, right = _BINARY[type(node.op)], _compile(node.left), _compile(node.right)
+        return lambda env: op(left(env), right(env))
     if isinstance(node, ast.Compare):
-        left = _eval(node.left, env)
-        result = None
-        for op, comp in zip(node.ops, node.comparators):
-            right = _eval(comp, env)
-            if isinstance(op, ast.Eq):
-                part = left == right
-            elif isinstance(op, ast.NotEq):
-                part = left != right
-            elif isinstance(op, ast.Lt):
-                part = left < right
-            elif isinstance(op, ast.LtE):
-                part = left <= right
-            elif isinstance(op, ast.Gt):
-                part = left > right
-            else:
-                part = left >= right
+        return _compile_compare(_compile(node.left), [(_COMPARE[type(op)], _compile(c))
+                                                      for op, c in zip(node.ops, node.comparators)])
+    name, args = node.func.id, [_compile(a) for a in node.args]  # type: ignore[attr-defined]
+    if name in _UFUNCS:
+        ufunc, (arg,) = _UFUNCS[name], args
+        return lambda env: ufunc(arg(env))
+    if name in _REDUCE:
+        reduce = _REDUCE[name].reduce
+        return args[0] if len(args) == 1 else lambda env: reduce(np.broadcast_arrays(*[a(env) for a in args]))
+    return _compile_piecewise(list(zip(args[:-1:2], args[1::2])), args[-1])
+
+
+def _compile_compare(first, rest):
+    def compare(env):
+        left, result = first(env), None
+        for op, comparator in rest:
+            right = comparator(env)
+            part = op(left, right)
             result = part if result is None else result & part
             left = right
         return result
-    if isinstance(node, ast.Call):
-        name = node.func.id  # type: ignore[union-attr]
-        if name == "piecewise":
-            return _eval_piecewise(node.args, env)
-        args = [_eval(a, env) for a in node.args]
-        if name == "abs":
-            return np.abs(args[0])
-        if name == "sin":
-            return np.sin(args[0])
-        if name == "cos":
-            return np.cos(args[0])
-        if name == "sqrt":
-            return np.sqrt(args[0])
-        if name == "min":
-            return np.minimum.reduce(np.broadcast_arrays(*args)) if len(args) > 1 else args[0]
-        if name == "max":
-            return np.maximum.reduce(np.broadcast_arrays(*args)) if len(args) > 1 else args[0]
-    raise ExpressionError(f"cannot evaluate node {type(node).__name__}")
+
+    return compare
 
 
-def _eval_piecewise(args: list[ast.AST], env: dict) -> object:
-    if len(args) < 3 or len(args) % 2 == 0:
-        raise ExpressionError("piecewise needs (cond, value)... pairs plus a default")
-    scalar = all(np.isscalar(v) or np.asarray(v).ndim == 0 for v in env.values())
-    if scalar:
-        for i in range(0, len(args) - 1, 2):
-            if bool(_eval(args[i], env)):
-                return _eval(args[i + 1], env)
-        return _eval(args[-1], env)
-    # array case: evaluate each branch only where its guard holds
-    shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
-    out = np.empty(shape, dtype=float)
-    remaining = np.ones(shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        for i in range(0, len(args) - 1, 2):
-            cond = np.broadcast_to(np.asarray(_eval(args[i], env), dtype=bool), shape)
-            take = remaining & cond
-            if np.any(take):
-                sub = {k: (np.broadcast_to(v, shape)[take] if np.ndim(v) else v) for k, v in env.items()}
-                out[take] = _eval(args[i + 1], sub)
-            remaining &= ~cond
-        if np.any(remaining):
-            sub = {k: (np.broadcast_to(v, shape)[remaining] if np.ndim(v) else v) for k, v in env.items()}
-            out[remaining] = _eval(args[-1], sub)
-    return out
+def _compile_piecewise(pairs, default):
+    def piecewise(env):
+        if all(np.isscalar(v) or np.asarray(v).ndim == 0 for v in env.values()):
+            for cond, value in pairs:
+                if bool(cond(env)):
+                    return value(env)
+            return default(env)
+        # array case: evaluate each branch only where its guard holds
+        shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+        out = np.empty(shape, dtype=float)
+        remaining = np.ones(shape, dtype=bool)
+
+        def fill(where, value):
+            sub = {k: (np.broadcast_to(v, shape)[where] if np.ndim(v) else v) for k, v in env.items()}
+            out[where] = value(sub)
+
+        with np.errstate(all="ignore"):
+            for cond, value in pairs:
+                guard = np.broadcast_to(np.asarray(cond(env), dtype=bool), shape)
+                take = remaining & guard
+                if np.any(take):
+                    fill(take, value)
+                remaining &= ~guard
+            if np.any(remaining):
+                fill(remaining, default)
+        return out
+
+    return piecewise
 
 
 def compile_expression(text: str, n_vars: int = 1):
@@ -167,6 +141,7 @@ def compile_expression(text: str, n_vars: int = 1):
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
     _validate(tree, var_names)
+    evaluate = _compile(tree.body)
 
     def fn(point):
         arr = np.asarray(point, dtype=float)
@@ -181,7 +156,7 @@ def compile_expression(text: str, n_vars: int = 1):
             else:
                 env = {f"x{i + 1}": arr[:, i] for i in range(n_vars)}
         with np.errstate(all="ignore"):
-            return _eval(tree, env)
+            return evaluate(env)
 
     fn.expression = text  # type: ignore[attr-defined]
     return fn

@@ -721,11 +721,7 @@ class NormalConeBox(SetMap):
                 lo[i] = hi[i] = 0.0
         return BoxSet(lo, hi)
 
-    def analytic_preimage(self, x0, y, norm, tol_feas):
-        try:
-            return self.inverse_value_set(y).nearest(x0, norm)[::-1]
-        except UnsupportedOperation:
-            return None  # unbounded box: search a grid instead
+    analytic_preimage = LinearOp.analytic_preimage
 
     def inverse_value_set(self, y):
         lo = np.empty(self.n)
@@ -737,8 +733,8 @@ class NormalConeBox(SetMap):
                 lo[i] = hi[i] = self.lo[i]
             else:
                 lo[i], hi[i] = self.lo[i], self.hi[i]
-        if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-            raise UnsupportedOperation("inverse of an unbounded-box normal cone")
+        if np.any(np.isinf(lo[lo == hi])):
+            return EmptySet(self.n)  # y_i != 0 pins x_i to an infinite bound, which no x attains
         return BoxSet(lo, hi)
 
     def sample_graph(self, s):

@@ -197,6 +197,9 @@ def test_corpus_smooth2d_strict_complementarity():
     assert fx[0] > 0.1 and abs(fx[1]) <= 1e-12
 
 
+_ORIGIN = {"x": [0.0], "y": [0.0]}
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -219,6 +222,27 @@ def test_corpus_smooth2d_strict_complementarity():
              "constants": {"c": 0.9, "r": 0.5, "alpha": 2.0}},
             id="certify-descent-two_branch-alpha_c_at_least_1",
         ),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "y+1"}, "point": _ORIGIN},
+                     id="moduli-inline-unknown_name"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "sin()"}, "point": _ORIGIN},
+                     id="moduli-inline-call_without_arguments"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "finite", "branches": [["x", "x"]]}, "point": _ORIGIN},
+                     id="moduli-inline-branch_with_two_coordinates_for_m1"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single"}, "point": _ORIGIN},
+                     id="moduli-inline-single_without_expr"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "bogus"}, "point": _ORIGIN},
+                     id="moduli-inline-unknown_kind"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x"},
+                      "point": {"x": [0.0, 0.0], "y": [0.0]}},
+                     id="moduli-inline-point_x_of_length_2_for_n1"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x"},
+                      "point": {"x": [0.0], "y": [1.0]}},
+                     id="moduli-inline-point_off_the_graph"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x"}, "point": {"x": [0.0]}},
+                     id="moduli-inline-point_without_y"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x"}, "point": _ORIGIN,
+                      "schedule": {"shells": 1}},
+                     id="moduli-inline-schedule_with_one_shell"),
         {"command": "cover", "example": "two_branch", "check": "kaluza"},
         {"command": "cover", "example": "two_branch", "check": "selection"},
         {"command": "solve", "example": "two_branch"},

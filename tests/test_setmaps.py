@@ -339,11 +339,21 @@ def test_normal_cone_box_rejects_bad_bounds(lo, hi):
         NormalConeBox(lo, hi)
 
 
-def test_normal_cone_box_unbounded_inverse_searches_a_grid():
+def test_normal_cone_box_unbounded_inverse_is_closed_form():
     F = NormalConeBox([0.0], [np.inf])
-    # y = 0 has the preimage [0, inf): no finite box, so no closed form
-    assert F.analytic_preimage(arr([0.5]), arr([0.0]), "euclidean", 1e-8) is None
+    # y = 0 has the preimage [0, inf): an unbounded box, in closed form
+    assert F.analytic_preimage(arr([0.5]), arr([0.0]), "euclidean", 1e-8)[0] == 0.0
     d, p = preimage_search([0.5], F, [0.0])
     assert d == 0.0 and np.array_equal(p, [0.5])
-    # y < 0 pins x to the finite lower bound: closed form
+    # beyond the reach of a grid around x0
+    d, p = preimage_search([-3.0], F, [0.0])
+    assert d == 3.0 and np.array_equal(p, [0.0])
+    # y < 0 pins x to the finite lower bound
     assert F.analytic_preimage(arr([0.5]), arr([-1.0]), "euclidean", 1e-8)[0] == 0.5
+    # y > 0 pins x to hi = +inf: no preimage
+    assert preimage_search([-3.0], F, [1.0]) == (np.inf, None)
+    assert F.inverse_value_set(arr([1.0])).is_empty()
+    G = NormalConeBox([-np.inf, 0.0], [1.0, np.inf])
+    d, p = preimage_search([5.0, -2.0], G, [0.0, 0.0])
+    assert d == pytest.approx(np.sqrt(20.0)) and np.array_equal(p, [1.0, 0.0])
+    assert preimage_search([5.0, -2.0], G, [-1.0, 0.0]) == (np.inf, None)
