@@ -130,7 +130,8 @@ def compile_expression(text: str, n_vars: int = 1):
     """Compile ``text`` into a vectorized callable of an n_vars-dim point.
 
     The callable accepts a scalar / length-n vector, or an (k, n) array of
-    points, returning a scalar or a length-k array.
+    points, returning a scalar or a length-k array.  Its ``constant``
+    attribute is true when the expression names no variable.
     """
     if n_vars == 1:
         var_names = {"x", "x1"}
@@ -159,4 +160,7 @@ def compile_expression(text: str, n_vars: int = 1):
             return evaluate(env)
 
     fn.expression = text  # type: ignore[attr-defined]
+    # names no variable: the same value at every point (a bare literal on a batch too)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    fn.constant = not names & var_names  # type: ignore[attr-defined]
     return fn

@@ -34,6 +34,7 @@ from .setmaps import (
     dist_to_value_set,
     dist_to_value_set_batch,
     graph_sample,
+    preimage_search_many,
     scalar_branches,
 )
 
@@ -137,10 +138,9 @@ def _bridged_structure_1d(curves: list[np.ndarray]):
         typical = float(np.median(positive)) if positive.size else 0.0
         cut = max(8.0 * typical, 1e-12)
         start = 0
-        for i, g in enumerate(gaps):
-            if g > cut:
-                emit(vals[start : i + 1])
-                start = i + 1
+        for i in np.flatnonzero(gaps > cut):
+            emit(vals[start : i + 1])
+            start = i + 1
         emit(vals[start:])
     return points, intervals
 
@@ -311,13 +311,14 @@ def estimate_modulus(
         quotients: list[float] = []
 
         if kind in ("lopen", "semireg"):
-            for yv in shell_points(ybar, r_in, r, spc, sj):
-                if dist_to_value_set(yv, F, xbar, norm) <= TOL_FEAS:
-                    continue  # y in F(xbar): not admissible for the liminf
+            # y in F(xbar) is not admissible for the liminf; a NaN distance is (not <=)
+            ys = [yv for yv in shell_points(ybar, r_in, r, spc, sj)
+                  if not dist_to_value_set(yv, F, xbar, norm) <= TOL_FEAS]
+            found = preimage_search_many(
+                xbar, F, ys, Ball(xbar, region_factor * r), norm=norm, resolution=preimage_resolution
+            )
+            for yv, (dpre, _) in zip(ys, found):
                 rho_y = vec_dist(yv, ybar, norm)
-                dpre = dist_to_preimage(
-                    xbar, F, yv, Ball(xbar, region_factor * r), norm=norm, resolution=preimage_resolution
-                )
                 if kind == "lopen":
                     quotients.append(0.0 if dpre == INF else (rho_y / dpre if dpre > 0 else QUOTIENT_CAP * 2))
                 else:
@@ -629,10 +630,10 @@ def slope_sandwich(
     samples: list[dict] = []
     for j, r in enumerate(radii):
         sj = derive_seed(seed, f"slope-shell{j}")
-        for yv in shell_points(ybar, r * schedule.rho, r, schedule.samples_per_shell, sj):
+        ys = shell_points(ybar, r * schedule.rho, r, schedule.samples_per_shell, sj)
+        for yv, (dpre, _) in zip(ys, preimage_search_many(xbar, F, ys, Ball(xbar, 8.0 * r), norm=norm)):
             member = dist_to_value_set(yv, F, xbar, norm) <= TOL_FEAS
             rho_y = vec_dist(yv, ybar, norm)
-            dpre = dist_to_preimage(xbar, F, yv, Ball(xbar, 8.0 * r), norm=norm)
             if member:
                 phi = INF  # y in F(xbar)\{ybar}: excluded from the outer liminf
             else:

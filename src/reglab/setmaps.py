@@ -8,6 +8,9 @@ polyhedra).  On top of the descriptors sit the three work-horse oracles:
 * ``dist_to_value_set(y, F, x)``   distance from y to F(x)
 * ``dist_to_preimage(x0, F, y)``   distance from x0 to F^{-1}(y), analytic
   where possible and honest grid search with local refinement otherwise
+* ``preimage_search_many(x0, F, ys)``   the preimage searches of many targets
+  that share x0 and the search region, in one call: a 1D map evaluates its
+  branches once on the shared grid and bisects every root in lockstep
 * ``graph_sample(F, center, r)``   seeded, feasibility-checked graph points
 
 The oracles, and the moduli built on them, name no map class: each kind
@@ -488,7 +491,10 @@ class SetMap:
     ``sample_graph`` raise UnsupportedOperation.  ``branch_values(X)`` gives
     one ``(k, m)`` array per branch, F(X[i]) = {out_j[i]} (by default the
     batch values as one branch); the base ``batch_dist`` is the minimum over
-    branches of their row distances.
+    branches of their row distances.  ``preimage_1d(x0, ys, grid, ...)``
+    takes an array of targets and gives a list with one entry per target: its
+    (distance, point), or ``None`` where the 1D path cannot answer that target
+    and the grid search must.
     """
 
     n: int
@@ -520,9 +526,9 @@ class SetMap:
     def analytic_preimage(self, x0: np.ndarray, y: np.ndarray, norm: str, tol_feas: float):
         return None
 
-    def preimage_1d(self, x0: np.ndarray, y0: float, grid: np.ndarray, norm: str, tol_feas: float):
+    def preimage_1d(self, x0: np.ndarray, ys: np.ndarray, grid: np.ndarray, norm: str, tol_feas: float):
         branches = scalar_branches(self)
-        return None if branches is None else _preimage_1d_branches(x0, branches, y0, grid, norm, tol_feas)
+        return None if branches is None else _preimage_1d_branches(x0, branches, ys, grid, norm, tol_feas)
 
     def inverse_value_set(self, y: np.ndarray) -> ValueSet:
         raise UnsupportedOperation(f"no analytic inverse for {self.describe()}")
@@ -630,8 +636,10 @@ class Epigraph(SetMap):
         out = _eval_vectorized(self.f, X, self.n, 1) if self.vectorized else None
         return None if out is None else np.maximum(out[:, 0] - y[0], 0.0)
 
-    def preimage_1d(self, x0, y0, grid, norm, tol_feas):
-        return _preimage_1d_epigraph(x0, self, y0, grid, tol_feas) if self.vectorized else None
+    def preimage_1d(self, x0, ys, grid, norm, tol_feas):
+        if not self.vectorized:
+            return None
+        return [_preimage_1d_epigraph(x0, self, float(y0), grid, tol_feas) for y0 in ys]
 
     def covered_c(self, x, y, t, norm, directions, resolution, seed):
         # interval arithmetic: F(B[x, t]) = [inf of f over the ball, +inf)
@@ -910,8 +918,11 @@ def _eval_vectorized(fn, X: np.ndarray, n: int, m: int):
 
 
 def _branch_rows(fn, X: np.ndarray, n: int, m: int, vectorized: bool) -> np.ndarray:
-    """(k, m) values of ``fn`` on the rows of X: one batch call when it passes
-    the shape check, else row by row with the call ``value_set`` makes."""
+    """(k, m) values of ``fn`` on the rows of X: the first row's value tiled for
+    a constant expression, one batch call when it passes the shape check, else
+    row by row with the call ``value_set`` makes."""
+    if getattr(fn, "constant", False) and len(X):
+        return np.tile(as_vector(fn(X[0]), m), (len(X), 1))
     out = _eval_vectorized(fn, X, n, m) if vectorized else None
     return out if out is not None else np.array([as_vector(fn(row), m) for row in X]).reshape(len(X), m)
 
@@ -991,76 +1002,124 @@ def scalar_branches(F: SetMap):
     return F.scalar_branches()
 
 
-def _bisect_root(fn, a: float, b: float, fa: float, fb: float, iters: int = 60) -> float:
-    """Root of a continuous scalar function bracketed by [a, b]."""
+def _bisect_root(fn, a, b, fa, iters: int = 60) -> np.ndarray:
+    """Roots of a continuous function bracketed by the cells [a[i], b[i]], with
+    fa = fn(a): all cells halve in lockstep, one call of ``fn`` on the array of
+    midpoints per halving.  Stops once every midpoint equals an end of its cell;
+    from there on no halving moves a cell, so the midpoints are the roots."""
+    a, b, fa = (np.array(v, dtype=float).reshape(-1) for v in (a, b, fa))
     for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = float(fn(np.asarray(mid)))
-        if fa * fm <= 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+        with np.errstate(all="ignore"):
+            mid = 0.5 * (a + b)
+        if np.all((mid == a) | (mid == b)):
+            return mid
+        fm = fn(mid)
+        with np.errstate(all="ignore"):
+            left = fa * fm <= 0
+        b = np.where(left, mid, b)
+        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
+    with np.errstate(all="ignore"):
+        return 0.5 * (a + b)
 
 
-def _preimage_1d_branches(x0, branches, y0: float, grid: np.ndarray, norm: str, tol_feas: float):
-    """Exact-ish preimage (dist, point) for 1D maps with continuous branches."""
+def _real_values(fn, xs: np.ndarray) -> np.ndarray:
+    """``fn`` on the 1D points ``xs``: one real value per point."""
+    vals = np.asarray(fn(xs))
+    if vals.size != xs.size or np.iscomplexobj(vals):
+        raise TypeError("a branch must give one real value per point")
+    return vals.astype(float).reshape(-1)
+
+
+def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_feas: float) -> list:
+    """Exact-ish preimages (dist, point) of the targets ``ys`` for a 1D map with
+    continuous branches, one entry per target.
+
+    Each branch is evaluated once on the grid, and the sign-change cells of all
+    targets are bisected in lockstep; then each target takes its grid hits, its
+    roots in cell order and, for a branch without either, a tangential polish.
+    An entry is None when a branch raises or gives the wrong shape on the grid,
+    or a non-finite value for that target.
+    """
     xs = grid[:, 0]
     h = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
-    best = INF
-    arg = None
-    found = False
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    curves = []
     for b in branches:
         try:
-            vals = np.asarray(b(xs), dtype=float).reshape(-1) - y0
+            vals = np.asarray(b(xs), dtype=float).reshape(-1)
         except Exception:
-            return None
-        if vals.shape != xs.shape or not np.all(np.isfinite(vals)):
-            return None
-        branch_found = False
-        hit = np.abs(vals) <= tol_feas
-        if np.any(hit):
-            found = branch_found = True
-            i = int(np.abs(xs[np.nonzero(hit)[0]] - x0[0]).argmin())
-            cand = float(xs[np.nonzero(hit)[0][i]])
-            if abs(cand - x0[0]) < best:
-                best, arg = abs(cand - x0[0]), np.array([cand])
-        sign_change = vals[:-1] * vals[1:] < 0
-        for i in np.nonzero(sign_change)[0]:
-            root = _bisect_root(lambda x, b=b: float(np.asarray(b(x))) - y0, xs[i], xs[i + 1], vals[i], vals[i + 1])
-            found = branch_found = True
-            if abs(root - float(x0[0])) < best:
-                best, arg = abs(root - float(x0[0])), np.array([root])
-        if not branch_found:
-            # tangential roots never change sign: descend on |b - y| from the
-            # flattest grid points, but only where the local variation makes
-            # an in-cell root plausible
-            for i in np.argsort(np.abs(vals))[:2]:
-                local_delta = max(
-                    abs(vals[i] - vals[max(i - 1, 0)]),
-                    abs(vals[min(i + 1, vals.size - 1)] - vals[i]),
-                )
-                if abs(float(vals[i])) > 2.0 * local_delta + tol_feas:
-                    continue
-                z, fx = _coordinate_polish(
-                    lambda z, b=b: abs(float(np.asarray(b(np.asarray(z[0])))) - y0),
-                    lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4,
-                )
-                if fx <= tol_feas:
-                    found = True
-                    x = float(z[0])
-                    if abs(x - float(x0[0])) < best:
-                        best, arg = abs(x - float(x0[0])), np.array([x])
-    return (best, arg) if found else (INF, None)
+            return [None] * ys.size
+        if vals.shape != xs.shape:
+            return [None] * ys.size
+        curves.append(vals[None, :] - ys[:, None])
+    finite = np.all([np.isfinite(v).all(axis=1) for v in curves], axis=0)
+    roots = []  # per branch: each target's roots, in cell order
+    for b, vals in zip(branches, curves):
+        target, cell = np.nonzero((vals[:, :-1] * vals[:, 1:] < 0) & finite[:, None])
+        cell_roots = _bisect_root(
+            lambda x, b=b, y0=ys[target]: _real_values(b, x) - y0,
+            xs[cell], xs[cell + 1], vals[target, cell],
+        ) if cell.size else cell
+        roots.append(np.split(cell_roots, np.searchsorted(target, np.arange(1, ys.size))))
+
+    out = []
+    for t, y0 in enumerate(ys.tolist()):
+        if not finite[t]:
+            out.append(None)
+            continue
+        best = INF
+        arg = None
+        found = False
+        for b, curve, branch_roots in zip(branches, curves, roots):
+            vals = curve[t]
+            branch_found = False
+            hit = np.abs(vals) <= tol_feas
+            if np.any(hit):
+                found = branch_found = True
+                i = int(np.abs(xs[np.nonzero(hit)[0]] - x0[0]).argmin())
+                cand = float(xs[np.nonzero(hit)[0][i]])
+                if abs(cand - x0[0]) < best:
+                    best, arg = abs(cand - x0[0]), np.array([cand])
+            for root in branch_roots[t]:
+                found = branch_found = True
+                if abs(root - float(x0[0])) < best:
+                    best, arg = abs(root - float(x0[0])), np.array([root])
+            if not branch_found:
+                # tangential roots never change sign: descend on |b - y| from the
+                # flattest grid points, but only where the local variation makes
+                # an in-cell root plausible
+                for i in np.argsort(np.abs(vals))[:2]:
+                    local_delta = max(
+                        abs(vals[i] - vals[max(i - 1, 0)]),
+                        abs(vals[min(i + 1, vals.size - 1)] - vals[i]),
+                    )
+                    if abs(float(vals[i])) > 2.0 * local_delta + tol_feas:
+                        continue
+                    z, fx = _coordinate_polish(
+                        lambda z, b=b: abs(float(np.asarray(b(np.asarray(z[0])))) - y0),
+                        lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4,
+                    )
+                    if fx <= tol_feas:
+                        found = True
+                        x = float(z[0])
+                        if abs(x - float(x0[0])) < best:
+                            best, arg = abs(x - float(x0[0])), np.array([x])
+        out.append((best, arg) if found else (INF, None))
+    return out
 
 
 def _preimage_1d_epigraph(x0, F, y0: float, grid: np.ndarray, tol_feas: float):
     """Preimage (dist, point) for an epigraph map: nearest x with f(x) <= y0."""
     xs = grid[:, 0]
+    f = F.f
     try:
-        vals = np.asarray(F.f(xs), dtype=float).reshape(-1) - y0
+        vals = np.asarray(f(xs), dtype=float).reshape(-1) - y0
     except Exception:
-        vals = np.array([float(F.f(np.array([x]))) - y0 for x in xs])
+        vals = np.array([float(f(np.array([x]))) - y0 for x in xs])
+
+        def f(x):  # the bisection too takes one point at a time
+            return np.array([float(np.asarray(F.f(np.asarray(p)))) for p in x])
+
     feas = vals <= tol_feas
     if not np.any(feas):
         return INF, None
@@ -1068,12 +1127,9 @@ def _preimage_1d_epigraph(x0, F, y0: float, grid: np.ndarray, tol_feas: float):
     arg = np.array([xs[np.nonzero(feas)[0][i]]])
     best = float(abs(arg[0] - x0[0]))
     # sharpen across feasibility boundaries adjacent to the best grid points
-    change = feas[:-1] != feas[1:]
-    for i in np.nonzero(change)[0]:
-        a, b_ = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa * fb < 0:
-            root = _bisect_root(lambda x: float(np.asarray(F.f(x))) - y0, a, b_, fa, fb)
+    cell = np.nonzero((feas[:-1] != feas[1:]) & (vals[:-1] * vals[1:] < 0))[0]
+    if cell.size:
+        for root in _bisect_root(lambda x: _real_values(f, x) - y0, xs[cell], xs[cell + 1], vals[cell]):
             if abs(root - float(x0[0])) < best:
                 best, arg = abs(root - float(x0[0])), np.array([root])
     return best, arg
@@ -1131,17 +1187,12 @@ def preimage_search(
         raise UnsupportedDimension(
             "grid preimage search supports n <= 2; higher dimensions need an analytic variant"
         )
-    if region is None:
-        region = Ball(x0, 1.0)
-    center = as_vector(region.center, F.n)
-    per_axis = resolution if F.n == 1 else max(21, int(math.sqrt(resolution)) * 2 + 1)
-    grid = _grid_axes(center, region.radius, per_axis)
-    h = 2.0 * region.radius / max(per_axis - 1, 1)
+    grid, per_axis, h = _search_grid(x0, F, region, resolution)
 
     if F.n == 1 and F.m == 1:
-        out = F.preimage_1d(x0, float(y[0]), grid, norm, tol_feas)
-        if out is not None:
-            return out
+        out = F.preimage_1d(x0, y, grid, norm, tol_feas)
+        if out is not None and out[0] is not None:
+            return out[0]
 
     feas = dist_to_value_set_batch(y, F, grid, norm)
     dists = np.array([vec_dist(row, x0, norm) for row in grid])
@@ -1180,6 +1231,51 @@ def preimage_search(
             if d < best:
                 best, arg = d, x
     return best, arg
+
+
+def _search_grid(x0: np.ndarray, F: SetMap, region: Ball | None, resolution: int):
+    """The search grid over ``region`` (the unit ball at x0 when None), its
+    points per axis and its spacing."""
+    if region is None:
+        region = Ball(x0, 1.0)
+    center = as_vector(region.center, F.n)
+    per_axis = resolution if F.n == 1 else max(21, int(math.sqrt(resolution)) * 2 + 1)
+    return _grid_axes(center, region.radius, per_axis), per_axis, 2.0 * region.radius / max(per_axis - 1, 1)
+
+
+def preimage_search_many(
+    x0,
+    F: SetMap,
+    ys,
+    region: Ball | None = None,
+    tol_feas: float = TOL_FEAS,
+    norm: str = "euclidean",
+    resolution: int = 401,
+    refine_steps: int = 25,
+) -> list:
+    """``[preimage_search(x0, F, y, region, ...) for y in ys]``, bit for bit.
+
+    Each target tries the closed form first.  For a 1D map the targets left
+    go to ``SetMap.preimage_1d`` in one call on the grid they share; a target
+    that path cannot answer, and every target of other kinds, goes through
+    :func:`preimage_search`.
+    """
+    x0 = as_vector(x0, F.n)
+    ys = [as_vector(y, F.m) for y in ys]
+    out = [F.analytic_preimage(x0, y, norm, tol_feas) for y in ys]
+    todo = [i for i, found in enumerate(out) if found is None]
+    if todo and F.n == 1 and F.m == 1:
+        grid = _search_grid(x0, F, region, resolution)[0]
+        try:
+            batch = F.preimage_1d(x0, np.array([ys[i][0] for i in todo]), grid, norm, tol_feas)
+        except Exception:
+            batch = None  # the searches below raise it where the lone search raises it
+        for i, found in zip(todo, batch or ()):
+            out[i] = found
+    return [
+        found if found is not None else preimage_search(x0, F, y, region, tol_feas, norm, resolution, refine_steps)
+        for found, y in zip(out, ys)
+    ]
 
 
 def _local_minima_indices(feas: np.ndarray, per_axis: int, n: int, limit: int) -> list[int]:

@@ -390,3 +390,52 @@ def test_ray_coverage_edge_cases():
     assert _ray_coverage_1d(0.0, 1.0, [], [(0.0, 1.0), (1.5, 2.0)], 0.5) == 2.0
     # a degenerate interval that maps to -0.0 leaves the cover at +0.0
     assert _ray_coverage_1d(0.0, -1.0, [], [(0.0, 0.0)], 1e-9).hex() == (0.0).hex()
+
+
+def _reference_bridged_structure_1d(curves):
+    """The gap loop of ``_bridged_structure_1d`` before it visited only the
+    gaps above the cut (kept verbatim as the oracle)."""
+    points: list[float] = []
+    intervals: list[tuple[float, float]] = []
+
+    def emit(segment: np.ndarray):
+        lo, hi = float(segment.min()), float(segment.max())
+        if hi - lo > 1e-14:
+            intervals.append((lo, hi))
+        else:
+            points.append(lo)
+
+    for vals in curves:
+        if vals.size == 1:
+            points.append(float(vals[0]))
+            continue
+        gaps = np.abs(np.diff(vals))
+        positive = gaps[gaps > 1e-14]
+        typical = float(np.median(positive)) if positive.size else 0.0
+        cut = max(8.0 * typical, 1e-12)
+        start = 0
+        for i, g in enumerate(gaps):
+            if g > cut:
+                emit(vals[start : i + 1])
+                start = i + 1
+        emit(vals[start:])
+    return points, intervals
+
+
+_step = st.one_of(st.sampled_from([0.0, 1.0, 8.0, 8.5, 7.5, 1e-15, -1.0, -8.0, np.nan]), st.floats(-20.0, 20.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(curves=st.lists(st.tuples(st.floats(-5.0, 5.0), st.lists(_step, max_size=12)), min_size=1, max_size=3))
+def test_bridged_structure_matches_gap_loop_bitwise(curves):
+    # steps of 1 and 8 make gaps equal to the cut of 8 times the median gap
+    arrays = [np.concatenate([[start], start + np.cumsum(steps)]) for start, steps in curves]
+    got, ref = _bridged_structure_1d(arrays), _reference_bridged_structure_1d(arrays)
+    assert np.array_equal(np.array(got[0]), np.array(ref[0]), equal_nan=True)
+    assert np.array_equal(np.array(got[1]).reshape(-1, 2), np.array(ref[1]).reshape(-1, 2), equal_nan=True)
+
+
+def test_bridged_structure_gap_equal_to_cut_is_bridged():
+    vals = np.array([0.0, 1.0, 2.0, 3.0, 11.0, 12.0, 13.0, 22.0])
+    # median gap 1, cut 8: the gap of 8 is bridged, the gap of 9 splits
+    assert _bridged_structure_1d([vals]) == _reference_bridged_structure_1d([vals]) == ([22.0], [(0.0, 13.0)])

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reglab import setmaps
+from reglab.corpus import load_example, sinkink_fn, staircase_fn
 from reglab.expr import compile_expression
-from reglab.geometry import Ball, DomainError, GraphPoint
+from reglab.geometry import TOL_FEAS, Ball, DomainError, GraphPoint, as_vector
 from reglab.moduli import frechet_coderivative_bound, largest_covered_c
 from reglab.setmaps import (
+    _bisect_root,
+    _branch_rows,
+    _coordinate_polish,
+    _grid_axes,
+    _real_values,
     Epigraph,
     FinitePoints,
     FiniteValued,
@@ -23,7 +32,9 @@ from reglab.setmaps import (
     dist_to_value_set_batch,
     graph_sample,
     preimage_search,
+    preimage_search_many,
     require_single_valued,
+    scalar_branches,
     values,
 )
 
@@ -357,3 +368,332 @@ def test_normal_cone_box_unbounded_inverse_is_closed_form():
     d, p = preimage_search([5.0, -2.0], G, [0.0, 0.0])
     assert d == pytest.approx(np.sqrt(20.0)) and np.array_equal(p, [1.0, 0.0])
     assert preimage_search([5.0, -2.0], G, [-1.0, 0.0]) == (np.inf, None)
+
+
+# ---------------------------------------------------------------------------
+# constant expressions: their branch values are tiled from the first row
+
+_X1_WIDE = np.linspace(-3.0, 2.0, 9).reshape(-1, 1)
+
+
+@pytest.mark.parametrize("text", ["0", "2*3", "1/3", "-0.0", "piecewise(1 > 0, 2, 3)"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_constant_branch_rows_are_tiled_bitwise(text, n):
+    fn = compile_expression(text, n)
+    X = _X1_WIDE if n == 1 else np.column_stack([_X1_WIDE[:, 0], _X1_WIDE[::-1, 0]])
+    rows = np.array([as_vector(fn(row), 1) for row in X]).reshape(len(X), 1)
+    got = _branch_rows(fn, X, n, 1, True)
+    assert fn.constant and got.shape == rows.shape and got.tobytes() == rows.tobytes()
+    assert _branch_rows(fn, X[:0], n, 1, True).shape == (0, 1)
+
+
+def test_constant_mark_keeps_the_bare_literal_on_a_batch():
+    # the literal fails the batch shape check, which keeps a constant branch
+    # off the 1D branch path of preimage_search
+    assert compile_expression("0")(np.linspace(0.0, 1.0, 5)) == 0
+    assert not compile_expression("x - x").constant and not compile_expression("x1 + 1", 2).constant
+    F = build_setmap({"kind": "finite", "branches": ["x", "0"]})
+    grid = _grid_axes(arr([0.0]), 1.0, 401)
+    assert F.preimage_1d(arr([0.0]), arr([0.5, 0.1]), grid, "euclidean", TOL_FEAS) == [None, None]
+
+
+# ---------------------------------------------------------------------------
+# lockstep 1D roots: each branch gives the same bits on an array as on 0-d
+# input, and the batched preimages equal the per-target search of before
+
+
+def _sum_remark_branches():
+    entry = load_example("sum_remark")
+    return SumMap(entry.objects["F"], entry.objects["G"]).scalar_branches()
+
+
+_CORPUS_BRANCHES = {
+    "sinkink_fn": sinkink_fn,
+    "staircase_fn": staircase_fn,
+    "two_branch_x": load_example("two_branch").objects["setmap"].branches[0],
+    "two_branch_0": load_example("two_branch").objects["setmap"].branches[1],
+    **{f"sum_remark_{i}": b for i, b in enumerate(_sum_remark_branches())},
+    "sinkink_piecewise": compile_expression("piecewise(x == 0, 0, x + x*abs(x)*abs(sin(1/x)))"),
+    "sin": np.sin,
+    "cos": np.cos,
+}
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 64])
+@pytest.mark.parametrize("name", sorted(_CORPUS_BRANCHES))
+def test_branch_on_an_array_equals_branch_on_0d_input_bitwise(name, length):
+    fn = _CORPUS_BRANCHES[name]
+    rng = np.random.default_rng(1000 + length)
+    for pts in (rng.uniform(-1e-3, 1e-3, length), rng.uniform(-1.0, 1.0, length)):
+        # the bisection evaluates its midpoints as an array; a lone search, as 0-d input
+        scalar = np.array([float(np.asarray(fn(np.asarray(p)))) for p in pts])
+        assert _real_values(fn, pts).tobytes() == scalar.tobytes()
+
+
+def _reference_bisect_root(fn, a: float, b: float, fa: float, fb: float, iters: int = 60) -> float:
+    """The scalar bisection that the lockstep one replaced (kept verbatim as the oracle)."""
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        fm = float(fn(np.asarray(mid)))
+        if fa * fm <= 0:
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def _reference_preimage_1d_branches(x0, branches, y0: float, grid: np.ndarray, norm: str, tol_feas: float):
+    """The one-target 1D branch search that the batched one replaced (kept verbatim as the oracle)."""
+    xs = grid[:, 0]
+    h = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
+    best = np.inf
+    arg = None
+    found = False
+    for b in branches:
+        try:
+            vals = np.asarray(b(xs), dtype=float).reshape(-1) - y0
+        except Exception:
+            return None
+        if vals.shape != xs.shape or not np.all(np.isfinite(vals)):
+            return None
+        branch_found = False
+        hit = np.abs(vals) <= tol_feas
+        if np.any(hit):
+            found = branch_found = True
+            i = int(np.abs(xs[np.nonzero(hit)[0]] - x0[0]).argmin())
+            cand = float(xs[np.nonzero(hit)[0][i]])
+            if abs(cand - x0[0]) < best:
+                best, arg = abs(cand - x0[0]), np.array([cand])
+        sign_change = vals[:-1] * vals[1:] < 0
+        for i in np.nonzero(sign_change)[0]:
+            root = _reference_bisect_root(
+                lambda x, b=b: float(np.asarray(b(x))) - y0, xs[i], xs[i + 1], vals[i], vals[i + 1])
+            found = branch_found = True
+            if abs(root - float(x0[0])) < best:
+                best, arg = abs(root - float(x0[0])), np.array([root])
+        if not branch_found:
+            for i in np.argsort(np.abs(vals))[:2]:
+                local_delta = max(
+                    abs(vals[i] - vals[max(i - 1, 0)]),
+                    abs(vals[min(i + 1, vals.size - 1)] - vals[i]),
+                )
+                if abs(float(vals[i])) > 2.0 * local_delta + tol_feas:
+                    continue
+                z, fx = _coordinate_polish(
+                    lambda z, b=b: abs(float(np.asarray(b(np.asarray(z[0])))) - y0),
+                    lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4,
+                )
+                if fx <= tol_feas:
+                    found = True
+                    x = float(z[0])
+                    if abs(x - float(x0[0])) < best:
+                        best, arg = abs(x - float(x0[0])), np.array([x])
+    return (best, arg) if found else (np.inf, None)
+
+
+def _reference_preimage_1d_epigraph(x0, F, y0: float, grid: np.ndarray, tol_feas: float):
+    """The epigraph search with the scalar bisection (kept verbatim as the oracle)."""
+    xs = grid[:, 0]
+    try:
+        vals = np.asarray(F.f(xs), dtype=float).reshape(-1) - y0
+    except Exception:
+        vals = np.array([float(F.f(np.array([x]))) - y0 for x in xs])
+    feas = vals <= tol_feas
+    if not np.any(feas):
+        return np.inf, None
+    i = int(np.abs(xs[np.nonzero(feas)[0]] - x0[0]).argmin())
+    arg = np.array([xs[np.nonzero(feas)[0][i]]])
+    best = float(abs(arg[0] - x0[0]))
+    change = feas[:-1] != feas[1:]
+    for i in np.nonzero(change)[0]:
+        a, b_ = xs[i], xs[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        if fa * fb < 0:
+            root = _reference_bisect_root(lambda x: float(np.asarray(F.f(x))) - y0, a, b_, fa, fb)
+            if abs(root - float(x0[0])) < best:
+                best, arg = abs(root - float(x0[0])), np.array([root])
+    return best, arg
+
+
+def _reference_search(x0, F, y, region, norm):
+    """One target as the search of before answered it: the closed form, then
+    the old 1D path, then the grid path of ``preimage_search``."""
+    x0, y = as_vector(x0, 1), as_vector(y, 1)
+    closed = F.analytic_preimage(x0, y, norm, TOL_FEAS)
+    if closed is not None:
+        return closed
+    grid = _grid_axes(region.center, region.radius, 401)
+    if isinstance(F, Epigraph):
+        out = _reference_preimage_1d_epigraph(x0, F, float(y[0]), grid, TOL_FEAS) if F.vectorized else None
+    else:
+        branches = scalar_branches(F)
+        out = None if branches is None else _reference_preimage_1d_branches(
+            x0, branches, float(y[0]), grid, norm, TOL_FEAS)
+    return out if out is not None else preimage_search(x0, F, y, region, norm=norm)
+
+
+def _same_search(got, ref):
+    assert float(got[0]).hex() == float(ref[0]).hex()
+    assert (got[1] is None) == (ref[1] is None)
+    if ref[1] is not None:
+        assert np.asarray(got[1]).tobytes() == np.asarray(ref[1]).tobytes()
+
+
+_SEARCH_MAPS = {
+    "two_branch": (load_example("two_branch").objects["setmap"], True),
+    "sinkink": (load_example("sinkink").objects["setmap"], True),
+    "sinkink_piecewise": (build_setmap(
+        {"kind": "single", "expr": "piecewise(x == 0, 0, x + x*abs(x)*abs(sin(1/x)))"}), True),
+    "sum_remark": (SumMap(load_example("sum_remark").objects["F"], load_example("sum_remark").objects["G"]), True),
+    "square": (SingleValued(lambda x: arr(x) ** 2), True),
+    "not_vectorized": (FiniteValued([lambda x: arr(x) ** 3, lambda x: 1.0 - arr(x)], vectorized=False), False),
+    "staircase": (load_example("staircase").objects["setmap"], False),
+    # fails on a batch, so the grid and the bisection take one point at a time
+    "epigraph_pointwise": (Epigraph(lambda x: abs(np.asarray(x).item()) - 0.25), False),
+    "branch_inverses": (FiniteValued([lambda x: arr(x)], branch_inverses=[lambda y: y]), False),
+}
+
+
+def _count_lone_searches(monkeypatch):
+    calls = []
+    lone = setmaps.preimage_search
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return lone(*args, **kwargs)
+
+    monkeypatch.setattr(setmaps, "preimage_search", counted)
+    return calls
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SEARCH_MAPS)),
+    x0=st.one_of(st.sampled_from([0.0, 0.3, -0.2]), st.floats(-1.0, 1.0)),
+    radius=st.sampled_from([0.01, 0.3, 0.8, 2.0]),
+    targets=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 0.5]), st.floats(-1.5, 1.5)), max_size=6),
+    on_grid=st.lists(st.integers(0, 400), max_size=3),
+    norm=st.sampled_from(["euclidean", "max"]),
+)
+def test_preimage_search_many_equals_the_search_of_before_bitwise(name, x0, radius, targets, on_grid, norm):
+    F, batched = _SEARCH_MAPS[name]
+    region = Ball([x0], radius)
+    xs = _grid_axes(region.center, radius, 401)[:, 0]
+    # targets on grid values: the identity branch hits them on the grid
+    ys = [[t] for t in targets] + [[xs[j]] for j in on_grid]
+    with pytest.MonkeyPatch.context() as mp:
+        lone = _count_lone_searches(mp)
+        got = preimage_search_many([x0], F, ys, region, norm=norm)
+    assert len(got) == len(ys)
+    for y, found in zip(ys, got):
+        _same_search(found, _reference_search([x0], F, y, region, norm))
+    if batched:
+        assert lone == []
+
+
+def test_preimage_search_many_tangential_roots_and_misses():
+    F = SingleValued(lambda x: arr(x) ** 2)
+    region = Ball([0.3], 0.5)
+    ys = [[0.0], [1e-10], [-1e-3], [0.04], [0.0]]
+    for y, found in zip(ys, preimage_search_many([0.3], F, ys, region)):
+        _same_search(found, _reference_search([0.3], F, y, region, "euclidean"))
+    # the tangential root at 0 is polished to, and a negative target has no preimage
+    got = preimage_search_many([0.3], F, ys, region)
+    assert got[0][0] == pytest.approx(0.3, abs=1e-4) and got[2] == (np.inf, None)
+
+
+def test_pointwise_epigraph_bisects_one_point_at_a_time():
+    F = _SEARCH_MAPS["epigraph_pointwise"][0]
+    region = Ball([0.6], 0.99)
+    ys = [[0.0123], [0.1], [-0.3]]
+    got = preimage_search_many([0.6], F, ys, region)
+    for y, found in zip(ys, got):
+        _same_search(found, _reference_search([0.6], F, y, region, "euclidean"))
+    assert got[0][0] == pytest.approx(0.3377) and got[1][0] == pytest.approx(0.25) and got[2] == (np.inf, None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_preimage_search_many_overflowing_target_takes_the_lone_search(monkeypatch):
+    # one target's grid values overflow to inf: that target alone falls back
+    F = SingleValued(lambda x: 1e308 * arr(x))
+    region = Ball([0.5], 0.5)
+    ys = [[0.5e308], [-1e308], [0.25e308]]
+    lone = _count_lone_searches(monkeypatch)
+    got = preimage_search_many([0.5], F, ys, region)
+    assert len(lone) == 1 and np.array_equal(lone[0], [-1e308])
+    for y, found in zip(ys, got):
+        _same_search(found, _reference_search([0.5], F, y, region, "euclidean"))
+
+
+def test_preimage_search_many_grid_errors_fall_back_per_target(monkeypatch):
+    def grid_fails(x):
+        if np.size(x) >= 401:
+            raise ValueError("no batches this large")
+        return 0.5 + arr(x)
+
+    F = FiniteValued([lambda x: arr(x), grid_fails])
+    ys = [[0.2], [-0.4], [0.7]]
+    expected = [_reference_search([0.0], F, y, Ball([0.0], 1.0), "euclidean") for y in ys]
+    lone = _count_lone_searches(monkeypatch)
+    got = preimage_search_many([0.0], F, ys)
+    assert len(lone) == len(ys)
+    for found, ref in zip(got, expected):
+        _same_search(found, ref)
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_complex_branch_values_still_raise():
+    # a complex value at a bisection midpoint raised TypeError from float();
+    # the lockstep bisection raises it too, alone or batched
+    F = SingleValued(lambda x: arr(x) + 0j)
+    with pytest.raises(TypeError):
+        _reference_search([0.0], F, [0.3], Ball([0.0], 1.0), "euclidean")
+    with pytest.raises(TypeError):
+        preimage_search([0.0], F, [0.3])
+    with pytest.raises(TypeError):
+        preimage_search_many([0.0], F, [[0.3], [0.1]])
+
+
+def test_preimage_search_many_other_kinds_search_per_target():
+    F = PolyhedralGraph([([[1, -1], [-1, 1]], [0, 1])], 1, 1)
+    ys = [[0.2], [0.9]]
+    got = preimage_search_many([0.1], F, ys, Ball([0.1], 1.0))
+    for found, y in zip(got, ys):
+        _same_search(found, preimage_search([0.1], F, y, Ball([0.1], 1.0)))
+    assert preimage_search_many([0.1], F, []) == []
+
+
+_end = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 5e-324, -5e-324, 1e300]), st.floats(-2.0, 2.0))
+_ROOT_FUNCS = {
+    "linear": lambda x, c: x - c,
+    "cubic": lambda x, c: (x - c) ** 3,
+    "step": lambda x, c: np.where(x < c, -1.0, 1.0),
+    "nan_left": lambda x, c: np.sqrt(x - c),
+    "nan": lambda x, c: np.full(np.shape(x), np.nan),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    cells=st.lists(st.tuples(_end, _end, st.sampled_from(["a", "b", "next_a", "prev_b", "mid"])),
+                   min_size=1, max_size=5),
+    func=st.sampled_from(sorted(_ROOT_FUNCS)),
+    adjacent=st.booleans(),
+)
+def test_lockstep_bisection_equals_the_scalar_one_bitwise(cells, func, adjacent):
+    g = _ROOT_FUNCS[func]
+    a, b, c = [], [], []
+    for lo, hi, where in cells:
+        lo, hi = min(lo, hi), max(lo, hi)
+        if adjacent:
+            hi = np.nextafter(lo, np.inf)
+        root = {"a": lo, "b": hi, "next_a": np.nextafter(lo, np.inf), "prev_b": np.nextafter(hi, -np.inf),
+                "mid": 0.5 * lo + 0.5 * hi}[where]
+        a.append(lo), b.append(hi), c.append(root)
+    a, b, c = np.array(a), np.array(b), np.array(c)
+    with np.errstate(all="ignore"):
+        fa = g(a, c)
+        got = _bisect_root(lambda x: g(x, c), a, b, fa)
+        for i in range(a.size):
+            ref = _reference_bisect_root(lambda x: g(x, c[i]), a[i], b[i], fa[i], g(b[i], c[i]))
+            assert float(got[i]).hex() == float(ref).hex()
