@@ -297,6 +297,7 @@ def criterion_12(seed: int = 42) -> dict:
     (x', v') = (y, y) construction at c = 0.9, alpha = 0.5."""
     entry = load_example("two_branch")
     F, pt = entry.objects["setmap"], entry.objects["point"]
+    min_samples = 50
     rep = check_descent_certificate(
         DescentForm("semireg_set", "sufficient"),
         F,
@@ -304,11 +305,12 @@ def criterion_12(seed: int = 42) -> dict:
         {"c": 0.9, "r": 0.5, "alpha": 0.5},
         oracle=lambda x, v, y, consts: (y, y),
         seed=seed,
+        premise_target=min_samples,
     )
     concl = rep.conclusion or {}
     passed = (
         rep.verdict == "pass"
-        and rep.premise_samples >= 50
+        and rep.premise_samples >= min_samples
         and not rep.violations
         and concl.get("passed", False)
         and len(concl.get("t_grid", [])) == 4

@@ -35,6 +35,8 @@ CONCLUSION_ATOL = 1e-6
 
 DESCENT_FORMS = ("regularity", "subregularity", "semireg_single", "semireg_set")
 MIN_PREMISE_SAMPLES = 5
+#: a descent check short of its premise target draws shells up to this many times its schedule's
+SHELL_CAP_FACTOR = 2
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,7 @@ class CertificateReport(JsonReport):
     norm: str = "euclidean"
     notes: list[str] = field(default_factory=list)
     values: dict = field(default_factory=dict)
+    shells: int | None = None
 
     def finalize(self) -> "CertificateReport":
         if self.verdict == "rejected":
@@ -123,6 +126,7 @@ def check_descent_certificate(
     seed: int = 42,
     norm: str = "euclidean",
     schedule: LiminfSchedule | None = None,
+    premise_target: int = 0,
 ) -> CertificateReport:
     """Verify a descent-type criterion on sampled premise tuples.
 
@@ -131,6 +135,10 @@ def check_descent_certificate(
     (default 0.9*c).  The oracle maps a premise-satisfying (x, v, y) to a
     candidate descent pair (x', v') lying on the graph; for the necessary
     direction a built-in preimage-search oracle is used when none is given.
+    After the schedule's shells, a check with fewer than ``premise_target``
+    premise samples keeps drawing shells r0 * rho^j from the same seeded
+    stream, up to ``SHELL_CAP_FACTOR`` times the schedule's count;
+    ``report.shells`` is the number of shells drawn.
     """
     c = float(constants["c"])
     r = float(constants["r"])
@@ -187,7 +195,11 @@ def check_descent_certificate(
         raise ValueError("semireg_single requires a single-valued map")
 
     rng = SplitMix64(derive_seed(seed, "descent"))
-    for j, rad in enumerate(schedule.radii()):
+    j = 0
+    while j < schedule.shells or (
+        report.premise_samples < premise_target and j < SHELL_CAP_FACTOR * schedule.shells
+    ):
+        rad = schedule.r0 * schedule.rho**j
         sj = derive_seed(seed, f"descent-shell{j}")
         if form.tag == "semireg_single" or (form.tag == "regularity" and gv is not None):
             lim = 0.999 * ((c if form.direction == "sufficient" else cprime) * r)
@@ -210,6 +222,8 @@ def check_descent_certificate(
             pts = graph_sample(F, point, min(rad, 0.999 * r), schedule.samples_per_shell // 2 + 1, sj, norm)
             for gp in pts:
                 _eval_subreg_premise(report, F, point, gp, c, cprime, r, form, run_oracle, norm)
+        j += 1
+    report.shells = j
 
     if form.direction == "sufficient":
         if form.tag == "semireg_single" or form.tag == "semireg_set":

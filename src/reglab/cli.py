@@ -29,7 +29,7 @@ from .certify import (
 from .corpus import CorpusEntry, UnknownExample, corpus_names, load_example
 from .covering import build_selection, covering_check_kaluza
 from .geometry import GraphPoint, NORM_KINDS, jsonable
-from .moduli import LiminfSchedule, MODULUS_KINDS, NotOnGraph, estimate_modulus
+from .moduli import LiminfSchedule, MODULUS_KINDS, NotEvaluable, NotOnGraph, estimate_modulus
 from .newton import InexactnessModel, rate_report, run_newton
 from .setmaps import build_setmap
 
@@ -185,7 +185,7 @@ def _cmd_moduli(cfg: dict):
         t0 = time.perf_counter()
         try:
             est = estimate_modulus(kind, F, point, schedule, norm, seed)
-        except NotOnGraph as exc:  # raised by the graph check that precedes any sampling
+        except (NotOnGraph, NotEvaluable) as exc:  # raised by the graph check that precedes any sampling
             raise ConfigError(str(exc)) from exc
         estimates[kind] = est
         payload = est.to_json_dict()

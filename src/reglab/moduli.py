@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import TOL_FEAS, Ball, GraphPoint, JsonReport, as_vector, jsonable, vec_dist
+from .geometry import TOL_FEAS, Ball, DimensionMismatch, GraphPoint, JsonReport, as_vector, jsonable, vec_dist
 from .rng import SplitMix64, derive_seed, shell_points, sphere_directions
 from .setmaps import (
     INF,
@@ -49,6 +49,10 @@ _INF_KINDS = {"sur", "lopen", "psopen", "displacement"}
 
 class NotOnGraph(ValueError):
     pass
+
+
+class NotEvaluable(ValueError):
+    """The map raises, or gives a non-finite value, at the reference point."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,14 @@ def _assemble(kind, point, shell_stats, schedule, seed, norm, samples, notes) ->
 
 
 def check_on_graph(F: SetMap, point: GraphPoint, tol: float = TOL_FEAS, norm: str = "euclidean") -> None:
-    d = dist_to_value_set(point.y, F, point.x, norm)
+    try:
+        d = dist_to_value_set(point.y, F, point.x, norm)
+    except (DimensionMismatch, UnsupportedOperation):
+        raise
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise NotEvaluable(f"the map cannot be evaluated at the reference point: {type(exc).__name__}: {exc}") from exc
+    if math.isnan(d):
+        raise NotEvaluable("the map cannot be evaluated at the reference point: its distance there is NaN")
     if d > tol:
         raise NotOnGraph(f"reference point is {d:.3g} away from the graph (tol {tol:g})")
 

@@ -59,34 +59,65 @@ class UnsupportedDimension(UnsupportedOperation):
 # value-set descriptors
 
 
-def _project_polyhedron(point: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Euclidean projection onto {z: Az <= b} by active-subset enumeration.
+def _project_polyhedron_rows(point: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """Euclidean projections of one point onto the polyhedra {z: Az <= B[i]}.
 
-    Exact for small systems (the only ones we build).  Returns (z, dist) or
-    None when the polyhedron is empty.
+    Active-subset enumeration, exact for small systems (the only ones we
+    build), run once for all rows of B whose polyhedron does not contain the
+    point.  Returns (found, dist, Z) per row: whether a projection was found
+    (not found: the polyhedron is empty), its distance and the projection
+    (inf and NaN where none was found).  Each row equals its own one-row call
+    bit for bit: the products are per-row ``matmul``s, and a multi-column
+    ``lstsq`` solves each column as a one-column call does.
     """
     point = np.asarray(point, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    scale = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(point).max(initial=0.0)))
-    if A.size == 0 or np.all(A @ point <= b + 1e-12 * scale):
-        return point, 0.0
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    rows = len(B)
+    # max(1, |B[i]|_inf, |point|_inf) as Python's max takes it: a NaN loses
+    scale = np.fmax(np.abs(B).max(axis=1, initial=0.0), max(1.0, float(np.abs(point).max(initial=0.0))))
+    inside = A @ point <= B + 1e-12 * scale[:, None]
+    if A.size == 0 or inside.all():
+        Z = np.empty((rows, point.size))
+        Z[:] = point
+        return np.ones(rows, dtype=bool), np.zeros(rows), Z
+    out = ~inside.all(axis=1)
+    every = out.all()
+    Bo, so = (B, scale) if every else (B[out], scale[out])
+    tol_eq, upper = 1e-8 * so, Bo + 1e-9 * so[:, None]
     k, d = A.shape
-    best = None
+    hit = np.zeros(len(Bo), dtype=bool)
+    best = np.full(len(Bo), INF)
+    best_z = np.full((len(Bo), d), np.nan)
     for size in range(1, min(k, d) + 1):
         for idx in itertools.combinations(range(k), size):
-            Ak = A[list(idx)]
-            bk = b[list(idx)]
-            gram = Ak @ Ak.T
-            lam, *_ = np.linalg.lstsq(gram, Ak @ point - bk, rcond=None)
-            z = point - Ak.T @ lam
-            if np.max(np.abs(Ak @ z - bk)) > 1e-8 * scale:
-                continue
-            if np.all(A @ z <= b + 1e-9 * scale):
-                dist = float(np.linalg.norm(z - point))
-                if best is None or dist < best[1]:
-                    best = (z, dist)
-    return best
+            sel = list(idx)
+            Ak, bk = A[sel], Bo[:, sel]
+            lam, *_ = np.linalg.lstsq(Ak @ Ak.T, (Ak @ point - bk).T, rcond=None)
+            z = point - np.matmul(Ak.T, lam.T[..., None])[..., 0]
+            ok = ~(np.abs(np.matmul(Ak, z[..., None])[..., 0] - bk).max(axis=1) > tol_eq)
+            ok &= (np.matmul(A, z[..., None])[..., 0] <= upper).all(axis=1)
+            dist = _vec_dists(z, point, "euclidean")
+            take = ok & (~hit | (dist < best))
+            hit |= take
+            np.copyto(best, dist, where=take)
+            np.copyto(best_z, z, where=take[:, None])
+    if every:
+        return hit, best, best_z
+    Z = np.empty((rows, d))
+    Z[:] = point
+    found, dists = np.ones(rows, dtype=bool), np.zeros(rows)
+    found[out], dists[out], Z[out] = hit, best, best_z
+    return found, dists, Z
+
+
+def _project_polyhedron(point: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """Euclidean projection onto {z: Az <= b}: the one-row call of
+    ``_project_polyhedron_rows``.  Returns (z, dist) or None when the
+    polyhedron is empty.
+    """
+    found, dist, Z = _project_polyhedron_rows(point, A, np.asarray(b, dtype=float)[None])
+    return (Z[0], float(dist[0])) if found[0] else None
 
 
 def _chebyshev_to_polyhedron(point: np.ndarray, A: np.ndarray, b: np.ndarray, A_eq=None, b_eq=None):
@@ -478,6 +509,17 @@ def _row_dist(diff: np.ndarray, norm: str) -> np.ndarray:
     return np.linalg.norm(diff, axis=1) if norm == "euclidean" else np.abs(diff).max(axis=1)
 
 
+def _vec_dists(X: np.ndarray, x0: np.ndarray, norm: str) -> np.ndarray:
+    """``vec_dist(row, x0, norm)`` for every row of X, bit for bit: ``vecdot``
+    takes the dot product that ``linalg.norm`` takes on one vector."""
+    diff = X - x0
+    if norm == "euclidean":
+        return np.sqrt(np.vecdot(diff, diff))
+    if norm == "max":
+        return np.abs(diff).max(axis=1)
+    raise ValueError(f"unknown norm kind {norm!r}")
+
+
 class SetMap:
     """Base class; subclasses fix domain dim ``n`` and range dim ``m``.
 
@@ -491,10 +533,11 @@ class SetMap:
     ``sample_graph`` raise UnsupportedOperation.  ``branch_values(X)`` gives
     one ``(k, m)`` array per branch, F(X[i]) = {out_j[i]} (by default the
     batch values as one branch); the base ``batch_dist`` is the minimum over
-    branches of their row distances.  ``preimage_1d(x0, ys, grid, ...)``
-    takes an array of targets and gives a list with one entry per target: its
-    (distance, point), or ``None`` where the 1D path cannot answer that target
-    and the grid search must.
+    branches of their row distances, and a kind without branch values may
+    give its own (``PolyhedralGraph`` projects all rows at once).
+    ``preimage_1d(x0, ys, grid, ...)`` takes an array of targets and gives a
+    list with one entry per target: its (distance, point), or ``None`` where
+    the 1D path cannot answer that target and the grid search must.
     """
 
     n: int
@@ -750,7 +793,12 @@ class NormalConeBox(SetMap):
 
 
 class PolyhedralGraph(SetMap):
-    """Graph given as a finite union of convex polyhedra in R^{n+m}."""
+    """Graph given as a finite union of convex polyhedra in R^{n+m}.
+
+    ``batch_dist`` answers the euclidean distances of many rows with one
+    stacked projection per piece, equal to the row-by-row distances bit for
+    bit; under the max norm each row keeps its LP.
+    """
 
     def __init__(self, pieces, n: int, m: int):
         self.pieces = [
@@ -772,6 +820,22 @@ class PolyhedralGraph(SetMap):
             slices.append((Ay, b - Ax @ x))
         ps = PolyhedralSet(slices, self.m)
         return ps if not ps.is_empty() else EmptySet(self.m)
+
+    def batch_dist(self, y, X, norm):
+        # every row's slice {z: A_y z <= b - A_x x} shares A_y and y, so each
+        # piece is one stacked projection; rows that value_set rejects go the
+        # per-row way, which raises as before
+        if norm != "euclidean" or X.shape[1] != self.n or not np.isfinite(X).all():
+            return None
+        slices = [(A[:, self.n:], b - np.matmul(A[:, : self.n], X[..., None])[..., 0]) for A, b in self.pieces]
+        nonempty = np.zeros(len(X), dtype=bool)
+        for Ay, C in slices:
+            nonempty |= _project_polyhedron_rows(np.zeros(self.m), Ay, C)[0]
+        best = np.full(len(X), INF)
+        for Ay, C in slices:
+            found, dist, _ = _project_polyhedron_rows(y, Ay, C)
+            best = np.where(found & (dist < best), dist, best)
+        return np.where(nonempty, best, INF)
 
     def inverse_value_set(self, y):
         swapped = []
@@ -1195,7 +1259,7 @@ def preimage_search(
             return out[0]
 
     feas = dist_to_value_set_batch(y, F, grid, norm)
-    dists = np.array([vec_dist(row, x0, norm) for row in grid])
+    dists = _vec_dists(grid, x0, norm)
 
     def objective(x):
         return vec_dist(x, x0, norm)

@@ -103,6 +103,13 @@ def test_criterion_12_descent_certificate():
     assert res["details"]["conclusion_t_values"] == 4
 
 
+def test_criterion_12_at_a_seed_short_of_premise_samples_on_its_schedule():
+    # seed 203 gets 46 premise samples from the 5 scheduled shells; a sixth
+    # shell from the same stream brings it past 50
+    res = acceptance.criterion_12(seed=203)
+    assert res["passed"] and res["details"]["premise_samples"] >= 50
+
+
 def test_full_suite_runtime_budget():
     import time
 

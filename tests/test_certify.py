@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reglab.certify import (
+    SHELL_CAP_FACTOR,
     DescentForm,
     check_descent_certificate,
     verify_linear_perturbation,
@@ -29,6 +30,33 @@ def test_descent_semireg_set_two_branch_with_explicit_pair():
     assert rep.verdict == "pass"
     assert rep.premise_samples >= 50
     assert rep.conclusion["passed"] and len(rep.conclusion["t_grid"]) == 4
+
+
+def _two_branch_descent(seed, **kwargs):
+    entry = load_example("two_branch")
+    return check_descent_certificate(
+        DescentForm("semireg_set", "sufficient"), entry.objects["setmap"], entry.objects["point"],
+        {"c": 0.9, "r": 0.5, "alpha": 0.5}, oracle=lambda x, v, y, consts: (y, y), seed=seed, **kwargs,
+    )
+
+
+def test_descent_premise_target_draws_more_shells_from_the_same_stream():
+    short = _two_branch_descent(203)
+    assert short.shells == 5 and short.premise_samples == 46
+    more = _two_branch_descent(203, premise_target=50)
+    assert more.shells == 6 and more.premise_samples >= 50
+    assert more.verdict == "pass" and more.conclusion == short.conclusion
+    # a seed that meets the target on its schedule draws no extra shell
+    assert _two_branch_descent(42, premise_target=50).to_json_dict() == _two_branch_descent(42).to_json_dict()
+
+
+def test_descent_premise_target_stops_at_the_shell_cap():
+    g = SingleValued(lambda x: 2.0 * arr(x))
+    rep = check_descent_certificate(
+        DescentForm("semireg_single", "sufficient"), g, ORIGIN, {"c": 2.5, "r": 0.5},
+        oracle=lambda x, v, y, consts: arr(y) / 2.0, premise_target=10**6,
+    )
+    assert rep.shells == SHELL_CAP_FACTOR * 5 and rep.premise_samples < 10**6
 
 
 def test_descent_semireg_single_identity():

@@ -243,6 +243,11 @@ _ORIGIN = {"x": [0.0], "y": [0.0]}
         pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x"}, "point": _ORIGIN,
                       "schedule": {"shells": 1}},
                      id="moduli-inline-schedule_with_one_shell"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x + 0*(1/0)"}, "point": _ORIGIN},
+                     id="moduli-inline-raises_at_the_point"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x + 0*sqrt(-1-x*x)"},
+                      "point": _ORIGIN},
+                     id="moduli-inline-nan_at_the_point"),
         {"command": "cover", "example": "two_branch", "check": "kaluza"},
         {"command": "cover", "example": "two_branch", "check": "selection"},
         {"command": "solve", "example": "two_branch"},

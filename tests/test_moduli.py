@@ -12,6 +12,7 @@ from reglab.moduli import (
     _attained_structure_1d,
     _bridged_structure_1d,
     _ray_coverage_1d,
+    NotEvaluable,
     NotOnGraph,
     convex_process_sur,
     estimate_modulus,
@@ -82,6 +83,20 @@ def test_calm_lip_reg_on_expanding_map():
 def test_rejects_off_graph_reference():
     with pytest.raises(NotOnGraph):
         estimate_modulus("lopen", LinearOp([[1.0]]), GraphPoint([0.0], [0.5]), FAST)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        pytest.param(SingleValued(lambda x: arr(x) + 0 * (1 / 0)), id="raises"),
+        pytest.param(SingleValued(lambda x: arr(x) + 0 * np.sqrt(-1 - arr(x) ** 2)), id="nan_value"),
+        pytest.param(Epigraph(lambda x: arr(x) * np.nan), id="nan_distance"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_rejects_a_map_that_cannot_be_evaluated_at_the_reference(F):
+    with pytest.raises(NotEvaluable, match="cannot be evaluated at the reference point"):
+        estimate_modulus("lopen", F, ORIGIN, FAST)
 
 
 def test_internal_point_convention():

@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reglab import setmaps
 from reglab.corpus import load_example, sinkink_fn, staircase_fn
 from reglab.expr import compile_expression
-from reglab.geometry import TOL_FEAS, Ball, DomainError, GraphPoint, as_vector
+from reglab.geometry import TOL_FEAS, Ball, DomainError, GraphPoint, as_vector, vec_dist
 from reglab.moduli import frechet_coderivative_bound, largest_covered_c
 from reglab.setmaps import (
     _bisect_root,
@@ -697,3 +699,181 @@ def test_lockstep_bisection_equals_the_scalar_one_bitwise(cells, func, adjacent)
         for i in range(a.size):
             ref = _reference_bisect_root(lambda x: g(x, c[i]), a[i], b[i], fa[i], g(b[i], c[i]))
             assert float(got[i]).hex() == float(ref).hex()
+
+
+# ---------------------------------------------------------------------------
+# polyhedral graphs: one stacked projection per piece equals the row-by-row
+# distances bit for bit
+
+
+def _reference_project_polyhedron(point, A, b):
+    """The one-point active-subset enumeration of before, verbatim."""
+    point = np.asarray(point, dtype=float)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(point).max(initial=0.0)))
+    if A.size == 0 or np.all(A @ point <= b + 1e-12 * scale):
+        return point, 0.0
+    k, d = A.shape
+    best = None
+    for size in range(1, min(k, d) + 1):
+        for idx in itertools.combinations(range(k), size):
+            Ak = A[list(idx)]
+            bk = b[list(idx)]
+            gram = Ak @ Ak.T
+            lam, *_ = np.linalg.lstsq(gram, Ak @ point - bk, rcond=None)
+            z = point - Ak.T @ lam
+            if np.max(np.abs(Ak @ z - bk)) > 1e-8 * scale:
+                continue
+            if np.all(A @ z <= b + 1e-9 * scale):
+                dist = float(np.linalg.norm(z - point))
+                if best is None or dist < best[1]:
+                    best = (z, dist)
+    return best
+
+
+_COEF = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), st.floats(-2.0, 2.0))
+_OFFSET = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0]), st.floats(-1.0, 2.0))
+_COORD = st.one_of(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]), st.floats(-2.0, 2.0))
+
+
+def _reference_polyhedral_dist(y, F, x):
+    """dist(y, F(x)) of before: the value set is empty when no slice holds 0."""
+    slices = [(A[:, F.n:], b - A[:, : F.n] @ x) for A, b in F.pieces]
+    if all(_reference_project_polyhedron(np.zeros(F.m), A, b) is None for A, b in slices):
+        return np.inf
+    best = np.inf
+    for A, b in slices:
+        proj = _reference_project_polyhedron(y, A, b)
+        if proj is not None and proj[1] < best:
+            best = proj[1]
+    return best
+
+
+@st.composite
+def _polyhedral_graphs(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pieces = []
+    for _ in range(draw(st.integers(1, 2))):
+        rows = draw(st.lists(st.lists(_COEF, min_size=n + m, max_size=n + m), min_size=1, max_size=4))
+        offsets = draw(st.lists(_OFFSET, min_size=len(rows), max_size=len(rows)))
+        if draw(st.booleans()):  # a bound on x alone: the slice is empty beyond it
+            rows.append([1.0] + [0.0] * (n + m - 1))
+            offsets.append(draw(st.sampled_from([-0.5, 0.0, 0.5])))
+        pieces.append((rows, offsets))
+    try:
+        F = PolyhedralGraph(pieces, n, m)
+    except ValueError:  # an empty piece
+        assume(False)
+    X = np.array(draw(st.lists(st.lists(_COORD, min_size=n, max_size=n), min_size=1, max_size=12)))
+    y = np.array(draw(st.lists(_COORD, min_size=m, max_size=m)))
+    return F, X, y
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_polyhedral_graphs())
+def test_polyhedral_batch_distance_is_row_by_row_bitwise(case):
+    F, X, y = case
+    got = F.batch_dist(y, X, "euclidean")
+    rows = np.array([dist_to_value_set(y, F, x) for x in X])
+    before = np.array([_reference_polyhedral_dist(y, F, x) for x in X])
+    assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), before.view(np.uint64))
+
+
+def test_polyhedral_batch_distance_on_faces_and_empty_slices():
+    # pieces {y = x, x <= 0.5} and {y in [0, 1], |x| <= 1}: x > 0.5 leaves only
+    # the second piece, x outside both gives inf; some targets lie on a face
+    # and some just off it, by less and by more than the 1e-12 inside slack
+    F = PolyhedralGraph([([[1, -1], [-1, 1], [1, 0]], [0, 0, 0.5]),
+                         ([[0, 1], [0, -1], [1, 0], [-1, 0]], [1, 0, 1, 1])], 1, 1)
+    X = np.array([[-2.0], [-1.0], [-0.5], [0.0], [0.25], [0.5], [0.75], [1.0], [1.5]])
+    for y in ([0.0], [0.25], [1.0], [1.0 + 5e-13], [1.0 + 5e-12], [2.0], [-0.5]):
+        got = dist_to_value_set_batch(y, F, X)
+        before = np.array([_reference_polyhedral_dist(arr(y), F, x) for x in X])
+        assert np.array_equal(got.view(np.uint64), before.view(np.uint64))
+    assert np.isinf(got[-1]) and np.isfinite(got[:-1]).all()
+
+
+def test_polyhedral_value_set_empty_at_zero_is_empty_at_any_target():
+    # {x + 10 + g <= y <= x + 10} is empty.  At x = -10 the slice [g, 0] has
+    # scale 1, so the emptiness test (at 0) finds nothing; the target 100
+    # scales the slack to 1e-7 > g, where a projection is found.  The value
+    # set is still empty, so the distance is inf.
+    g = 5e-9
+    F = PolyhedralGraph([([[-1, 1], [1, -1]], [10, -10 - g])], 1, 1)
+    X = np.array([[-10.0], [0.0]])
+    got = dist_to_value_set_batch([100.0], F, X)
+    before = np.array([_reference_polyhedral_dist(arr([100.0]), F, x) for x in X])
+    assert np.array_equal(got.view(np.uint64), before.view(np.uint64)) and np.isinf(got[0])
+    assert setmaps._project_polyhedron([100.0], [[1.0], [-1.0]], [0.0, -g]) is not None
+
+
+def test_polyhedral_batch_path_is_euclidean_only(monkeypatch):
+    F, X, y = MAP_KINDS["polyhedral_graph"]
+    assert F.batch_dist(arr(y), X, "max") is None  # each row keeps its LP
+    rows = []
+    scalar = setmaps.dist_to_value_set
+    monkeypatch.setattr(setmaps, "dist_to_value_set", lambda *a: rows.append(a) or scalar(*a))
+    dist_to_value_set_batch(y, F, X, "euclidean")
+    assert rows == []
+    dist_to_value_set_batch(y, F, X, "max")
+    assert len(rows) == len(X)
+
+
+@st.composite
+def _projection_cases(draw):
+    """(point, A, b): plain points; points on face 0 or just off it, also with
+    a large point and small normals, where the point sets the slack; and
+    points on a ray from a vertex along a face normal, where subsets tie."""
+    d = draw(st.integers(1, 3))
+    A = arr(draw(st.lists(st.lists(_COEF, min_size=d, max_size=d), min_size=1, max_size=5)))
+    b = arr(draw(st.lists(_OFFSET, min_size=len(A), max_size=len(A))))
+    p = arr(draw(st.lists(_COORD, min_size=d, max_size=d)))
+    kind = draw(st.sampled_from(["plain", "face", "large_face", "vertex"]))
+    if kind == "large_face":
+        A, p = 0.01 * A, 100.0 * p
+    if kind in ("face", "large_face") and A[0] @ A[0] > 0:
+        off = draw(st.sampled_from([0.0, 5e-13, 5e-12, -5e-12, 5e-11, 5e-9]))
+        p = p + A[0] * ((b[0] + off * max(1.0, np.abs(b).max(), np.abs(p).max()) - A[0] @ p) / (A[0] @ A[0]))
+    if kind == "vertex" and len(A) >= 2 and d >= 2 and abs(np.linalg.det(A[:2] @ A[:2].T)) > 1e-3:
+        p = np.linalg.lstsq(A[:2], b[:2], rcond=None)[0] + draw(st.sampled_from([0.5, 1.0, 3.0])) * A[0]
+    return p, A, b
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(case=_projection_cases())
+def test_project_polyhedron_equals_the_enumeration_of_before(case):
+    got, ref = setmaps._project_polyhedron(*case), _reference_project_polyhedron(*case)
+    if ref is None:
+        assert got is None
+    else:
+        assert got[0].tobytes() == ref[0].tobytes() and float(got[1]).hex() == float(ref[1]).hex()
+
+
+def test_stacked_linear_algebra_matches_the_one_row_calls_bitwise():
+    # the identities the stacked projection rests on; a LAPACK or BLAS build
+    # that breaks one fails here rather than moving a reported value
+    rng = np.random.default_rng(2024)
+    for d in (1, 2, 3):
+        for _ in range(40):
+            A = rng.standard_normal((4, 2 + d))
+            Ay = A[:, 2:]  # a column slice, as the value-set slices are
+            Ak = Ay[: rng.integers(1, d + 1)].copy()
+            gram = Ak @ Ak.T
+            R = rng.standard_normal((len(Ak), 30)) * rng.choice([1e-3, 1.0, 1e3])
+            lam = np.linalg.lstsq(gram, R, rcond=None)[0]
+            Z = rng.standard_normal((30, d))
+            stacked_z = np.matmul(Ay, Z[..., None])[..., 0]
+            stacked_lam = np.matmul(Ak.T, lam.T[..., None])[..., 0]
+            norms = np.sqrt(np.vecdot(Z, Z))
+            for j in range(30):
+                assert lam[:, j].tobytes() == np.linalg.lstsq(gram, R[:, j], rcond=None)[0].tobytes()
+                assert stacked_z[j].tobytes() == (Ay @ Z[j]).tobytes()
+                assert stacked_lam[j].tobytes() == (Ak.T @ lam[:, j]).tobytes()
+                assert float(norms[j]).hex() == float(np.linalg.norm(Z[j])).hex()
+    for x0 in ([0.3], [-0.7, 0.2]):
+        grid = _grid_axes(arr(x0) + 0.1, 0.9, 401 if len(x0) == 1 else 41)
+        for norm in ("euclidean", "max"):
+            dists = setmaps._vec_dists(grid, arr(x0), norm)
+            assert dists.tobytes() == np.array([vec_dist(row, x0, norm) for row in grid]).tobytes()
