@@ -35,7 +35,11 @@ class DomainError(ValueError):
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate and coerce to a finite 1D float array of dimension >= 1 (a float64 1D array as it is)."""
-    v = x if type(x) is np.ndarray and x.dtype == np.float64 else np.asarray(x, dtype=float)
+    v = x if type(x) is np.ndarray and x.dtype == np.float64 else np.asarray(x)
+    if v.dtype != np.float64:
+        if np.iscomplexobj(v):
+            raise ValueError("vector entries must be real")
+        v = v.astype(float)
     v = v.reshape(1) if v.ndim == 0 else v
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1D vector, got shape {v.shape}")

@@ -16,9 +16,9 @@ polyhedra).  On top of the descriptors sit the three work-horse oracles:
 The oracles, and the moduli built on them, name no map class: each kind
 decides its own paths through the hooks on :class:`SetMap`, so a new map
 kind is one class.  The batch, 1D and closed-form preimage hooks, the
-covering rate ``covered_c`` and the half-space pieces ``graph_pieces``
-return ``None`` for "no special path"; the analytic inverse and the graph
-sampler raise UnsupportedOperation.
+covering rate ``covered_c``, the half-space pieces ``graph_pieces`` and the
+cone interval ``normal_cone_interval`` return ``None`` for "no special
+path"; the analytic inverse and the graph sampler raise UnsupportedOperation.
 
 All operations are pure; nothing here keeps mutable state.
 """
@@ -526,18 +526,24 @@ class SetMap:
     A kind defines ``_value_set`` and overrides the per-kind hooks where it
     has a special path.  Here ``batch_values``, ``branch_values``,
     ``batch_dist``, ``scalar_branches``, ``analytic_preimage``,
-    ``preimage_1d``, ``covered_c`` and ``graph_pieces`` return ``None`` (no
-    vectorized images, branch values or distances, no 1D branches, no
-    closed-form preimage: search a grid; no closed-form covering rate: sample
-    it; no half-space description of the graph); ``inverse_value_set`` and
-    ``sample_graph`` raise UnsupportedOperation.  ``branch_values(X)`` gives
-    one ``(k, m)`` array per branch, F(X[i]) = {out_j[i]} (by default the
-    batch values as one branch); the base ``batch_dist`` is the minimum over
-    branches of their row distances, and a kind without branch values may
-    give its own (``PolyhedralGraph`` projects all rows at once).
+    ``preimage_1d``, ``covered_c``, ``graph_pieces`` and
+    ``normal_cone_interval`` return ``None`` (no vectorized images, branch
+    values or distances, no 1D branches, no closed-form preimage: search a
+    grid; no closed-form covering rate: sample it; no half-space description
+    of the graph; not the normal cone of an interval); ``inverse_value_set``
+    and ``sample_graph`` raise UnsupportedOperation.  ``LinearOp``,
+    ``NormalConeBox``, ``PolyhedralGraph`` and ``InverseView`` have a
+    closed-form preimage; 1D maps with vectorized branches, epigraphs and
+    1D sums of one branch and a box normal cone have a 1D path.
+    ``branch_values(X)`` gives one ``(k, m)`` array per branch, F(X[i]) =
+    {out_j[i]} (by default the batch values as one branch); the base
+    ``batch_dist`` is the minimum over branches of their row distances, and a
+    kind without branch values may give its own (``PolyhedralGraph``
+    projects all rows at once).
     ``preimage_1d(x0, ys, grid, ...)`` takes an array of targets and gives a
-    list with one entry per target: its (distance, point), or ``None`` where
-    the 1D path cannot answer that target and the grid search must.
+    list with one entry per target: its (distance, point) within the grid's
+    span, or ``None`` where the 1D path cannot answer that target and the
+    grid search must.
     """
 
     n: int
@@ -567,6 +573,10 @@ class SetMap:
         return None
 
     def analytic_preimage(self, x0: np.ndarray, y: np.ndarray, norm: str, tol_feas: float):
+        return None
+
+    def normal_cone_interval(self):
+        """(lo, hi) when the map is the normal cone to the interval [lo, hi] of R."""
         return None
 
     def preimage_1d(self, x0: np.ndarray, ys: np.ndarray, grid: np.ndarray, norm: str, tol_feas: float):
@@ -774,6 +784,9 @@ class NormalConeBox(SetMap):
 
     analytic_preimage = LinearOp.analytic_preimage
 
+    def normal_cone_interval(self):
+        return (float(self.lo[0]), float(self.hi[0])) if self.n == 1 else None
+
     def inverse_value_set(self, y):
         lo = np.empty(self.n)
         hi = np.empty(self.n)
@@ -836,6 +849,8 @@ class PolyhedralGraph(SetMap):
             found, dist, _ = _project_polyhedron_rows(y, Ay, C)
             best = np.where(found & (dist < best), dist, best)
         return np.where(nonempty, best, INF)
+
+    analytic_preimage = LinearOp.analytic_preimage
 
     def inverse_value_set(self, y):
         swapped = []
@@ -900,6 +915,31 @@ class SumMap(SetMap):
             return None
         return [lambda x, f=f, g=g: np.asarray(f(x), dtype=float) + np.asarray(g(x), dtype=float) for f in bf for g in bg]
 
+    def preimage_1d(self, x0, ys, grid, norm, tol_feas):
+        # f + N_[lo, hi] with one scalar branch f: F^{-1}(y) is the roots of
+        # f = y in [lo, hi], plus lo where y <= f(lo) and hi where y >= f(hi)
+        for f, cone in ((self.F, self.G), (self.G, self.F)):
+            box, branches = cone.normal_cone_interval(), scalar_branches(f)
+            if box is None or branches is None or len(branches) != 1:
+                continue
+            xs = grid[:, 0]
+            ends = [e for e in box if xs[0] <= e <= xs[-1]]
+            inner = np.unique(np.concatenate([xs[(xs > box[0]) & (xs < box[1])], ends]))
+            out = []
+            for y0, found in zip(ys, _preimage_1d_branches(x0, branches, ys, inner[:, None], norm, tol_feas)):
+                y = np.array([y0])
+                if found is not None and found[1] is not None and not dist_to_value_set(y, self, found[1], norm) <= tol_feas:
+                    # a false root inside [lo, hi] goes to the grid search; a
+                    # root polished to beyond a bound is no preimage
+                    found = None if box[0] <= found[1][0] <= box[1] else (INF, None)
+                for e in ends if found is not None else ():
+                    d = abs(e - float(x0[0]))
+                    if d < found[0] and dist_to_value_set(y, self, [e], norm) <= tol_feas:
+                        found = (d, np.array([e]))
+                out.append(found)
+            return out
+        return super().preimage_1d(x0, ys, grid, norm, tol_feas)
+
     def sample_graph(self, s):
         return s.near_members()
 
@@ -917,9 +957,8 @@ class InverseView(SetMap):
     def inverse_value_set(self, y):
         return self.base._value_set(y)
 
-    def analytic_preimage(self, x0, y, norm, tol_feas):
-        # preimage of the inverse is the forward value set of the base
-        return self.base.value_set(y).nearest(x0, norm)[::-1]
+    # preimage of the inverse is the forward value set of the base
+    analytic_preimage = LinearOp.analytic_preimage
 
     def sample_graph(self, s):
         inner = graph_sample(self.base, GraphPoint(s.cy, s.cx), s.radius, s.count, s.seed, s.norm, s.tol_feas)
@@ -1101,8 +1140,9 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
     Each branch is evaluated once on the grid, and the sign-change cells of all
     targets are bisected in lockstep; then each target takes its grid hits, its
     roots in cell order and, for a branch without either, a tangential polish.
-    An entry is None when a branch raises or gives the wrong shape on the grid,
-    or a non-finite value for that target.
+    A branch marked ``constant`` may give its one value on the grid, which is
+    tiled.  An entry is None when a branch raises or gives the wrong shape on
+    the grid, or a non-finite value for that target.
     """
     xs = grid[:, 0]
     h = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
@@ -1114,7 +1154,9 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
         except Exception:
             return [None] * ys.size
         if vals.shape != xs.shape:
-            return [None] * ys.size
+            if not (getattr(b, "constant", False) and vals.size == 1):
+                return [None] * ys.size
+            vals = np.full(xs.shape, vals[0])
         curves.append(vals[None, :] - ys[:, None])
     finite = np.all([np.isfinite(v).all(axis=1) for v in curves], axis=0)
     roots = []  # per branch: each target's roots, in cell order
@@ -1236,9 +1278,13 @@ def preimage_search(
     """(distance, point) from x0 to F^{-1}(y) = {x: y in F(x)}.
 
     Closed form where the map kind has one (``SetMap.analytic_preimage``,
-    a global answer); otherwise a grid search over ``region`` with
-    feasibility restoration and a polish pass toward x0.  Returns
-    (+inf, None) when no feasible point is found.
+    a global answer: linear maps, box normal cones, polyhedral graphs and
+    inverse views).  Otherwise, for a 1D map, the 1D path of its kind on the
+    grid over ``region`` (``SetMap.preimage_1d``: bisected branch roots,
+    epigraph boundaries, or the roots and bounds of f + N_[lo,hi]); where
+    that cannot answer, a grid search over ``region`` with feasibility
+    restoration and a polish pass toward x0.  Returns (+inf, None) when no
+    feasible point is found.
     """
     x0 = as_vector(x0, F.n)
     y = as_vector(y, F.m)

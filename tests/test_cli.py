@@ -248,6 +248,9 @@ _ORIGIN = {"x": [0.0], "y": [0.0]}
         pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x + 0*sqrt(-1-x*x)"},
                       "point": _ORIGIN},
                      id="moduli-inline-nan_at_the_point"),
+        pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x + 0*(-1)**0.5"},
+                      "point": _ORIGIN},
+                     id="moduli-inline-complex_value"),
         {"command": "cover", "example": "two_branch", "check": "kaluza"},
         {"command": "cover", "example": "two_branch", "check": "selection"},
         {"command": "solve", "example": "two_branch"},

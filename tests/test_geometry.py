@@ -64,6 +64,13 @@ def test_as_vector_rejects_non_finite_entries(bad, size):
             as_vector(bad)
 
 
+@pytest.mark.parametrize("x", [1j, 0.5 + 0j, [1.0, 2j], np.array([1.0, 2.0]) + 0j, np.complex64(1.0)])
+def test_as_vector_rejects_complex_values(x):
+    # converting would drop the imaginary part with only a warning
+    with pytest.raises(ValueError, match="vector entries must be real"):
+        as_vector(x)
+
+
 @pytest.mark.parametrize("x", [np.zeros((2, 2)), [[1.0, 2.0]], np.zeros((1, 1)), [], np.zeros(0)])
 def test_as_vector_rejects_other_shapes(x):
     with pytest.raises(DimensionMismatch, match="expected a 1D vector"):
