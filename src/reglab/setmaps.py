@@ -541,9 +541,8 @@ class SetMap:
     kind without branch values may give its own (``PolyhedralGraph``
     projects all rows at once).
     ``preimage_1d(x0, ys, grid, ...)`` takes an array of targets and gives a
-    list with one entry per target: its (distance, point) within the grid's
-    span, or ``None`` where the 1D path cannot answer that target and the
-    grid search must.
+    list with one entry per target: its (distance, point), or ``None`` where
+    the 1D path cannot answer that target and the grid search must.
     """
 
     n: int
@@ -922,16 +921,12 @@ class SumMap(SetMap):
             box, branches = cone.normal_cone_interval(), scalar_branches(f)
             if box is None or branches is None or len(branches) != 1:
                 continue
-            xs = grid[:, 0]
-            ends = [e for e in box if xs[0] <= e <= xs[-1]]
-            inner = np.unique(np.concatenate([xs[(xs > box[0]) & (xs < box[1])], ends]))
+            ends = [e for e in box if grid[0, 0] <= e <= grid[-1, 0]]
             out = []
-            for y0, found in zip(ys, _preimage_1d_branches(x0, branches, ys, inner[:, None], norm, tol_feas)):
+            for y0, found in zip(ys, _preimage_1d_branches(x0, branches, ys, grid, norm, tol_feas, bounds=box)):
                 y = np.array([y0])
                 if found is not None and found[1] is not None and not dist_to_value_set(y, self, found[1], norm) <= tol_feas:
-                    # a false root inside [lo, hi] goes to the grid search; a
-                    # root polished to beyond a bound is no preimage
-                    found = None if box[0] <= found[1][0] <= box[1] else (INF, None)
+                    found = None  # a false root, at a jump of f: the grid search decides
                 for e in ends if found is not None else ():
                     d = abs(e - float(x0[0]))
                     if d < found[0] and dist_to_value_set(y, self, [e], norm) <= tol_feas:
@@ -1133,19 +1128,27 @@ def _real_values(fn, xs: np.ndarray) -> np.ndarray:
     return vals.astype(float).reshape(-1)
 
 
-def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_feas: float) -> list:
+def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_feas: float, bounds=None) -> list:
     """Exact-ish preimages (dist, point) of the targets ``ys`` for a 1D map with
     continuous branches, one entry per target.
 
     Each branch is evaluated once on the grid, and the sign-change cells of all
     targets are bisected in lockstep; then each target takes its grid hits, its
     roots in cell order and, for a branch without either, a tangential polish.
-    A branch marked ``constant`` may give its one value on the grid, which is
-    tiled.  An entry is None when a branch raises or gives the wrong shape on
-    the grid, or a non-finite value for that target.
+    With ``bounds`` (lo, hi), only points of [lo, hi] count: the grid keeps
+    its points inside and gains the bounds that lie in its span, and the polish
+    keeps the grid's step but stays in [lo, hi].  An entry is None when a
+    branch raises or gives the wrong shape on the grid, or a non-finite value
+    for that target.
     """
     xs = grid[:, 0]
     h = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
+    clamp = {}
+    if bounds is not None:
+        lo, hi = bounds
+        ends = [e for e in dict.fromkeys(bounds) if xs[0] <= e <= xs[-1]]
+        xs = np.sort(np.concatenate([xs[(xs > lo) & (xs < hi)], ends]))  # np.unique would import numpy.ma
+        clamp = {"lo": [lo], "hi": [hi]}
     ys = np.asarray(ys, dtype=float).reshape(-1)
     curves = []
     for b in branches:
@@ -1154,9 +1157,7 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
         except Exception:
             return [None] * ys.size
         if vals.shape != xs.shape:
-            if not (getattr(b, "constant", False) and vals.size == 1):
-                return [None] * ys.size
-            vals = np.full(xs.shape, vals[0])
+            return [None] * ys.size
         curves.append(vals[None, :] - ys[:, None])
     finite = np.all([np.isfinite(v).all(axis=1) for v in curves], axis=0)
     roots = []  # per branch: each target's roots, in cell order
@@ -1203,7 +1204,7 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
                         continue
                     z, fx = _coordinate_polish(
                         lambda z, b=b: abs(float(np.asarray(b(np.asarray(z[0])))) - y0),
-                        lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4,
+                        lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4, **clamp,
                     )
                     if fx <= tol_feas:
                         found = True

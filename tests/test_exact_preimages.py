@@ -1,10 +1,9 @@
 """Exact preimage hooks against the grid search they replace.
 
-Three map kinds answer preimage queries without the grid: a polyhedral graph
-in closed form, the 1D sum f + N_[lo, hi] of one scalar branch and a normal
-cone, and a 1D finite map with a constant branch.  Each is compared with the
-grid path, reached through a subclass whose hook returns None, and with an
-independent exact answer.
+Two map kinds answer preimage queries without the grid: a polyhedral graph
+in closed form, and the 1D sum f + N_[lo, hi] of one scalar branch and a
+normal cone.  Each is compared with the grid path, reached through a subclass
+whose hook returns None, and with an independent exact answer.
 """
 
 import math
@@ -15,7 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from reglab.expr import compile_expression
 from reglab.geometry import TOL_FEAS, Ball
 from reglab.setmaps import (
     FiniteValued,
@@ -39,11 +37,6 @@ class GridPolyhedralGraph(PolyhedralGraph):
 
 
 class GridSumMap(SumMap):
-    def preimage_1d(self, x0, ys, grid, norm, tol_feas):
-        return None
-
-
-class GridFiniteValued(FiniteValued):
     def preimage_1d(self, x0, ys, grid, norm, tol_feas):
         return None
 
@@ -256,8 +249,8 @@ def test_cone_sum_with_several_interior_roots(x0, y):
 def test_cone_sum_bounds_and_near_roots_are_exact():
     grid = _grid_axes(arr([0.0]), 1.0, 401)
     F, _ = _sums(lambda x: arr(x), (0.1001, 1.0), False)
-    # y just below f(lo): the polish reaches the root of f = y past lo, which
-    # is no preimage; lo itself answers, on the 1D path
+    # y just below f(lo): the root of f = y lies past lo, where the polish
+    # may not go; lo itself answers, on the 1D path
     assert F.preimage_1d(arr([0.0]), arr([0.1001 - 1e-4]), grid, "euclidean", TOL_FEAS) == [(0.1001, [0.1001])]
     # a root between lo and the first grid point after it is bisected
     d, x = preimage_search([0.0], F, [0.1002])
@@ -309,34 +302,20 @@ def test_cone_sum_false_root_goes_to_the_grid():
     assert preimage_search([0.0], F, [0.0]) == (INF, None)
 
 
-# ---------------------------------------------------------------------------
-# constant branches on the 1D branch path
-
-
-@st.composite
-def constant_branch_maps(draw):
-    a = draw(st.sampled_from([-2.0, -0.5, 1.0, 3.0]))
-    c, k = draw(st.floats(-0.5, 0.5)), draw(st.floats(-1.0, 1.0))
-    x0 = draw(st.floats(-0.5, 0.5))
-    xs = x0 + draw(st.floats(-0.9, 0.9))
-    y = a * xs + c
-    assume(abs(y - k) > 1e-3)  # y = k would make all of R a preimage
-    branches = [compile_expression(f"{a!r}*x + {c!r}"), compile_expression(f"{k!r}")]
-    branches = branches[::-1] if draw(st.booleans()) else branches
-    return branches, x0, y, abs(xs - x0)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(case=constant_branch_maps())
-def test_constant_branch_path_against_the_grid_search(case):
-    branches, x0, y, expected = case
-    F, G = FiniteValued(branches), GridFiniteValued(branches)
-    exact = preimage_search([x0], F, [y])
-    _feasible(F, [y], exact)
-    _agree(exact, preimage_search([x0], G, [y], refine_steps=GRID_POLISH), expected)
-
-
-def test_unmarked_scalar_branch_keeps_the_rejection():
-    grid = _grid_axes(arr([0.0]), 1.0, 401)
-    F = FiniteValued([lambda x: arr(x), lambda x: 0.0])
-    assert F.preimage_1d(arr([0.0]), arr([0.5, 0.1]), grid, "euclidean", TOL_FEAS) == [None, None]
+@pytest.mark.parametrize("c, roots, box, x0, R, expected", [
+    # lo lies 1e-6 below the grid point 0: the polish keeps the grid's step
+    (4.0, [0.5013], (-1e-6, 1.0), 0.6, 1.0, 0.6 - 0.5013),
+    # the root 0.502 lies 0.0019 past hi: the polish stops at hi, and the
+    # interior root 0.3012 answers
+    (50.0, [0.3012, 0.502], (-1.0, 0.5001), 0.45, 0.45, 0.45 - 0.3012),
+])
+def test_cone_sum_tangential_roots(c, roots, box, x0, R, expected):
+    # f - y keeps its sign at a double root, which only the polish finds
+    f = lambda x: c * np.prod([(arr(x) - r) ** 2 for r in roots], axis=0)
+    F, G = _sums(f, box, False)
+    region = Ball([x0], R)
+    exact = preimage_search([x0], F, [0.0], region)
+    _feasible(F, [0.0], exact)
+    # f <= TOL_FEAS pins a double root only to within sqrt(TOL_FEAS / c)
+    assert exact[0] == pytest.approx(expected, abs=1e-4)
+    assert preimage_search([x0], G, [0.0], region, refine_steps=GRID_POLISH)[0] == pytest.approx(exact[0], abs=1e-4)
