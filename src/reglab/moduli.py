@@ -386,12 +386,13 @@ def estimate_modulus(
                 for yv in _value_candidates(F, xv, ybar, r, rng, 2, norm):
                     quotients.append(dist_to_value_set(yv, F, xbar, norm) / d_x)
         elif kind == "displacement":
-            for xv in shell_points(xbar, r_in, r, spc, sj):
-                d_x = vec_dist(xv, xbar, norm)
-                if d_x <= 1e-12:
-                    continue
-                dval = dist_to_value_set(ybar, F, xv, norm)
-                quotients.append(INF if dval == INF else dval / d_x)
+            # draw the shell, answer it in one batch, reduce in draw order
+            kept = [(xv, d_x) for xv in shell_points(xbar, r_in, r, spc, sj)
+                    if not (d_x := vec_dist(xv, xbar, norm)) <= 1e-12]
+            if kept:
+                dvals = dist_to_value_set_batch(ybar, F, np.array([xv for xv, _ in kept]), norm)
+                for (_, d_x), dval in zip(kept, dvals.tolist()):
+                    quotients.append(INF if dval == INF else dval / d_x)
 
         total += len(quotients)
         if not quotients:

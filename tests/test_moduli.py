@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reglab.corpus import load_example, sinkink_fn, staircase_fn
-from reglab.geometry import GraphPoint
+from reglab.geometry import GraphPoint, vec_dist
 from reglab.moduli import (
     LiminfSchedule,
     _attained_structure_1d,
@@ -14,6 +14,8 @@ from reglab.moduli import (
     _ray_coverage_1d,
     NotEvaluable,
     NotOnGraph,
+    _assemble,
+    check_on_graph,
     convex_process_sur,
     estimate_modulus,
     frechet_coderivative_bound,
@@ -22,18 +24,20 @@ from reglab.moduli import (
     slope_sandwich,
     starshape_bound,
 )
-from reglab.rng import SplitMix64
+from reglab.rng import SplitMix64, derive_seed, shell_points
 from reglab.setmaps import (
     Epigraph,
     FiniteValued,
     InverseView,
     LinearOp,
+    NormalConeBox,
     PolyhedralGraph,
     SingleValued,
     SumMap,
     UnsupportedOperation,
     _ball_grid,
     build_setmap,
+    dist_to_value_set,
 )
 
 arr = lambda x: np.asarray(x, dtype=float)
@@ -454,3 +458,65 @@ def test_bridged_structure_gap_equal_to_cut_is_bridged():
     vals = np.array([0.0, 1.0, 2.0, 3.0, 11.0, 12.0, 13.0, 22.0])
     # median gap 1, cut 8: the gap of 8 is bridged, the gap of 9 splits
     assert _bridged_structure_1d([vals]) == _reference_bridged_structure_1d([vals]) == ([22.0], [(0.0, 13.0)])
+
+
+# ---------------------------------------------------------------------------
+# displacement: one batched distance call per shell gives the estimate of
+# before bit for bit
+
+
+def _reference_displacement(F, point, schedule, norm, seed):
+    """estimate_modulus("displacement", ...) of before: one scalar distance per shell point."""
+    check_on_graph(F, point, norm=norm)
+    xbar, ybar = point.x, point.y
+    shell_stats, total = [], 0
+    for j, r in enumerate(schedule.radii()):
+        sj = derive_seed(seed, f"displacement-shell{j}")
+        quotients = []
+        for xv in shell_points(xbar, r * schedule.rho, r, schedule.samples_per_shell, sj):
+            d_x = vec_dist(xv, xbar, norm)
+            if d_x <= 1e-12:
+                continue
+            dval = dist_to_value_set(ybar, F, xv, norm)
+            quotients.append(math.inf if dval == math.inf else dval / d_x)
+        total += len(quotients)
+        shell_stats.append(min(quotients) if quotients else None)
+    return _assemble("displacement", point, shell_stats, schedule, seed, norm, total, [])
+
+
+def _fingerprint(est):
+    hexes = [float(v).hex() for v in (est.value, *est.bracket, *est.shell_infima)]
+    return hexes, est.samples_used, est.notes
+
+
+_A2 = np.array([[0.3, -1.7], [2.1, 0.45]])
+
+
+def _curve_2d(x):
+    x = arr(x)
+    return np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2 - x[..., 1]], axis=-1)
+
+_DISPLACEMENT_KINDS = {
+    "single": (SingleValued(sinkink_fn), GraphPoint([0.01], [float(sinkink_fn(np.array([0.01]))[0])])),
+    "single_2d": (SingleValued(_curve_2d, 2, 2), GraphPoint([0.3, 0.2], _curve_2d(np.array([0.3, 0.2])))),
+    "finite": (two_branch(), ORIGIN),
+    "epigraph": (Epigraph(staircase_fn), ORIGIN),
+    "linear_2x2": (LinearOp(_A2), GraphPoint([0.4, -0.3], _A2 @ np.array([0.4, -0.3]))),
+    "normal_cone_box": (NormalConeBox([0.0, 0.0], [1.0, 1.0]), GraphPoint([0.0, 0.5], [-0.5, 0.0])),
+    "polyhedral": (PolyhedralGraph([([[2.0, 1.0], [-2.0, -1.0]], [0.1, 0.1])], 1, 1), ORIGIN),
+    "sum_cone": (SumMap(SingleValued(lambda x: 2.1 * arr(x)), NormalConeBox([-1.0], [1.0])), ORIGIN),
+    "sum_finite": (SumMap(SingleValued(lambda x: 0.5 * arr(x)), FiniteValued([arr, lambda x: 0.0 * arr(x) + 1.0])), ORIGIN),
+    "inverse": (InverseView(LinearOp([[2.0]])), ORIGIN),
+}
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("kind", sorted(_DISPLACEMENT_KINDS))
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**31), r0=st.sampled_from([0.4, 0.05, 1e-3]))
+def test_displacement_equals_the_per_point_loop_of_before(kind, norm, seed, r0):
+    F, point = _DISPLACEMENT_KINDS[kind]
+    sched = LiminfSchedule(r0=r0, rho=0.5, shells=4, samples_per_shell=16)
+    got = estimate_modulus("displacement", F, point, sched, norm=norm, seed=seed)
+    ref = _reference_displacement(F, point, sched, norm, seed)
+    assert _fingerprint(got) == _fingerprint(ref)

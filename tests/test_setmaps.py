@@ -240,16 +240,21 @@ MAP_KINDS = {
     "normal_cone_box": (NormalConeBox([0.0, 0.0], [1.0, 1.0]), _X2, [0.0, 0.5]),
     "polyhedral_graph": (PolyhedralGraph([([[1, -1], [-1, 1]], [0, 1])], 1, 1), _X1, [0.2]),
     "sum": (SumMap(SingleValued(lambda x: 0.5 * arr(x)), _SUM_BRANCHES), _X1, [0.7]),
+    "sum_single_second": (SumMap(_SUM_BRANCHES, SingleValued(lambda x: np.sin(3.0 * arr(x)))), _X1, [0.7]),
+    "sum_epigraph": (SumMap(SingleValued(lambda x: 0.3 * arr(x)), Epigraph(lambda x: np.cos(arr(x)))), _X1, [0.9]),
+    "linear_3x2": (LinearOp([[0.3, -1.7], [2.1, 0.45], [-0.8, 1.3]]), _X2, [0.1, 0.2, -0.3]),
     "inverse": (InverseView(LinearOp([[2.0]])), _X1, [0.3]),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(MAP_KINDS))
 def test_batch_distance_matches_row_by_row(kind):
+    # bit for bit: a linear map takes one product per row, and a sum builds
+    # each row's value set as value_set does
     F, X, y = MAP_KINDS[kind]
     for norm in ("euclidean", "max"):
         rows = np.array([dist_to_value_set(y, F, x, norm) for x in X])
-        np.testing.assert_allclose(dist_to_value_set_batch(y, F, X, norm), rows, rtol=0, atol=1e-12)
+        assert dist_to_value_set_batch(y, F, X, norm).tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(MAP_KINDS))
@@ -646,14 +651,17 @@ def test_preimage_search_many_grid_errors_fall_back_per_target(monkeypatch):
 @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
 def test_complex_branch_values_still_raise():
     # a complex value at a bisection midpoint raised TypeError from float();
-    # the lockstep bisection raises it too, alone or batched
+    # now a complex branch on the grid leaves each target to the grid search,
+    # whose per-row path rejects the value as the scalar distance does
     F = SingleValued(lambda x: arr(x) + 0j)
     with pytest.raises(TypeError):
         _reference_search([0.0], F, [0.3], Ball([0.0], 1.0), "euclidean")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="real"):
         preimage_search([0.0], F, [0.3])
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="real"):
         preimage_search_many([0.0], F, [[0.3], [0.1]])
+    with pytest.raises(ValueError, match="real"):
+        dist_to_value_set([0.3], F, [0.1])
 
 
 def test_preimage_search_many_other_kinds_search_per_target():
@@ -806,7 +814,24 @@ def test_polyhedral_value_set_empty_at_zero_is_empty_at_any_target():
     got = dist_to_value_set_batch([100.0], F, X)
     before = np.array([_reference_polyhedral_dist(arr([100.0]), F, x) for x in X])
     assert np.array_equal(got.view(np.uint64), before.view(np.uint64)) and np.isinf(got[0])
+    assert np.isinf(dist_to_value_set([100.0], F, [-10.0])) and np.isinf(F.value_set([-10.0]).dist([100.0]))
     assert setmaps._project_polyhedron([100.0], [[1.0], [-1.0]], [0.0, -g]) is not None
+
+
+def test_polyhedral_scalar_distance_is_one_enumeration(monkeypatch):
+    # x = 1 leaves 0 outside the slice {y: 1 <= y <= 2}: the emptiness test
+    # and the distance share one stacked enumeration, and a value set keeps
+    # its emptiness verdict
+    F = PolyhedralGraph([([[-1, 1], [1, -1]], [1, 0])], 1, 1)
+    calls = []
+    rows = setmaps._project_polyhedron_rows
+    monkeypatch.setattr(setmaps, "_project_polyhedron_rows", lambda *a: calls.append(a) or rows(*a))
+    assert dist_to_value_set([3.0], F, [1.0]) == pytest.approx(1.0)
+    assert len(calls) == 1
+    vs = F.value_set([1.0])
+    assert not vs.is_empty() and not vs.is_empty()
+    assert len(calls) == 2
+    assert dist_to_value_set([3.0], F, [1.0], "max") == pytest.approx(1.0)  # the LP path
 
 
 def test_polyhedral_batch_path_is_euclidean_only(monkeypatch):
@@ -849,6 +874,15 @@ def test_project_polyhedron_equals_the_enumeration_of_before(case):
         assert got is None
     else:
         assert got[0].tobytes() == ref[0].tobytes() and float(got[1]).hex() == float(ref[1]).hex()
+    # one point per row, stacked: 0, the point and its double, each alone as before
+    p, A, b = case
+    points = np.stack([np.zeros_like(p), p, 2.0 * p])
+    found, dist, Z = setmaps._project_polyhedron_rows(points, A, np.stack([b, b, b]))
+    for i, point in enumerate(points):
+        ref = _reference_project_polyhedron(point, A, b)
+        assert found[i] == (ref is not None)
+        if ref is not None:
+            assert Z[i].tobytes() == ref[0].tobytes() and float(dist[i]).hex() == float(ref[1]).hex()
 
 
 def test_stacked_linear_algebra_matches_the_one_row_calls_bitwise():
@@ -877,3 +911,168 @@ def test_stacked_linear_algebra_matches_the_one_row_calls_bitwise():
         for norm in ("euclidean", "max"):
             dists = setmaps._vec_dists(grid, arr(x0), norm)
             assert dists.tobytes() == np.array([vec_dist(row, x0, norm) for row in grid]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# _inf_on_interval: the look-ahead probe table gives the polish of before bit
+# for bit
+
+
+def _reference_inf_on_interval(f, lo, hi, resolution=1601, polish=30):
+    """The one-probe-at-a-time polish of before, verbatim."""
+    xs = np.linspace(lo, hi, resolution)
+    try:
+        vals = np.asarray(f(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise ValueError
+    except Exception:
+        vals = np.array([float(np.asarray(f(np.array([x]))).reshape(-1)[0]) for x in xs])
+    i = int(np.argmin(vals))
+    best = float(vals[i])
+    x = xs[i]
+    step = (hi - lo) / (resolution - 1)
+    for _ in range(polish):
+        for s in (step, -step):
+            z = min(max(x + s, lo), hi)
+            try:
+                fz = float(np.asarray(f(np.asarray(z))).reshape(-1)[0])
+            except Exception:
+                continue
+            if fz < best:
+                x, best = z, fz
+        step *= 0.5
+    return best
+
+
+def _same_inf(f, lo, hi, **kw):
+    got, ref = setmaps._inf_on_interval(f, lo, hi, **kw), _reference_inf_on_interval(f, lo, hi, **kw)
+    assert float(got).hex() == float(ref).hex()
+
+
+def _signed_zero_fn(x):
+    # tells 0.0 from -0.0, so a table keyed by float equality would fail here
+    x = arr(x)
+    return np.where(np.signbit(x), -1.0, 0.0) + x * x
+
+
+def _nan_fn(x):
+    x = arr(x)
+    return np.where((x > 0.1) & (x < 0.3), np.nan, np.abs(x - 0.2))
+
+
+_INF_FUNCS = {
+    "staircase": staircase_fn,
+    "sinkink": sinkink_fn,
+    "inline": compile_expression("abs(x - 0.3) + 0.01*sin(40*x)"),
+    "signed_zero": _signed_zero_fn,
+    "nan": _nan_fn,
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_INF_FUNCS)),
+    center=st.one_of(st.sampled_from([0.0, -0.0, 0.2, 0.3]), st.floats(-1.0, 1.0)),
+    width=st.one_of(st.sampled_from([1e-4, 0.1, 0.5]), st.floats(1e-6, 1.0)),
+    resolution=st.sampled_from([5, 41, 1601]),
+)
+def test_inf_on_interval_equals_the_polish_of_before(name, center, width, resolution):
+    _same_inf(_INF_FUNCS[name], center - width, center + width, resolution=resolution)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_inf_on_interval_on_the_staircase_intervals(n):
+    # the six intervals of the staircase covering criterion
+    x = 1.0 / n + 1.0 / n**2
+    _same_inf(staircase_fn, x - 1.0 / n, x + 1.0 / n)
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 0.0), (0.3, 0.3)])
+@pytest.mark.parametrize("slope", [1.0, -1.0])
+def test_inf_on_interval_clamps_at_the_ends_and_signed_zeros(lo, hi, slope):
+    # a monotone f puts the grid minimum on lo or hi, so every probe past it clamps
+    for f in (lambda x: slope * arr(x), lambda x: slope * arr(x) + _signed_zero_fn(x)):
+        _same_inf(f, lo, hi)
+        _same_inf(f, lo, hi, resolution=3, polish=7)
+
+
+def test_inf_on_interval_skips_the_probes_that_raise():
+    # f raises between two grid points, on scalars and on any array that
+    # holds such a point: those blocks take their probes one at a time
+    def f(x):
+        x = arr(x)
+        if np.any((x > 0.20001) & (x < 0.20009)):
+            raise ArithmeticError("pole")
+        return np.abs(x - 0.20005)
+
+    _same_inf(f, 0.1, 0.3)
+    _same_inf(f, 0.1, 0.3, polish=31)
+
+
+def test_inf_on_interval_with_scalar_only_f_makes_the_calls_of_before():
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        if np.size(x) > 1:
+            raise TypeError("one point at a time")
+        return np.abs(arr(x) - 0.123)
+
+    got = setmaps._inf_on_interval(f, 0.0, 1.0, resolution=101)
+    new_calls, calls[:] = list(calls), []
+    ref = _reference_inf_on_interval(f, 0.0, 1.0, resolution=101)
+    assert float(got).hex() == float(ref).hex()
+    assert new_calls == calls and len(calls) == 1 + 101 + 60
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_inf_on_interval_probe_table_rejects_wrong_shapes_and_complex_values():
+    # the grid takes these values as before; the probe arrays give a wrong
+    # shape or complex values, so every probe takes its own scalar call
+    def wrong_shape(x):
+        x = arr(x)
+        return x * x if x.size in (1, 1601) else np.zeros(3)
+
+    def complex_probes(x):
+        x = arr(x)
+        return x * x if x.size in (1, 1601) else x * x + 0j
+
+    for f in (wrong_shape, complex_probes):
+        assert setmaps._probe_values(f, 0.5, 0.01, 2, 0.0, 1.0) is None
+        _same_inf(f, -0.5, 0.75)
+    assert len(setmaps._probe_values(staircase_fn, 0.5, 0.01, 2, 0.0, 1.0)) == 15
+
+
+# ---------------------------------------------------------------------------
+# a batch fails where the per-row path fails: complex and non-finite values
+
+
+_BAD_VALUE_CASES = {
+    "complex_inline": (SingleValued(compile_expression("x + x*(-1)**0.5")), [[0.5], [0.2]], [0.5]),
+    "pole": (SingleValued(lambda x: 1.0 / arr(x)), [[0.0], [0.2]], [0.5]),
+    "nan": (SingleValued(lambda x: np.sqrt(arr(x))), [[0.25], [-1.0]], [0.5]),
+    "finite_pole": (FiniteValued([lambda x: arr(x), lambda x: 1.0 / arr(x)]), [[0.5], [0.0]], [0.5]),
+    "complex_2d": (SingleValued(lambda x: arr(x) + 0j, 2, 2), [[0.5, 0.1], [0.2, 0.3]], [0.5, 0.0]),
+    "epigraph_nan": (Epigraph(lambda x: np.sqrt(arr(x))), [[0.25], [-1.0]], [0.1]),
+    "epigraph_inf": (Epigraph(lambda x: 1.0 / arr(x)), [[0.0], [-0.0], [0.5]], [0.1]),
+    "sum_pole": (SumMap(SingleValued(lambda x: 1.0 / arr(x)), NormalConeBox([-1.0], [1.0])), [[0.0], [0.5]], [0.5]),
+}
+
+
+def _outcome(fn):
+    try:
+        return fn().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("case", sorted(_BAD_VALUE_CASES))
+def test_batch_distance_fails_where_the_rows_fail(case, norm):
+    F, X, y = _BAD_VALUE_CASES[case]
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: dist_to_value_set_batch(y, F, X, norm))
+        rows = _outcome(lambda: np.array([dist_to_value_set(y, F, x, norm) for x in X]))
+    assert got == rows
+    if F.m == 1 and not isinstance(F, Epigraph):
+        assert got[0] is ValueError  # "vector entries must be real" or "... finite"
