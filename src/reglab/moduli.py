@@ -213,7 +213,9 @@ def _attained_structure_1d(F: SetMap, x: np.ndarray, t: float, resolution: int, 
     """Attained (points, intervals) of F over B[x, t] for 1D ranges."""
     grid = _ball_grid(x, t, resolution if F.n == 1 else 41, norm)
     gap_tol = max(1e-9, 1e-9 * t)
-    curves = [_eval_vectorized(b, grid, 1, 1) for b in scalar_branches(F) or []]
+    # a curve may leave the domain inside the ball (sqrt(x) near 0): its NaN
+    # or infinite values there go into the polyline, not into an error
+    curves = [_eval_vectorized(b, grid, 1, 1, finite=False) for b in scalar_branches(F) or []]
     if curves and all(c is not None for c in curves):
         pts, ivs = _bridged_structure_1d([c[:, 0] for c in curves])
         return pts, ivs, gap_tol
@@ -480,7 +482,7 @@ def convex_process_sur(
             return closed[0] <= 1.0 + 1e-12
         if grid is None:
             raise UnsupportedOperation("grid feasibility oracle supports n <= 2")
-        return bool(np.min(dist_to_value_set_batch(target, F, grid, norm)) <= 1e-9)
+        return bool(np.min(dist_to_value_set_batch(target, F, grid, norm, finite=False)) <= 1e-9)
 
     rhos = []
     for v in sphere_directions(F.m, directions, derive_seed(seed, "cp-dirs"), norm):

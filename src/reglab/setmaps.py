@@ -59,9 +59,9 @@ class UnsupportedDimension(UnsupportedOperation):
 # value-set descriptors
 
 
-def _project_polyhedron_rows(point: np.ndarray, A: np.ndarray, B: np.ndarray):
-    """Euclidean projections onto the polyhedra {z: Az <= B[i]}: of one point,
-    or of row i of ``point`` onto polyhedron i.
+def _project_polyhedron_rows(P: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """Euclidean projections of the rows of P onto the polyhedra {z: Az <= B[i]},
+    row i onto polyhedron i.
 
     Active-subset enumeration, exact for small systems (the only ones we
     build), run once for all rows of B whose polyhedron does not contain its
@@ -71,21 +71,18 @@ def _project_polyhedron_rows(point: np.ndarray, A: np.ndarray, B: np.ndarray):
     bit for bit: the products are per-row ``matmul``s, and a multi-column
     ``lstsq`` solves each column as a one-column call does.
     """
-    P = np.asarray(point, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     rows = len(B)
-    # max(1, |B[i]|_inf, |point|_inf) as Python's max takes it: a NaN loses
-    scale = np.fmax(np.abs(B).max(axis=1, initial=0.0), np.fmax(1.0, np.abs(P).max(axis=-1, initial=0.0)))
+    # max(1, |B[i]|_inf, |P[i]|_inf) as Python's max takes it: a NaN loses
+    scale = np.fmax(np.abs(B).max(axis=1, initial=0.0), np.fmax(1.0, np.abs(P).max(axis=1, initial=0.0)))
     inside = np.matmul(A, P[..., None])[..., 0] <= B + 1e-12 * scale[:, None]
     if A.size == 0 or inside.all():
-        Z = np.empty((rows, P.shape[-1]))
-        Z[:] = P
-        return np.ones(rows, dtype=bool), np.zeros(rows), Z
+        return np.ones(rows, dtype=bool), np.zeros(rows), P.copy()
     out = ~inside.all(axis=1)
     every = out.all()
     Bo, so = (B, scale) if every else (B[out], scale[out])
-    Po = P if every or P.ndim == 1 else P[out]
+    Po = P if every else P[out]
     tol_eq, upper = 1e-8 * so, Bo + 1e-9 * so[:, None]
     k, d = A.shape
     hit = np.zeros(len(Bo), dtype=bool)
@@ -106,8 +103,7 @@ def _project_polyhedron_rows(point: np.ndarray, A: np.ndarray, B: np.ndarray):
             np.copyto(best_z, z, where=take[:, None])
     if every:
         return hit, best, best_z
-    Z = np.empty((rows, d))
-    Z[:] = P
+    Z = P.copy()
     found, dists = np.ones(rows, dtype=bool), np.zeros(rows)
     found[out], dists[out], Z[out] = hit, best, best_z
     return found, dists, Z
@@ -118,7 +114,7 @@ def _project_polyhedron(point: np.ndarray, A: np.ndarray, b: np.ndarray):
     ``_project_polyhedron_rows``.  Returns (z, dist) or None when the
     polyhedron is empty.
     """
-    found, dist, Z = _project_polyhedron_rows(point, A, np.asarray(b, dtype=float)[None])
+    found, dist, Z = _project_polyhedron_rows(np.asarray(point, dtype=float)[None], A, np.asarray(b, dtype=float)[None])
     return (Z[0], float(dist[0])) if found[0] else None
 
 
@@ -547,7 +543,10 @@ class SetMap:
     {out_j[i]} (by default the batch values as one branch); the base
     ``batch_dist`` is the minimum over branches of their row distances, and a
     kind without branch values may give its own (``PolyhedralGraph``
-    projects all rows at once).
+    projects all rows at once).  These batch hooks leave a batch with a
+    complex value, or with ``finite`` (the default) a non-finite one, to the
+    row-by-row path, which raises; a search grid passes ``finite=False`` and
+    gets NaN or infinite distances there.
     ``preimage_1d(x0, ys, grid, ...)`` takes an array of targets and gives a
     list with one entry per target: its (distance, point), or ``None`` where
     the 1D path cannot answer that target and the grid search must.
@@ -565,15 +564,15 @@ class SetMap:
     def describe(self) -> str:
         return type(self).__name__
 
-    def batch_values(self, X: np.ndarray):
+    def batch_values(self, X: np.ndarray, finite: bool = True):
         return None
 
-    def branch_values(self, X: np.ndarray):
-        vals = self.batch_values(X)
+    def branch_values(self, X: np.ndarray, finite: bool = True):
+        vals = self.batch_values(X, finite)
         return None if vals is None else [vals]
 
-    def batch_dist(self, y: np.ndarray, X: np.ndarray, norm: str):
-        outs = self.branch_values(X)
+    def batch_dist(self, y: np.ndarray, X: np.ndarray, norm: str, finite: bool = True):
+        outs = self.branch_values(X, finite)
         return None if outs is None else np.min([_row_dist(out - y, norm) for out in outs], axis=0)
 
     def value_dist(self, y, x, norm: str) -> float:
@@ -622,11 +621,11 @@ class SingleValued(SetMap):
     def _value_set(self, x):
         return FinitePoints([self(x)])
 
-    def batch_values(self, X):
-        return _eval_vectorized(self.fn, X, self.n, self.m) if self.vectorized else None
+    def batch_values(self, X, finite=True):
+        return _eval_vectorized(self.fn, X, self.n, self.m, finite) if self.vectorized else None
 
-    def branch_values(self, X):
-        return [_branch_rows(self.fn, X, self.n, self.m, self.vectorized)]
+    def branch_values(self, X, finite=True):
+        return [_branch_rows(self.fn, X, self.n, self.m, self.vectorized, finite)]
 
     def scalar_branches(self):
         return [self.fn] if self.vectorized else None
@@ -654,8 +653,8 @@ class FiniteValued(SetMap):
     def _value_set(self, x):
         return FinitePoints([as_vector(b(x), self.m) for b in self.branches])
 
-    def branch_values(self, X):
-        return [_branch_rows(b, X, self.n, self.m, self.vectorized) for b in self.branches]
+    def branch_values(self, X, finite=True):
+        return [_branch_rows(b, X, self.n, self.m, self.vectorized, finite) for b in self.branches]
 
     def scalar_branches(self):
         return list(self.branches) if self.vectorized else None
@@ -696,8 +695,8 @@ class Epigraph(SetMap):
     def _value_set(self, x):
         return BoxSet([float(np.asarray(self.f(x)).reshape(-1)[0])], [INF])
 
-    def batch_dist(self, y, X, norm):
-        out = _eval_vectorized(self.f, X, self.n, 1) if self.vectorized else None
+    def batch_dist(self, y, X, norm, finite=True):
+        out = _eval_vectorized(self.f, X, self.n, 1, finite) if self.vectorized else None
         return None if out is None else np.maximum(out[:, 0] - y[0], 0.0)
 
     def preimage_1d(self, x0, ys, grid, norm, tol_feas):
@@ -741,7 +740,7 @@ class LinearOp(SetMap):
     def _value_set(self, x):
         return FinitePoints([self.A @ x])
 
-    def batch_values(self, X):
+    def batch_values(self, X, finite=True):
         # one product per row, as __call__ takes it: a single gemm may round differently
         return np.matmul(self.A, X[..., None])[..., 0]
 
@@ -845,7 +844,7 @@ class PolyhedralGraph(SetMap):
         ps = PolyhedralSet([(A[:, self.n:], b - A[:, : self.n] @ x) for A, b in self.pieces], self.m)
         return ps if not ps.is_empty() else EmptySet(self.m)
 
-    def batch_dist(self, y, X, norm):
+    def batch_dist(self, y, X, norm, finite=True):
         # every row's slice {z: A_y z <= b - A_x x} shares A_y, so each piece
         # is one stacked projection of 0 (rows 0..k-1) and of y (rows k..2k-1);
         # rows that value_set rejects go the per-row way, which raises as before
@@ -916,9 +915,10 @@ class SumMap(SetMap):
             return BoxSet(vf.lo + vg.lo, vf.hi + vg.hi)
         raise UnsupportedOperation("Minkowski sum needs a finite operand or two boxes")
 
-    def batch_dist(self, y, X, norm):
+    def batch_dist(self, y, X, norm, finite=True):
         # fast only when one side is single-valued and vectorizable; each row
-        # then sums the sets that value_set sums, so it gives the same distance
+        # then sums the sets that value_set sums, so it gives the same distance.
+        # A non-finite summand value raises in that sum, so ``finite`` is moot
         shift = self.F.batch_values(X)
         if shift is not None:
             sets = (self._minkowski(FinitePoints(s), self.G.value_set(row)) for row, s in zip(X, shift))
@@ -1005,20 +1005,28 @@ def dist_to_value_set(y, F: SetMap, x, norm: str = "euclidean") -> float:
     return F.value_dist(y, x, norm)
 
 
-def dist_to_value_set_batch(y, F: SetMap, X: np.ndarray, norm: str = "euclidean") -> np.ndarray:
-    """Vectorized dist_to_value_set over rows of X (shape (k, n))."""
+def dist_to_value_set_batch(y, F: SetMap, X: np.ndarray, norm: str = "euclidean", finite: bool = True) -> np.ndarray:
+    """Vectorized dist_to_value_set over rows of X (shape (k, n)).
+
+    A batch whose values are complex, or not finite with ``finite``, goes row
+    by row and raises where dist_to_value_set raises.  ``finite=False`` keeps
+    non-finite values as NaN or infinite distances instead: a search grid
+    that crosses a hole of the domain (sqrt(x), 1/x) counts such a row as
+    infeasible.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = as_vector(y, F.m)
-    fast = _batch_fast_path(y, F, X, norm)
+    fast = _batch_fast_path(y, F, X, norm, finite)
     if fast is not None:
         return fast
     return np.array([dist_to_value_set(y, F, row, norm) for row in X])
 
 
-def _eval_vectorized(fn, X: np.ndarray, n: int, m: int):
+def _eval_vectorized(fn, X: np.ndarray, n: int, m: int, finite: bool = True):
     """A callable on a batch of points: its (k, m) values, or None where the
-    call raises or gives the wrong shape, a complex or a non-finite value, so
-    that the per-point path decides (and raises, as ``as_vector`` does)."""
+    call raises or gives the wrong shape, a complex value or, with
+    ``finite``, a non-finite one, so that the per-point path decides (and
+    raises, as ``as_vector`` does)."""
     try:
         arg = X[:, 0] if n == 1 else X
         out = np.asarray(fn(arg))
@@ -1032,21 +1040,21 @@ def _eval_vectorized(fn, X: np.ndarray, n: int, m: int):
         out = out.reshape(k, 1)
     elif m != 1 and out.shape == (m, k) != (k, m):
         out = out.T
-    return out if out.shape == (k, m) and np.isfinite(out).all() else None
+    return out if out.shape == (k, m) and (not finite or np.isfinite(out).all()) else None
 
 
-def _branch_rows(fn, X: np.ndarray, n: int, m: int, vectorized: bool) -> np.ndarray:
+def _branch_rows(fn, X: np.ndarray, n: int, m: int, vectorized: bool, finite: bool = True) -> np.ndarray:
     """(k, m) values of ``fn`` on the rows of X: the first row's value tiled for
     a constant expression, one batch call when it passes the shape check, else
     row by row with the call ``value_set`` makes."""
     if getattr(fn, "constant", False) and len(X):
         return np.tile(as_vector(fn(X[0]), m), (len(X), 1))
-    out = _eval_vectorized(fn, X, n, m) if vectorized else None
+    out = _eval_vectorized(fn, X, n, m, finite) if vectorized else None
     return out if out is not None else np.array([as_vector(fn(row), m) for row in X]).reshape(len(X), m)
 
 
-def _batch_fast_path(y, F, X, norm):
-    return F.batch_dist(y, X, norm)
+def _batch_fast_path(y, F, X, norm, finite=True):
+    return F.batch_dist(y, X, norm, finite)
 
 
 def _grid_axes(center: np.ndarray, radius: float, resolution: int) -> np.ndarray:
@@ -1104,6 +1112,14 @@ def _probe_values(f, x, step: float, rounds: int, lo: float, hi: float):
 
 
 def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: int = 30) -> float:
+    """inf of f over [lo, hi]: the least of ``resolution`` grid values, then
+    ``polish`` rounds of probes at x + s and x - s with a halving step s.
+
+    When f accepts the grid as one array, the probes are evaluated in
+    batches (``_probe_values``), which assumes, as the batched grid does,
+    that f gives the same values on an array as on each 0-d point; otherwise
+    each probe is its own 0-d call, and one that raises is skipped.
+    """
     xs = np.linspace(lo, hi, resolution)
     try:
         vals = np.asarray(f(xs), dtype=float)
@@ -1360,9 +1376,12 @@ def preimage_search(
     feasible point is found.
 
     The region bounds the 1D paths, but it is only a hint for the grid
-    search: the restoration polish moves up to 60 grid steps from its grid
-    point, so it can return a preimage outside the region, by up to 0.3 of
-    the radius for n = 1 and 3 radii for n = 2 at the default resolution.
+    search: from its grid point the restoration polish takes up to
+    ``refine_steps + 35`` steps of at most one grid spacing per coordinate,
+    and the polish toward x0 up to ``refine_steps`` more, so it can return a
+    preimage outside the region.  A grid point where F has a non-finite
+    value (sqrt(x) or 1/x on a grid that crosses the edge of the domain) is
+    infeasible.
     """
     x0 = as_vector(x0, F.n)
     y = as_vector(y, F.m)
@@ -1382,7 +1401,7 @@ def preimage_search(
         if out is not None and out[0] is not None:
             return out[0]
 
-    feas = dist_to_value_set_batch(y, F, grid, norm)
+    feas = dist_to_value_set_batch(y, F, grid, norm, finite=False)
     dists = _vec_dists(grid, x0, norm)
 
     def objective(x):

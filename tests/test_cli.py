@@ -65,6 +65,26 @@ def test_moduli_reports_and_determinism(tmp_path):
     assert (out_a / "summary.csv").read_text().startswith("name,check,verdict,runtime_ms")
 
 
+def test_inline_moduli_with_a_search_region_past_the_domain(tmp_path):
+    # shells around x = 0.5 search regions of radius up to 0.8, past the edge
+    # of sqrt's domain: grid points there are infeasible, and the estimates
+    # (float.hex) are the ones the grid search gave before batches failed
+    # where the rows fail
+    cfg = {"command": "moduli", "mapping": {"kind": "single", "expr": "sqrt(x)"},
+           "point": {"x": [0.5], "y": [0.5 ** 0.5]}, "out": str(tmp_path / "r")}
+    with np.errstate(all="ignore"):
+        assert run_cli(["--config", write_cfg(tmp_path, cfg), "--quiet"]) == 0
+    want = {
+        "lopen": ("0x1.69d6ba715dd72p-1", "0x1.693d8d33f7fdap-1"),
+        "sur": ("0x1.69b58bf3f8300p-1", "0x1.68b9f1f2e7740p-1"),
+        "semireg": ("0x1.6a3d199b26f6ap+0", "0x1.6ad6b334c0825p+0"),
+    }
+    for kind, (value, other_end) in want.items():
+        estimate = json.loads((tmp_path / "r" / f"moduli_{kind}.json").read_text())["estimate"]
+        assert estimate["value"].hex() == value
+        assert sorted(b.hex() for b in estimate["bracket"]) == sorted([value, other_end])
+
+
 def test_solve_trace_csv(tmp_path):
     cfg = {"command": "solve", "example": "abs_newton", "out": str(tmp_path / "r")}
     assert run_cli(["--config", write_cfg(tmp_path, cfg), "--quiet"]) == 0

@@ -1076,3 +1076,66 @@ def test_batch_distance_fails_where_the_rows_fail(case, norm):
     assert got == rows
     if F.m == 1 and not isinstance(F, Epigraph):
         assert got[0] is ValueError  # "vector entries must be real" or "... finite"
+
+
+#: ``finite=False`` batches of the cases above, as the search grid asked for
+#: them before batches failed where the rows fail; the sum and the complex
+#: cases raise as their rows do
+_LENIENT_BATCHES = {
+    "pole": [np.inf, 4.5],
+    "nan": [0.0, np.nan],
+    "finite_pole": [0.0, 0.5],
+    "epigraph_nan": [0.4, np.nan],
+    "epigraph_inf": [np.inf, 0.0, 1.9],
+}
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("case", sorted(_BAD_VALUE_CASES))
+def test_grid_batch_keeps_non_finite_rows(case, norm):
+    F, X, y = _BAD_VALUE_CASES[case]
+    with np.errstate(all="ignore"):
+        if case in _LENIENT_BATCHES:
+            np.testing.assert_array_equal(dist_to_value_set_batch(y, F, X, norm, finite=False), _LENIENT_BATCHES[case])
+        else:
+            got = _outcome(lambda: dist_to_value_set_batch(y, F, X, norm, finite=False))
+            assert got == _outcome(lambda: np.array([dist_to_value_set(y, F, x, norm) for x in X]))
+            assert got[0] is ValueError
+
+
+_SQRT = lambda x: np.sqrt(arr(x))
+
+#: searches whose default region (radius 1 around x0 = 0.5) crosses the edge
+#: of the domain, with (distance, point) as float.hex of the values the grid
+#: search gave before batches failed where the rows fail
+_DOMAIN_EDGE_SEARCHES = {
+    "sqrt": (SingleValued(_SQRT), [0.5], ("0x1.fffffeb851eb8p-3", "0x1.000000a3d70a4p-2")),
+    "pole": (SingleValued(lambda x: 1.0 / arr(x)), [3.0], ("0x1.5555553333336p-3", "0x1.5555556666665p-2")),
+    "inline_sqrt": (SingleValued(compile_expression("sqrt(x)")), [0.9], ("0x1.3d70a2b851ebap-2", "0x1.9eb8515c28f5dp-1")),
+    "pm_sqrt": (FiniteValued([_SQRT, lambda x: -_SQRT(x)]), [-0.9], ("0x1.3d70a2b851ebap-2", "0x1.9eb8515c28f5dp-1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DOMAIN_EDGE_SEARCHES))
+def test_search_grid_across_the_edge_of_the_domain(case):
+    # the 1D path hands these targets to the grid, whose points past the edge
+    # (NaN or inf values) are infeasible rather than an error
+    F, y, want = _DOMAIN_EDGE_SEARCHES[case]
+    with np.errstate(all="ignore"):
+        d, x = preimage_search([0.5], F, y)
+        (d_many, x_many), = preimage_search_many([0.5], F, [y])
+    assert (float(d).hex(), float(x[0]).hex()) == want
+    assert float(d_many).hex() == want[0] and x_many.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "case, want", [("sqrt", "0x1.ba6681c6b1f5bp-1"), ("pole", "0x1.9000000000000p+4"),
+                   ("inline_sqrt", "0x1.ba6681c6b1f5bp-1"), ("pm_sqrt", "0x1.ba6681c6b1f5bp-1")],
+)
+def test_covering_ball_across_the_edge_of_the_domain(case, want):
+    # B[0.1, 0.3] reaches past 0: the branch curves keep their NaN or inf
+    # values there, as they did before batches failed where the rows fail
+    F = _DOMAIN_EDGE_SEARCHES[case][0]
+    with np.errstate(all="ignore"):
+        c = largest_covered_c(F, [0.1], F.value_set([0.1]).points[0], 0.3)
+    assert float(c).hex() == want
