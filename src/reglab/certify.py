@@ -20,8 +20,8 @@ from .rng import SplitMix64, derive_seed, shell_points
 from .setmaps import (
     INF,
     SetMap,
-    SingleValued,
     SumMap,
+    _minus_linear,
     dist_to_preimage,
     dist_to_value_set,
     graph_sample,
@@ -390,7 +390,7 @@ def verify_linear_perturbation(
     x0 = as_vector(x0, fsv.n)
     fx0 = fsv(x0)
     lm = linear_moduli(A)
-    diff = SingleValued(lambda x: fsv(x) - A @ as_vector(x, fsv.n), fsv.n, fsv.m, vectorized=False)
+    diff = _minus_linear(fsv, A)
     dpt = GraphPoint(x0, fsv(x0) - A @ x0)
     schedule = schedule or LiminfSchedule()
     lip_est = estimate_modulus("lip", diff, dpt, schedule, norm, derive_seed(seed, "lip")).value

@@ -23,9 +23,9 @@ from .rng import SplitMix64, derive_seed, sphere_directions
 from .setmaps import (
     INF,
     SetMap,
-    SingleValued,
     _ball_grid,
     _coordinate_polish,
+    _minus_linear,
     dist_to_value_set,
     graph_sample,
     preimage_search,
@@ -129,9 +129,8 @@ def solve_preimage_picard(
 
 def _calm_of_difference(f, A: np.ndarray, xbar: np.ndarray, r0: float, seed: int) -> float:
     """Sampled calm(f - A) at xbar, the margin both covering bounds need."""
-    diff = SingleValued(lambda x: f(x) - A @ as_vector(x, f.n), f.n, f.m, vectorized=False)
     return estimate_modulus(
-        "calm", diff, GraphPoint(xbar, f(xbar) - A @ xbar),
+        "calm", _minus_linear(f, A), GraphPoint(xbar, f(xbar) - A @ xbar),
         LiminfSchedule(r0=r0, rho=0.5, shells=6, samples_per_shell=32),
         seed=derive_seed(seed, "calm"),
     ).value

@@ -23,10 +23,12 @@ from .geometry import TOL_FEAS, Ball, DimensionMismatch, GraphPoint, JsonReport,
 from .rng import SplitMix64, derive_seed, shell_points, sphere_directions
 from .setmaps import (
     INF,
+    QUOTIENT_CAP,
     SetMap,
     UnsupportedOperation,
     _ball_grid,
     _bisect_threshold,
+    _cone_cover_rates,
     _coordinate_polish,
     _eval_vectorized,
     _value_candidates,
@@ -37,9 +39,6 @@ from .setmaps import (
     preimage_search_many,
     scalar_branches,
 )
-
-#: quotients above this cap count as infinite
-QUOTIENT_CAP = 1e6
 
 MODULUS_KINDS = ("sur", "reg", "lip", "lopen", "semireg", "subreg", "psopen", "calm", "displacement")
 
@@ -455,11 +454,12 @@ def convex_process_sur(
     """Covering rate sup{rho > 0: F(B_X) contains rho B_Y} of a convex process.
 
     The graph must be a cone: every polyhedral piece contains the origin and
-    sampled positive homogeneity holds.  The inner maximum along each target
-    direction is found by bisection against a feasibility oracle, under the
-    rule of ``preimage_search``: the closed-form preimage where the map kind
-    has one (``SetMap.analytic_preimage``), a grid search over the unit ball
-    otherwise (n <= 2).  Directions follow ``norm``.
+    sampled positive homogeneity holds.  Then F^{-1}(s v) = s F^{-1}(v), so
+    the rate is the minimum over unit directions v of 1/dist(0, F^{-1}(v)),
+    with each distance from the preimage oracle (``setmaps._cone_cover_rates``:
+    the closed form where the map kind has one, else a search over the unit
+    ball, grown x4 while nothing is found; n <= 2).  Rates above
+    QUOTIENT_CAP count as infinite.  Directions follow ``norm``.
     """
     origin = GraphPoint(np.zeros(F.n), np.zeros(F.m))
     for A, b in F.graph_pieces() or ():
@@ -474,28 +474,8 @@ def convex_process_sur(
                     f"sampled positive-homogeneity check failed at (x,y)=({gp.x},{gp.y}), tau={tau}"
                 )
 
-    grid = _ball_grid(origin.x, 1.0, 201 if F.n == 1 else 41, norm) if F.n <= 2 else None
-
-    def feasible(target):
-        closed = F.analytic_preimage(origin.x, target, norm, TOL_FEAS)
-        if closed is not None:
-            return closed[0] <= 1.0 + 1e-12
-        if grid is None:
-            raise UnsupportedOperation("grid feasibility oracle supports n <= 2")
-        return bool(np.min(dist_to_value_set_batch(target, F, grid, norm, finite=False)) <= 1e-9)
-
-    rhos = []
-    for v in sphere_directions(F.m, directions, derive_seed(seed, "cp-dirs"), norm):
-        if not feasible(1e-9 * v):
-            rhos.append(0.0)
-            continue
-        hi = 1.0
-        doubles = 0
-        while feasible(hi * v) and doubles < 40:
-            hi *= 2.0
-            doubles += 1
-        rhos.append(_bisect_threshold(lambda s: feasible(s * v), 0.0, hi, 50))
-
+    dirs = sphere_directions(F.m, directions, derive_seed(seed, "cp-dirs"), norm)
+    rhos = [INF if s > QUOTIENT_CAP else s for s in _cone_cover_rates(F, dirs, norm)]
     value = min(rhos) if rhos else 0.0
     schedule = LiminfSchedule(r0=1.0, rho=0.5, shells=3, samples_per_shell=directions)
     return ModulusEstimate(
@@ -569,10 +549,8 @@ def starshape_bound(
                 )
     # ball inclusion B[ybar, beta] subset F(B[xbar, alpha])
     rng = SplitMix64(derive_seed(seed, "star-targets"))
-    targets = []
-    for v in sphere_directions(F.m, 16, derive_seed(seed, "star-dirs"), norm):
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            targets.append(point.y + frac * beta * np.asarray(v))
+    dirs = sphere_directions(F.m, 16, derive_seed(seed, "star-dirs"), norm)
+    targets = [point.y + frac * beta * np.asarray(v) for v in dirs for frac in (0.25, 0.5, 0.75, 1.0)]
     for _ in range(8):
         targets.append(rng.in_ball(point.y, beta, norm))
     for target in targets:
@@ -682,12 +660,7 @@ def slope_sandwich(
         shell_stats.append(min(qs) if qs else None)
         lopen_stats.append(min(ls) if ls else None)
 
-    def last(stats):
-        vals = [s if s is not None else INF for s in stats]
-        return vals[-1]
-
-    S = last(shell_stats)
-    lopen_est = last(lopen_stats)
+    S, lopen_est = (INF if stats[-1] is None else stats[-1] for stats in (shell_stats, lopen_stats))
     lower_ok = 0.5 * S <= lopen_est * (1 + tol) or (S == INF and lopen_est == INF)
     upper_ok = lopen_est <= S * (1 + tol)
     return SlopeProfile(

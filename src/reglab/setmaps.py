@@ -46,6 +46,9 @@ from .rng import SplitMix64, derive_seed, shell_points_1d, sphere_directions
 
 INF = float("inf")
 
+#: quotients above this cap count as infinite
+QUOTIENT_CAP = 1e6
+
 
 class UnsupportedOperation(ValueError):
     pass
@@ -693,7 +696,7 @@ class Epigraph(SetMap):
         self.vectorized = vectorized
 
     def _value_set(self, x):
-        return BoxSet([float(np.asarray(self.f(x)).reshape(-1)[0])], [INF])
+        return BoxSet([_real_first(self.f(x))], [INF])
 
     def batch_dist(self, y, X, norm, finite=True):
         out = _eval_vectorized(self.f, X, self.n, 1, finite) if self.vectorized else None
@@ -710,13 +713,12 @@ class Epigraph(SetMap):
             lo_f = _inf_on_interval(self.f, float(x[0]) - t, float(x[0]) + t, resolution)
         else:
             grid = _ball_grid(x, t, 41 if self.n == 2 else 11, norm)
-            vals = np.array([float(np.asarray(self.f(row)).reshape(-1)[0]) for row in grid])
-            lo_f = float(vals.min())
+            lo_f = float(np.min([_real_first(self.f(row)) for row in grid]))
         return max(0.0, (float(y[0]) - lo_f) / t)
 
     def sample_graph(self, s):
         for j, x in enumerate(s.domain()):
-            fx = float(np.asarray(self.f(x)).reshape(-1)[0])
+            fx = _real_first(self.f(x))
             if abs(fx - s.cy[0]) <= s.radius:
                 s.push(x, np.array([fx]))  # boundary sample
             if j % 2 == 0:
@@ -1000,6 +1002,11 @@ def require_single_valued(F: SetMap) -> SetMap:
     return F
 
 
+def _minus_linear(f: SetMap, A: np.ndarray) -> SingleValued:
+    """x -> f(x) - A x for a single-valued f, one point at a time."""
+    return SingleValued(lambda x: f(x) - A @ as_vector(x, f.n), f.n, f.m, vectorized=False)
+
+
 def dist_to_value_set(y, F: SetMap, x, norm: str = "euclidean") -> float:
     """Distance from y to F(x); +inf when F(x) is empty."""
     return F.value_dist(y, x, norm)
@@ -1028,11 +1035,7 @@ def _eval_vectorized(fn, X: np.ndarray, n: int, m: int, finite: bool = True):
     ``finite``, a non-finite one, so that the per-point path decides (and
     raises, as ``as_vector`` does)."""
     try:
-        arg = X[:, 0] if n == 1 else X
-        out = np.asarray(fn(arg))
-        if np.iscomplexobj(out):
-            return None
-        out = np.asarray(out, dtype=float)
+        out = _real(fn(X[:, 0] if n == 1 else X))
     except Exception:
         return None
     k = X.shape[0]
@@ -1103,12 +1106,10 @@ def _probe_values(f, x, step: float, rounds: int, lo: float, hi: float):
         frontier = children
         step *= 0.5
     try:
-        vals = np.asarray(f(np.array(pts, dtype=float)))
+        vals = _real(f(np.array(pts, dtype=float)))
     except Exception:
         return None
-    if vals.shape != (len(pts),) or np.iscomplexobj(vals):
-        return None
-    return vals.astype(float).tolist()
+    return vals.tolist() if vals.shape == (len(pts),) else None
 
 
 def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: int = 30) -> float:
@@ -1122,13 +1123,11 @@ def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: in
     """
     xs = np.linspace(lo, hi, resolution)
     try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise ValueError
-        batched = True
+        vals = np.asarray(f(xs))
+        batched = vals.shape == xs.shape
     except Exception:
-        vals = np.array([float(np.asarray(f(np.array([x]))).reshape(-1)[0]) for x in xs])
         batched = False
+    vals = _real(vals) if batched else np.array([_real_first(f(np.array([x]))) for x in xs])
     i = int(np.argmin(vals))
     best = float(vals[i])
     x = xs[i]
@@ -1150,9 +1149,10 @@ def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: in
                     fz = table[3 * node + kind - 1]
                 else:
                     try:
-                        fz = float(np.asarray(f(np.asarray(z))).reshape(-1)[0])
+                        fz = f(np.asarray(z))
                     except Exception:
                         continue
+                    fz = _real_first(fz)
                 if fz < best:
                     x, best = z, fz
                     outcome = kind
@@ -1161,15 +1161,26 @@ def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: in
     return best
 
 
+def _cone_cover_rates(F: SetMap, vs, norm: str) -> list[float]:
+    """1/dist(0, F^{-1}(v)) for each direction v of a map whose graph is a cone:
+    0 for an empty preimage, inf for d = 0.  A closed form is global and final;
+    a search starts on the unit ball and grows x4 while it finds nothing,
+    until the rate would fall below 1/QUOTIENT_CAP."""
+    origin = np.zeros(F.n)
+    rates = []
+    for v, (d, _) in zip(vs, preimage_search_many(origin, F, vs, Ball(origin, 1.0), norm=norm)):
+        radius = 1.0
+        while d == INF and radius < QUOTIENT_CAP and F.analytic_preimage(origin, v, norm, TOL_FEAS) is None:
+            radius *= 4.0
+            d = preimage_search(origin, F, v, Ball(origin, radius), norm=norm)[0]
+        rates.append(0.0 if d == INF else (1.0 / float(d) if d > 0 else INF))
+    return rates
+
+
 @functools.lru_cache(maxsize=256)
 def _linear_cover_rate(a_bytes: bytes, shape: tuple, norm: str, directions: int, seed: int) -> float:
-    A = np.frombuffer(a_bytes).reshape(shape)
-    best = INF
-    origin = np.zeros(shape[1])
-    for v in sphere_directions(shape[0], directions, derive_seed(seed, "cover-dirs"), norm):
-        d = AffineSet(A, v).dist(origin, norm)
-        best = min(best, 0.0 if d == INF else (1.0 / d if d > 0 else INF))
-    return best
+    dirs = sphere_directions(shape[0], directions, derive_seed(seed, "cover-dirs"), norm)
+    return min(_cone_cover_rates(LinearOp(np.frombuffer(a_bytes).reshape(shape)), dirs, norm), default=INF)
 
 
 def _bisect_threshold(pred, good: float, bad: float, iters: int) -> float:
@@ -1208,6 +1219,19 @@ def _bisect_root(fn, a, b, fa, iters: int = 60) -> np.ndarray:
         a, fa = np.where(left, a, mid), np.where(left, fa, fm)
     with np.errstate(all="ignore"):
         return 0.5 * (a + b)
+
+
+def _real(vals) -> np.ndarray:
+    """Function values as a float array; a complex one raises ValueError, as in ``as_vector``."""
+    vals = np.asarray(vals)
+    if np.iscomplexobj(vals):
+        raise ValueError("function values must be real")
+    return np.asarray(vals, dtype=float)
+
+
+def _real_first(val) -> float:
+    """The first entry of a function value as a float; see :func:`_real`."""
+    return float(_real(val).reshape(-1)[0])
 
 
 def _real_values(fn, xs: np.ndarray) -> np.ndarray:
@@ -1291,7 +1315,7 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
                     if abs(float(vals[i])) > 2.0 * local_delta + tol_feas:
                         continue
                     z, fx = _coordinate_polish(
-                        lambda z, b=b: abs(float(np.asarray(b(np.asarray(z[0])))) - y0),
+                        lambda z, b=b: abs(_real_first(b(np.asarray(z[0]))) - y0),
                         lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4, **clamp,
                     )
                     if fx <= tol_feas:
@@ -1308,12 +1332,14 @@ def _preimage_1d_epigraph(x0, F, y0: float, grid: np.ndarray, tol_feas: float):
     xs = grid[:, 0]
     f = F.f
     try:
-        vals = np.asarray(f(xs), dtype=float).reshape(-1) - y0
+        vals = np.asarray(f(xs))
     except Exception:
-        vals = np.array([float(f(np.array([x]))) - y0 for x in xs])
+        vals = np.array([_real_first(f(np.array([x]))) for x in xs])
 
         def f(x):  # the bisection too takes one point at a time
-            return np.array([float(np.asarray(F.f(np.asarray(p)))) for p in x])
+            return np.array([_real_first(F.f(np.asarray(p))) for p in x])
+
+    vals = _real(vals).reshape(-1) - y0
 
     feas = vals <= tol_feas
     if not np.any(feas):

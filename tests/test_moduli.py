@@ -185,7 +185,7 @@ def test_linear_moduli_wide_and_zero():
 def test_convex_process_identity_and_diag():
     assert convex_process_sur(LinearOp([[1.0]])).value == pytest.approx(1.0, abs=1e-6)
     est = convex_process_sur(LinearOp(np.diag([2.0, 1.0])))
-    assert est.value == pytest.approx(1.0, rel=0.1)
+    assert est.value == 1.0
 
 
 def test_convex_process_uses_closed_form_preimages():
@@ -208,6 +208,66 @@ def test_convex_process_max_norm_directions():
 def test_convex_process_halfspace_graph():
     P = PolyhedralGraph([([[1, -1]], [0.0])], 1, 1)  # graph {(x,y): y >= x}
     assert convex_process_sur(P).value == pytest.approx(1.0, rel=0.05)
+
+
+def _matrix_map(M):
+    """x -> M x as a single-valued map without a closed-form preimage."""
+    M = np.asarray(M, dtype=float)
+    return SingleValued(lambda x: arr(x) @ M.T, M.shape[1], M.shape[0])
+
+
+@pytest.mark.parametrize("M", [np.diag([2.0, 1.0]), [[2.0, 0.3], [0.1, 1.5]]], ids=["diag", "coupled"])
+def test_convex_process_single_valued_matches_the_closed_form(M):
+    # the grid path used to need a value within 1e-9 of each target and read 0.0
+    est = convex_process_sur(_matrix_map(M))
+    exact = convex_process_sur(LinearOp(M))
+    assert est.value == pytest.approx(exact.value, abs=1e-6)
+    assert np.allclose(est.shell_infima, exact.shell_infima, atol=1e-6)
+
+
+def test_convex_process_1d_rates_are_exact_python_floats():
+    est = convex_process_sur(SingleValued(lambda x: 3.0 * arr(x)))
+    assert est.value == pytest.approx(3.0, abs=1e-9)
+    assert type(est.value) is float
+    assert [type(s) for s in est.shell_infima] == [float, float]
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        pytest.param(LinearOp([[1.0, 2.0], [2.0, 4.0]]), id="rank_deficient"),
+        pytest.param(NormalConeBox([0.0], [np.inf]), id="cone_closed_form"),
+        pytest.param(Epigraph(lambda x: np.abs(arr(x))), id="epigraph_search"),
+    ],
+)
+def test_convex_process_empty_direction_gives_zero(F):
+    # some direction has no preimage at all: the rate is exactly 0
+    est = convex_process_sur(F)
+    assert est.value == 0.0 and 0.0 in est.shell_infima
+
+
+def test_convex_process_direction_in_the_value_at_zero_is_infinite():
+    # v = +1 lies in F(0) = [0, inf): dist(0, F^{-1}(v)) = 0
+    est = convex_process_sur(Epigraph(lambda x: np.abs(arr(x))))
+    assert est.shell_infima[0] == np.inf
+    # rates above the quotient cap count as infinite, as in every estimate
+    assert convex_process_sur(SingleValued(lambda x: 1e7 * arr(x))).value == np.inf
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.floats(0.25, 4.0))
+def test_convex_process_scales_with_the_map(a):
+    # sur(aF) = a sur(F), on the closed form and on the 1D search, which
+    # grows its region past the unit ball when a < 1/3
+    B = np.array([[2.0, 0.3], [0.1, 1.5]])
+    base = convex_process_sur(LinearOp(B)).value
+    assert convex_process_sur(LinearOp(a * B)).value == pytest.approx(a * base, rel=1e-9)
+    assert convex_process_sur(SingleValued(lambda x: 3.0 * a * arr(x))).value == pytest.approx(3.0 * a, rel=1e-9)
+
+
+def test_convex_process_needs_a_closed_form_above_two_dimensions():
+    with pytest.raises(UnsupportedOperation):
+        convex_process_sur(SingleValued(lambda x: 2.0 * arr(x), 3, 3))
 
 
 def test_convex_process_rejects_non_cone():

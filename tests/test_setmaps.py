@@ -10,7 +10,10 @@ from reglab.corpus import load_example, sinkink_fn, staircase_fn
 from reglab.expr import compile_expression
 from reglab.geometry import TOL_FEAS, Ball, DomainError, GraphPoint, as_vector, vec_dist
 from reglab.moduli import frechet_coderivative_bound, largest_covered_c
+from reglab.rng import derive_seed, sphere_directions
 from reglab.setmaps import (
+    INF,
+    AffineSet,
     _bisect_root,
     _branch_rows,
     _coordinate_polish,
@@ -1139,3 +1142,81 @@ def test_covering_ball_across_the_edge_of_the_domain(case, want):
     with np.errstate(all="ignore"):
         c = largest_covered_c(F, [0.1], F.value_set([0.1]).points[0], 0.3)
     assert float(c).hex() == want
+
+
+# ---------------------------------------------------------------------------
+# an epigraph with complex values raises on every path, as as_vector does
+
+
+def _complex_square(x):
+    x = arr(x)
+    return x * x + 1j * x
+
+
+def _complex_on_scalars(x):
+    # raises on a batch, so each path takes one point at a time
+    x = arr(x)
+    if x.size > 1:
+        raise TypeError("one point at a time")
+    return x * x + 1j * x
+
+
+_COMPLEX_EPIGRAPH_PATHS = {
+    "value_set": lambda f: dist_to_value_set([1.0], Epigraph(f), [0.5]),
+    "sample_graph": lambda f: graph_sample(Epigraph(f), GraphPoint([0.5], [0.25]), 0.3, 8, 1),
+    "covered_c_1d": lambda f: largest_covered_c(Epigraph(f), [0.5], [0.25], 0.1),
+    "covered_c_2d": lambda f: largest_covered_c(
+        Epigraph(lambda x: f(arr(x)[..., 0]), n=2), [0.5, 0.0], [0.25], 0.1),
+    "inf_on_interval": lambda f: setmaps._inf_on_interval(f, 0.0, 1.0),
+    "preimage_1d_epigraph": lambda f: setmaps._preimage_1d_epigraph(
+        np.array([0.0]), Epigraph(f), 0.5, _grid_axes(np.array([0.0]), 1.0, 401), TOL_FEAS),
+    "preimage_search": lambda f: preimage_search([0.0], Epigraph(f), [0.5]),
+}
+
+
+@pytest.mark.parametrize("f", [_complex_square, _complex_on_scalars], ids=["batch", "scalar"])
+@pytest.mark.parametrize("path", sorted(_COMPLEX_EPIGRAPH_PATHS))
+def test_complex_epigraph_values_raise(path, f):
+    # dist_to_value_set gave 0.0 and largest_covered_c 0.9, with only a
+    # ComplexWarning: the cast kept the real part
+    with pytest.raises(ValueError, match="real"):
+        _COMPLEX_EPIGRAPH_PATHS[path](f)
+
+
+def test_non_finite_epigraph_values_pass_as_floats():
+    with np.errstate(all="ignore"):
+        assert np.isnan(Epigraph(lambda x: np.sqrt(arr(x))).value_set([-1.0]).lo[0])
+        assert Epigraph(lambda x: 1.0 / arr(x)).value_set([0.0]).lo[0] == np.inf
+
+
+# ---------------------------------------------------------------------------
+# _linear_cover_rate is the minimum of the cone covering rates
+
+
+def _reference_linear_cover_rate(a_bytes: bytes, shape: tuple, norm: str, directions: int, seed: int) -> float:
+    """The per-direction affine distance loop of before, verbatim."""
+    A = np.frombuffer(a_bytes).reshape(shape)
+    best = INF
+    origin = np.zeros(shape[1])
+    for v in sphere_directions(shape[0], directions, derive_seed(seed, "cover-dirs"), norm):
+        d = AffineSet(A, v).dist(origin, norm)
+        best = min(best, 0.0 if d == INF else (1.0 / d if d > 0 else INF))
+    return best
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]),
+    entries=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=9, max_size=9),
+    norm=st.sampled_from(["euclidean", "max"]),
+    directions=st.sampled_from([8, 32]),
+    seed=st.integers(0, 1000),
+)
+def test_linear_cover_rate_equals_the_loop_of_before_bitwise(shape, entries, norm, directions, seed):
+    A = np.array(entries[: shape[0] * shape[1]]).reshape(shape)
+    args = (A.tobytes(), shape, norm, directions, seed)
+    with np.errstate(all="ignore"):  # subnormal entries overflow the norms of both
+        got = setmaps._linear_cover_rate.__wrapped__(*args)
+        ref = _reference_linear_cover_rate(*args)
+    assert type(got) is float
+    assert got.hex() == float(ref).hex()
