@@ -50,6 +50,19 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _real(vals) -> np.ndarray:
+    """Function values as a float array; a complex one raises ValueError, as in ``as_vector``."""
+    vals = np.asarray(vals)
+    if np.iscomplexobj(vals):
+        raise ValueError("function values must be real")
+    return np.asarray(vals, dtype=float)
+
+
+def _real_first(val) -> float:
+    """The first entry of a function value as a float; see :func:`_real`."""
+    return float(_real(val).reshape(-1)[0])
+
+
 def vec_norm(v: np.ndarray, norm: str = "euclidean") -> float:
     if norm == "euclidean":
         return float(np.linalg.norm(v))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import TOL_FEAS, Ball, DimensionMismatch, GraphPoint, JsonReport, as_vector, jsonable, vec_dist
+from .intervals import _linspace_rows
 from .rng import SplitMix64, derive_seed, shell_points, sphere_directions
 from .setmaps import (
     INF,
@@ -155,20 +156,98 @@ def _bridged_structure_1d(curves: list[np.ndarray]):
     return points, intervals
 
 
+def _bridged_structure_rows(curves: list[np.ndarray], rows: np.ndarray):
+    """``_bridged_structure_1d`` of each row of the (k, L) branch curves, flat
+    as (point rows, points, interval rows, intervals), labelled with ``rows``
+    and in the order that function lists them per row.
+
+    A row whose curves need no cut gives one segment per branch, from one
+    min and max over all such rows; rows with the same number of positive
+    gaps share one np.partition median (np.median of the same numbers, bit
+    for bit).  A row with a cut takes the per-row function.
+    """
+    k = curves[0].shape[0]
+    cut = np.zeros(k, dtype=bool)
+    for vals in curves:
+        gaps = np.abs(np.diff(vals, axis=1))
+        positive = gaps > 1e-14
+        count = positive.sum(axis=1)
+        typical = np.zeros(k)
+        for c in np.unique(count[count > 0]).tolist():
+            same = count == c
+            h = c // 2
+            part = np.partition(gaps[same][positive[same]].reshape(-1, c), [h - 1, h] if c % 2 == 0 else h, axis=1)
+            typical[same] = part[:, h] if c % 2 else (part[:, h - 1] + part[:, h]) / 2.0
+        cut |= (gaps > np.maximum(8.0 * typical, 1e-12)[:, None]).any(axis=1)
+    pieces = []  # (point rows, points, interval rows, intervals)
+    whole = ~cut
+    for vals in curves:
+        lo, hi = vals[whole].min(axis=1), vals[whole].max(axis=1)
+        wide = hi - lo > 1e-14
+        pieces.append((rows[whole][~wide], lo[~wide], rows[whole][wide], np.stack([lo[wide], hi[wide]], axis=1)))
+    for i in np.flatnonzero(cut).tolist():
+        pp, ii = _bridged_structure_1d([vals[i] for vals in curves])
+        pieces.append(([rows[i]] * len(pp), pp, [rows[i]] * len(ii), ii))
+    return _stack_structures(pieces)
+
+
+def _stack_structures(pieces):
+    """One flat structure (point rows, points, interval rows, intervals) from flat pieces."""
+    return tuple(
+        np.concatenate([np.asarray(p[j], dtype=dtype).reshape(shape) for p in pieces])
+        for j, dtype, shape in ((0, np.intp, -1), (1, float, -1), (2, np.intp, -1), (3, float, (-1, 2)))
+    )
+
+
+def _ray_coverage_rows(origin: np.ndarray, direction: float, gap_tol: np.ndarray, structure) -> np.ndarray:
+    """``_ray_coverage_1d`` of each row of a flat structure (point rows, points,
+    interval rows, intervals), with one origin and gap_tol per row.
+
+    The segments go into a (k, L) array padded with lo = hi = +inf, which
+    also takes the segments that end before -gap_tol.  A pad comes after
+    every real segment and stops the sweep where the unpadded sweep ends (a
+    cover that reached +inf stays +inf).  Each row is sorted by lo alone:
+    among equal lo only the first can stop the sweep, and the cover after
+    them is the max of their hi in any order.
+    """
+    pt_row, pts, iv_row, ivs = structure
+    k = origin.size
+    s = (pts - origin[pt_row]) * direction
+    iv = (ivs - origin[iv_row, None]) * direction
+    a, b = iv[:, 0], iv[:, 1]
+    row = np.concatenate([pt_row, iv_row])
+    by_row = np.argsort(row, kind="stable")
+    row = row[by_row]
+    counts = np.bincount(row, minlength=k)
+    width = int(counts.max(initial=0)) + 1  # at least one pad per row
+    at = row * width + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    LO, HI = np.full(k * width, INF), np.full(k * width, INF)
+    LO[at] = np.concatenate([s - gap_tol[pt_row], np.where(b < a, b, a)])[by_row]
+    HI[at] = np.concatenate([s + gap_tol[pt_row], np.where(b > a, b, a)])[by_row]
+    LO, HI = LO.reshape(k, width), HI.reshape(k, width)
+    behind = ~(HI >= -gap_tol[:, None])
+    LO[behind] = HI[behind] = INF
+    order = (np.argsort(LO, axis=1, kind="stable") + np.arange(0, k * width, width)[:, None]).ravel()
+    LO, HI = LO.ravel()[order].reshape(k, width), HI.ravel()[order].reshape(k, width)
+    cur = np.maximum.accumulate(np.hstack([np.zeros((k, 1)), HI]), axis=1)  # cur[:, i]: covered end before segment i
+    stop = LO > cur[:, :-1] + gap_tol[:, None]
+    end = np.where(stop.any(axis=1), stop.argmax(axis=1), width)
+    return np.maximum(cur[np.arange(k), end], 0.0) + 0.0  # + 0.0: never -0.0
+
+
 def _ray_coverage_1d(origin: float, direction: float, points, intervals, gap_tol: float) -> float:
     """Largest rho with [origin, origin + rho*direction] covered contiguously:
-    a sweep of the segments in (lo, hi) order, exact since sorting and max do no rounding."""
-    s = (np.asarray(points, dtype=float) - origin) * direction
-    iv = (np.asarray(intervals, dtype=float).reshape(-1, 2) - origin) * direction
-    a, b = iv[:, 0], iv[:, 1]
-    lo = np.concatenate([s - gap_tol, np.where(b < a, b, a)])
-    hi = np.concatenate([s + gap_tol, np.where(b > a, b, a)])
-    keep = hi >= -gap_tol
-    order = np.lexsort((hi[keep], lo[keep]))
-    lo, hi = lo[keep][order], hi[keep][order]
-    cur = np.maximum.accumulate(np.concatenate([[0.0], hi]))  # cur[i]: covered end before segment i
-    stop = np.flatnonzero(lo > cur[:-1] + gap_tol)
-    return max(float(cur[stop[0] if stop.size else -1]), 0.0) + 0.0  # + 0.0: never -0.0
+    a sweep of the segments in lo order, exact since sorting and max do no
+    rounding.  The one-row call of :func:`_ray_coverage_rows`."""
+    pts = np.asarray(points, dtype=float).reshape(-1)
+    ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    structure = (np.zeros(pts.size, dtype=np.intp), pts, np.zeros(len(ivs), dtype=np.intp), ivs)
+    return float(_ray_coverage_rows(np.array([origin], dtype=float), direction, np.array([gap_tol]), structure)[0])
+
+
+#: grid points per batch of balls on the 1D ray coverage path, which bounds
+#: the stacked grids, branch curves and sweep arrays
+_COVER_BLOCK = 8192
 
 
 def largest_covered_c(
@@ -182,75 +261,143 @@ def largest_covered_c(
     cap: float = QUOTIENT_CAP,
     seed: int = 42,
 ) -> float:
-    """sup{c >= 0 : B[y, c t] subset F(B[x, t])}, sampled.
+    """sup{c >= 0 : B[y, c t] subset F(B[x, t])}, sampled: the one-query call
+    of :func:`largest_covered_c_many`, which says how each kind is answered."""
+    return largest_covered_c_many(F, [x], [y], [t], norm, directions, resolution, cap, seed)[0]
 
-    The map kind's closed form where it has one (``SetMap.covered_c``: exact
-    for linear operators, interval arithmetic for epigraphs); otherwise ray
-    coverage of the attained value structure for one-dimensional ranges and
-    sampled target grids elsewhere.  Sampling can overestimate coverage when
+
+def largest_covered_c_many(
+    F: SetMap,
+    X,
+    Y,
+    T,
+    norm: str = "euclidean",
+    directions: int = 32,
+    resolution: int = 801,
+    cap: float = QUOTIENT_CAP,
+    seed: int = 42,
+) -> list[float]:
+    """sup{c >= 0 : B[Y[i], c T[i]] subset F(B[X[i], T[i]])} for each query i, capped.
+
+    The map kind's own answer where it has one (``SetMap.covered_c``: exact
+    for linear operators; interval arithmetic for epigraphs, whose 1D
+    interval infima are polished in lockstep); otherwise ray coverage of the
+    attained value structure for one-dimensional ranges, with the branch
+    curves of all balls evaluated together, and sampled target grids, one
+    query at a time, elsewhere.  Sampling can overestimate coverage when
     failures are sparse, which is documented behavior.
     """
-    x = as_vector(x, F.n)
-    y = as_vector(y, F.m)
+    X = np.array([as_vector(x, F.n) for x in X]).reshape(-1, F.n)
+    Y = np.array([as_vector(y, F.m) for y in Y]).reshape(-1, F.m)
+    T = np.asarray(T, dtype=float).reshape(-1)
+    if not T.size:
+        return []
 
-    closed = F.covered_c(x, y, t, norm, directions, resolution, seed)
+    closed = F.covered_c(X, Y, T, norm, directions, resolution, seed)
     if closed is not None:
-        return min(closed, cap)
+        return [min(c, cap) for c in closed]
 
     if F.m == 1:
-        pts, ivs, gap_tol = _attained_structure_1d(F, x, t, resolution, norm)
-        best = INF
-        for v in (1.0, -1.0):
-            rho = _ray_coverage_1d(float(y[0]), v, pts, ivs, gap_tol)
-            best = min(best, rho / t)
-        return min(best, cap)
+        rates = []
+        block = max(1, _COVER_BLOCK // resolution)
+        for i in range(0, T.size, block):
+            rows = slice(i, i + block)
+            structure = _attained_structures_1d(F, X[rows], T[rows], resolution, norm)
+            gap_tol = np.array([max(1e-9, 1e-9 * t) for t in T[rows].tolist()])
+            up, down = (_ray_coverage_rows(Y[rows, 0], v, gap_tol, structure).tolist() for v in (1.0, -1.0))
+            rates += [min(INF, a / t, b / t, cap) for a, b, t in zip(up, down, T[rows].tolist())]
+        return rates
 
-    return _covered_c_nd(F, x, y, t, norm, directions, seed, cap)
+    return [_covered_c_nd(F, x, y, t, norm, directions, seed, cap) for x, y, t in zip(X, Y, T)]
+
+
+def _attained_structures_1d(F: SetMap, X: np.ndarray, T: np.ndarray, resolution: int, norm: str):
+    """Attained points and intervals of F over each ball B[X[i], T[i]] for 1D
+    ranges, flat as in ``_bridged_structure_rows``.
+
+    For n = 1 the balls' grids are stacked: each scalar branch is evaluated
+    once on all of them (a ball whose branch fails there is tried alone), the
+    balls whose branches all pass are bridged together, and the rest take
+    ``_descriptor_structure`` on their stacked grids.  For n >= 2 each ball
+    takes ``_descriptor_structure`` on its own grid.
+    """
+    rows = np.arange(T.size)
+    if F.n != 1:
+        return _stack_structures([_descriptor_structure(F, [i], _ball_grid(x, t, 41, norm))
+                                  for i, (x, t) in enumerate(zip(X, T))])
+    xs = _linspace_rows(X[:, 0] - T, X[:, 0] + T, resolution)
+    curves = [_branch_curves(b, xs) for b in scalar_branches(F) or []]
+    ok = np.all([c[1] for c in curves], axis=0) if curves else np.zeros(T.size, dtype=bool)
+    pieces = []
+    if ok.any():
+        pieces.append(_bridged_structure_rows([c[0][ok] for c in curves], rows[ok]))
+    if not ok.all():
+        pieces.append(_descriptor_structure(F, rows[~ok], xs[~ok].reshape(-1, 1)))
+    return _stack_structures(pieces)
 
 
 def _attained_structure_1d(F: SetMap, x: np.ndarray, t: float, resolution: int, norm: str):
-    """Attained (points, intervals) of F over B[x, t] for 1D ranges."""
-    grid = _ball_grid(x, t, resolution if F.n == 1 else 41, norm)
-    gap_tol = max(1e-9, 1e-9 * t)
-    # a curve may leave the domain inside the ball (sqrt(x) near 0): its NaN
-    # or infinite values there go into the polyline, not into an error
-    curves = [_eval_vectorized(b, grid, 1, 1, finite=False) for b in scalar_branches(F) or []]
-    if curves and all(c is not None for c in curves):
-        pts, ivs = _bridged_structure_1d([c[:, 0] for c in curves])
-        return pts, ivs, gap_tol
-    # descriptor path: per-grid-point structure, from the branch values where
-    # the kind has them (listed row-major, as value_set lists them)
+    """Attained (points, intervals, gap_tol) of F over B[x, t] for 1D ranges:
+    the one-ball call of :func:`_attained_structures_1d`."""
+    _, pts, _, ivs = _attained_structures_1d(F, x[None, :], np.array([t], dtype=float), resolution, norm)
+    return pts.tolist(), [tuple(iv) for iv in ivs.tolist()], max(1e-9, 1e-9 * t)
+
+
+def _branch_curves(b, xs: np.ndarray):
+    """A scalar branch on the (k, L) grid rows: its values (k, L) and which rows
+    it gives, from one call on all rows (a NaN or infinite value stays in the
+    curve: the ball may leave the domain); where that call fails, each row is
+    tried alone."""
+    out = _eval_vectorized(b, xs.reshape(-1, 1), 1, 1, finite=False)
+    if out is not None:
+        return out.reshape(xs.shape), np.ones(len(xs), dtype=bool)
+    if len(xs) == 1:
+        return np.full(xs.shape, np.nan), np.zeros(1, dtype=bool)
+    per_row = [_branch_curves(b, row[None, :]) for row in xs]
+    return np.vstack([v for v, _ in per_row]), np.concatenate([ok for _, ok in per_row])
+
+
+def _descriptor_structure(F: SetMap, rows, grid: np.ndarray):
+    """Attained structure of F over the stacked grids (of equal length) of the
+    balls ``rows``, from its values: the branch values where the kind has
+    them (listed row-major, as value_set lists them; several branches give
+    points only), else one value set per grid point."""
+    rows = np.asarray(rows, dtype=np.intp)
     outs = F.branch_values(grid)
     if outs is not None:
-        vals = as_vector(np.hstack(outs).ravel())  # non-finite values raise, as in value_set
+        vals = np.stack([o.reshape(rows.size, -1) for o in outs], axis=2).reshape(rows.size, -1)
+        for v in vals:
+            as_vector(v)  # non-finite values raise, as in value_set
         if len(outs) > 1:
-            return vals.tolist(), [], gap_tol
-        pts, ivs = _bridged_structure_1d([vals])
-        return pts, ivs, gap_tol
-    points: list[float] = []
-    intervals: list[tuple[float, float]] = []
-    single_pts: list[float] = []
-    for row in grid:
-        vs = F.value_set(row)
-        if vs.is_empty():
-            single_pts.append(math.nan)
-            continue
-        try:
-            pp, ii = vs.interval_structure_1d()
-        except UnsupportedOperation:
-            pp, ii = [], []
-        if len(pp) == 1 and not ii:
-            single_pts.append(pp[0])
-        else:
+            return np.repeat(rows, vals.shape[1]), vals.ravel(), [], []
+        return _bridged_structure_rows([vals], rows)
+    pieces = []
+    for i, ball in zip(rows.tolist(), np.split(grid, rows.size)):
+        points: list[float] = []
+        intervals: list[tuple[float, float]] = []
+        single_pts: list[float] = []
+        for row in ball:
+            vs = F.value_set(row)
+            if vs.is_empty():
+                single_pts.append(math.nan)
+                continue
+            try:
+                pp, ii = vs.interval_structure_1d()
+            except UnsupportedOperation:
+                pp, ii = [], []
+            if len(pp) == 1 and not ii:
+                single_pts.append(pp[0])
+            else:
+                points.extend(pp)
+                intervals.extend(ii)
+                single_pts.append(math.nan)
+        vals = np.array([p for p in single_pts if not math.isnan(p)])
+        if vals.size:
+            pp, ii = _bridged_structure_1d([vals])
             points.extend(pp)
             intervals.extend(ii)
-            single_pts.append(math.nan)
-    vals = np.array([p for p in single_pts if not math.isnan(p)])
-    if vals.size:
-        pp, ii = _bridged_structure_1d([vals])
-        points.extend(pp)
-        intervals.extend(ii)
-    return points, intervals, gap_tol
+        pieces.append(([i] * len(points), points, [i] * len(intervals), intervals))
+    return _stack_structures(pieces)
 
 
 def _covered_c_nd(F, x, y, t, norm, directions, seed, cap, c_levels: int = 16):
@@ -336,13 +483,13 @@ def estimate_modulus(
                 else:
                     quotients.append(INF if dpre == INF else dpre / rho_y)
         elif kind == "sur":
-            pts = graph_sample(F, point, r, sur_graph_points, derive_seed(sj, "gp"), norm)
-            for gp in [point] + pts:
-                for frac in sur_t_fractions:
-                    t = frac * r
-                    quotients.append(
-                        largest_covered_c(F, gp.x, gp.y, t, norm=norm, seed=derive_seed(sj, "c"))
-                    )
+            # draw the shell, answer it in one covering call, reduce in draw order
+            gps = [point] + graph_sample(F, point, r, sur_graph_points, derive_seed(sj, "gp"), norm)
+            queries = [(gp, frac * r) for gp in gps for frac in sur_t_fractions]
+            quotients = largest_covered_c_many(
+                F, [gp.x for gp, _ in queries], [gp.y for gp, _ in queries], [t for _, t in queries],
+                norm=norm, seed=derive_seed(sj, "c"),
+            )
         elif kind == "reg":
             for _ in range(spc):
                 xv = rng.in_ball(xbar, r, norm)

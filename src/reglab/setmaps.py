@@ -38,10 +38,13 @@ from .geometry import (
     DimensionMismatch,
     DomainError,
     GraphPoint,
+    _real,
+    _real_first,
     as_vector,
     vec_dist,
     vec_norm,
 )
+from .intervals import _inf_on_intervals
 from .rng import SplitMix64, derive_seed, shell_points_1d, sphere_directions
 
 INF = float("inf")
@@ -602,8 +605,11 @@ class SetMap:
     def sample_graph(self, s: "_GraphSampler") -> list[GraphPoint]:
         raise UnsupportedOperation(f"graph sampling not supported for {self.describe()}")
 
-    def covered_c(self, x: np.ndarray, y: np.ndarray, t: float, norm: str, directions: int, resolution: int, seed: int):
-        """sup{c >= 0 : B[y, c t] subset F(B[x, t])} in closed form, uncapped."""
+    def covered_c(self, X: np.ndarray, Y: np.ndarray, T: np.ndarray, norm: str, directions: int, resolution: int,
+                  seed: int):
+        """sup{c >= 0 : B[Y[i], c T[i]] subset F(B[X[i], T[i]])} for each of the
+        k queries (rows of X and Y, entries of T), uncapped: a list of k rates
+        where the kind has its own answer, else None."""
         return None
 
     def graph_pieces(self):
@@ -703,18 +709,18 @@ class Epigraph(SetMap):
         return None if out is None else np.maximum(out[:, 0] - y[0], 0.0)
 
     def preimage_1d(self, x0, ys, grid, norm, tol_feas):
-        if not self.vectorized:
-            return None
-        return [_preimage_1d_epigraph(x0, self, float(y0), grid, tol_feas) for y0 in ys]
+        return _preimage_1d_epigraph(x0, self, ys, grid, tol_feas) if self.vectorized else None
 
-    def covered_c(self, x, y, t, norm, directions, resolution, seed):
-        # interval arithmetic: F(B[x, t]) = [inf of f over the ball, +inf)
+    def covered_c(self, X, Y, T, norm, directions, resolution, seed):
+        # interval arithmetic: F(B[x, t]) = [inf of f over the ball, +inf); in
+        # 1D the intervals of all queries are polished in lockstep
         if self.n == 1:
-            lo_f = _inf_on_interval(self.f, float(x[0]) - t, float(x[0]) + t, resolution)
+            lo_f = _inf_on_intervals(self.f, X[:, 0] - T, X[:, 0] + T, resolution)
         else:
-            grid = _ball_grid(x, t, 41 if self.n == 2 else 11, norm)
-            lo_f = float(np.min([_real_first(self.f(row)) for row in grid]))
-        return max(0.0, (float(y[0]) - lo_f) / t)
+            per_axis = 41 if self.n == 2 else 11
+            lo_f = [float(np.min([_real_first(self.f(row)) for row in _ball_grid(x, t, per_axis, norm)]))
+                    for x, t in zip(X, T)]
+        return [max(0.0, (y - lo) / t) for y, lo, t in zip(Y[:, 0].tolist(), lo_f, T.tolist())]
 
     def sample_graph(self, s):
         for j, x in enumerate(s.domain()):
@@ -758,9 +764,9 @@ class LinearOp(SetMap):
 
     sample_graph = SingleValued.sample_graph
 
-    def covered_c(self, x, y, t, norm, directions, resolution, seed):
+    def covered_c(self, X, Y, T, norm, directions, resolution, seed):
         # point- and scale-independent for linear maps
-        return _linear_cover_rate(self.A.tobytes(), self.A.shape, norm, directions, seed)
+        return [_linear_cover_rate(self.A.tobytes(), self.A.shape, norm, directions, seed)] * len(T)
 
 
 class NormalConeBox(SetMap):
@@ -1076,91 +1082,6 @@ def _ball_grid(center: np.ndarray, radius: float, per_axis: int, norm: str) -> n
     return grid
 
 
-#: polish rounds whose probes ``_inf_on_interval`` evaluates in one call.  k
-#: rounds may probe 4^k - 1 points; on the staircase epigraph k = 2 was the
-#: fastest on a 2-core VM (0.63 ms a call, against 1.02 at k = 1 and 0.77
-#: at k = 3)
-_PROBE_ROUNDS = 2
-
-
-def _probe_values(f, x, step: float, rounds: int, lo: float, hi: float):
-    """Values of ``f`` at every point the next ``rounds`` polish rounds of
-    ``_inf_on_interval`` may probe from x, in one call.
-
-    The nodes of the probe tree are numbered breadth first: node i at p
-    probes clamp(p + s) (kind 1), then clamp(p1 - s) (kind 2) when the first
-    probe moved p to p1, else clamp(p - s) (kind 3), whose values sit at
-    3 i + kind - 1; its children 4 i + 1 + outcome sit at p, p1, p1 - s and
-    p - s (outcomes 0 to 3).  Entries are keyed by tree position, so equal
-    floats of different nodes (0.0 and -0.0 too) never share one.  None when
-    f raises on the array or gives anything but one real value per point.
-    """
-    pts, frontier = [], [x]
-    for _ in range(rounds):
-        children = []
-        for p in frontier:
-            p1 = min(max(p + step, lo), hi)
-            probes = [p1, min(max(p1 - step, lo), hi), min(max(p - step, lo), hi)]
-            pts += probes
-            children += [p] + probes
-        frontier = children
-        step *= 0.5
-    try:
-        vals = _real(f(np.array(pts, dtype=float)))
-    except Exception:
-        return None
-    return vals.tolist() if vals.shape == (len(pts),) else None
-
-
-def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: int = 30) -> float:
-    """inf of f over [lo, hi]: the least of ``resolution`` grid values, then
-    ``polish`` rounds of probes at x + s and x - s with a halving step s.
-
-    When f accepts the grid as one array, the probes are evaluated in
-    batches (``_probe_values``), which assumes, as the batched grid does,
-    that f gives the same values on an array as on each 0-d point; otherwise
-    each probe is its own 0-d call, and one that raises is skipped.
-    """
-    xs = np.linspace(lo, hi, resolution)
-    try:
-        vals = np.asarray(f(xs))
-        batched = vals.shape == xs.shape
-    except Exception:
-        batched = False
-    vals = _real(vals) if batched else np.array([_real_first(f(np.array([x]))) for x in xs])
-    i = int(np.argmin(vals))
-    best = float(vals[i])
-    x = xs[i]
-    step = (hi - lo) / (resolution - 1)
-    # not _coordinate_polish: the step halves every round, moved or not, and
-    # moves clamp to [lo, hi].  Each block of rounds reads its probes from one
-    # batched call; without that table a probe takes its own call, and one
-    # that raises is skipped
-    for start in range(0, polish, _PROBE_ROUNDS):
-        rounds = min(_PROBE_ROUNDS, polish - start)
-        table = _probe_values(f, x, step, rounds, lo, hi) if batched else None
-        node = 0
-        for _ in range(rounds):
-            outcome = 0
-            for probe, s in enumerate((step, -step)):
-                z = min(max(x + s, lo), hi)
-                kind = 1 if probe == 0 else (2 if outcome else 3)
-                if table is not None:
-                    fz = table[3 * node + kind - 1]
-                else:
-                    try:
-                        fz = f(np.asarray(z))
-                    except Exception:
-                        continue
-                    fz = _real_first(fz)
-                if fz < best:
-                    x, best = z, fz
-                    outcome = kind
-            node = 4 * node + 1 + outcome
-            step *= 0.5
-    return best
-
-
 def _cone_cover_rates(F: SetMap, vs, norm: str) -> list[float]:
     """1/dist(0, F^{-1}(v)) for each direction v of a map whose graph is a cone:
     0 for an empty preimage, inf for d = 0.  A closed form is global and final;
@@ -1219,19 +1140,6 @@ def _bisect_root(fn, a, b, fa, iters: int = 60) -> np.ndarray:
         a, fa = np.where(left, a, mid), np.where(left, fa, fm)
     with np.errstate(all="ignore"):
         return 0.5 * (a + b)
-
-
-def _real(vals) -> np.ndarray:
-    """Function values as a float array; a complex one raises ValueError, as in ``as_vector``."""
-    vals = np.asarray(vals)
-    if np.iscomplexobj(vals):
-        raise ValueError("function values must be real")
-    return np.asarray(vals, dtype=float)
-
-
-def _real_first(val) -> float:
-    """The first entry of a function value as a float; see :func:`_real`."""
-    return float(_real(val).reshape(-1)[0])
 
 
 def _real_values(fn, xs: np.ndarray) -> np.ndarray:
@@ -1327,8 +1235,14 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
     return out
 
 
-def _preimage_1d_epigraph(x0, F, y0: float, grid: np.ndarray, tol_feas: float):
-    """Preimage (dist, point) for an epigraph map: nearest x with f(x) <= y0."""
+def _preimage_1d_epigraph(x0, F, ys, grid: np.ndarray, tol_feas: float) -> list:
+    """Preimages (dist, point) of the targets ``ys`` for an epigraph map, one
+    entry per target: the nearest x with f(x) <= y0.
+
+    f is evaluated once on the grid, and the cells where a target's
+    feasibility changes sign are bisected in lockstep, each toward its own
+    target, as in ``_preimage_1d_branches``.
+    """
     xs = grid[:, 0]
     f = F.f
     try:
@@ -1339,21 +1253,28 @@ def _preimage_1d_epigraph(x0, F, y0: float, grid: np.ndarray, tol_feas: float):
         def f(x):  # the bisection too takes one point at a time
             return np.array([_real_first(F.f(np.asarray(p))) for p in x])
 
-    vals = _real(vals).reshape(-1) - y0
-
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    vals = _real(vals).reshape(-1)[None, :] - ys[:, None]
     feas = vals <= tol_feas
-    if not np.any(feas):
-        return INF, None
-    i = int(np.abs(xs[np.nonzero(feas)[0]] - x0[0]).argmin())
-    arg = np.array([xs[np.nonzero(feas)[0][i]]])
-    best = float(abs(arg[0] - x0[0]))
     # sharpen across feasibility boundaries adjacent to the best grid points
-    cell = np.nonzero((feas[:-1] != feas[1:]) & (vals[:-1] * vals[1:] < 0))[0]
-    if cell.size:
-        for root in _bisect_root(lambda x: _real_values(f, x) - y0, xs[cell], xs[cell + 1], vals[cell]):
+    target, cell = np.nonzero((feas[:, :-1] != feas[:, 1:]) & (vals[:, :-1] * vals[:, 1:] < 0))
+    roots = _bisect_root(
+        lambda x, y0=ys[target]: _real_values(f, x) - y0, xs[cell], xs[cell + 1], vals[target, cell],
+    ) if cell.size else cell
+    roots = np.split(roots, np.searchsorted(target, np.arange(1, ys.size)))
+    out = []
+    for hits, target_roots in zip(feas, roots):
+        if not np.any(hits):
+            out.append((INF, None))
+            continue
+        i = int(np.abs(xs[np.nonzero(hits)[0]] - x0[0]).argmin())
+        arg = np.array([xs[np.nonzero(hits)[0][i]]])
+        best = float(abs(arg[0] - x0[0]))
+        for root in target_roots:
             if abs(root - float(x0[0])) < best:
                 best, arg = abs(root - float(x0[0])), np.array([root])
-    return best, arg
+        out.append((best, arg))
+    return out
 
 
 def _coordinate_polish(objective, accept, x0, step0, steps, lo=None, hi=None, target=None):

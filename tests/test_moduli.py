@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reglab import moduli
 from reglab.corpus import load_example, sinkink_fn, staircase_fn
-from reglab.geometry import GraphPoint, vec_dist
+from reglab.geometry import GraphPoint, _real_first, as_vector, vec_dist
 from reglab.moduli import (
     LiminfSchedule,
     _attained_structure_1d,
     _bridged_structure_1d,
+    _bridged_structure_rows,
+    _covered_c_nd,
     _ray_coverage_1d,
+    _ray_coverage_rows,
     NotEvaluable,
     NotOnGraph,
     _assemble,
@@ -20,6 +24,7 @@ from reglab.moduli import (
     estimate_modulus,
     frechet_coderivative_bound,
     largest_covered_c,
+    largest_covered_c_many,
     linear_moduli,
     slope_sandwich,
     starshape_bound,
@@ -34,11 +39,18 @@ from reglab.setmaps import (
     PolyhedralGraph,
     SingleValued,
     SumMap,
+    INF,
+    QUOTIENT_CAP,
     UnsupportedOperation,
     _ball_grid,
+    _eval_vectorized,
+    _linear_cover_rate,
     build_setmap,
     dist_to_value_set,
+    graph_sample,
+    scalar_branches,
 )
+from test_setmaps import _reference_inf_on_interval
 
 arr = lambda x: np.asarray(x, dtype=float)
 ORIGIN = GraphPoint([0.0], [0.0])
@@ -514,6 +526,66 @@ def test_bridged_structure_matches_gap_loop_bitwise(curves):
     assert np.array_equal(np.array(got[1]).reshape(-1, 2), np.array(ref[1]).reshape(-1, 2), equal_nan=True)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(1, 5), length=st.integers(1, 10), branches=st.integers(1, 3))
+def test_bridged_structure_rows_match_the_gap_loop_row_by_row(data, k, length, branches):
+    # rows with and without cuts, rows sharing a positive-gap count, NaN and
+    # flat curves, against the gap loop of each row alone
+    curves = [
+        np.array([np.concatenate([[data.draw(st.floats(-5.0, 5.0))],
+                                  data.draw(st.lists(_step, min_size=length - 1, max_size=length - 1))]).cumsum()
+                  for _ in range(k)])
+        for _ in range(branches)
+    ]
+    labels = np.arange(k) * 3 + 1
+    pt_row, pts, iv_row, ivs = _bridged_structure_rows(curves, labels)
+    for i in range(k):
+        ref = _reference_bridged_structure_1d([c[i] for c in curves])
+        assert pts[pt_row == labels[i]].tobytes() == np.array(ref[0], dtype=float).reshape(-1).tobytes()
+        assert ivs[iv_row == labels[i]].tobytes() == np.array(ref[1], dtype=float).reshape(-1, 2).tobytes()
+
+
+def test_bridged_structure_rows_cut_at_the_median_of_an_even_count():
+    # gaps 1, 2, 3, 22: the median is 2.5 (the mean of the middle two), so the
+    # cut of 20 splits the flat end off at 22 (the upper middle, 3, would not);
+    # the row with a fifth gap has median 2 and ends on an interval
+    rows = [[0.0, 1.0, 3.0, 6.0, 28.0, 28.0], [0.0, 1.0, 3.0, 6.0, 28.0, 28.0 + 1e-15],
+            [0.0, 1.0, 3.0, 6.0, 28.0, 30.0], [5.0, 6.0, 8.0, 11.0, 33.0, 33.0]]
+    curves = [np.array(rows), -np.array(rows)]
+    pt_row, pts, iv_row, ivs = _bridged_structure_rows(curves, np.arange(4))
+    for i in range(4):
+        ref = _reference_bridged_structure_1d([c[i] for c in curves])
+        assert len(ref[0]) == (0 if i == 2 else 2)  # the cut leaves the point 28 (33) per branch
+        assert pts[pt_row == i].tobytes() == np.array(ref[0], dtype=float).reshape(-1).tobytes()
+        assert ivs[iv_row == i].tobytes() == np.array(ref[1], dtype=float).reshape(-1, 2).tobytes()
+
+
+_coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, np.inf, -np.inf, np.nan]), st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.lists(_coord, max_size=8), st.lists(st.tuples(_coord, _coord), max_size=5),
+                            st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-1.0, 1.0)),
+                            st.sampled_from([1e-9, 0.05, 0.3])), min_size=1, max_size=6),
+    direction=st.sampled_from([1.0, -1.0]),
+)
+def test_ray_coverage_rows_match_the_tuple_loop_row_by_row(rows, direction):
+    # padded rows of different lengths, points and intervals at +-inf, NaN
+    # entries and signed zeros, each row against the tuple loop alone
+    structure = (
+        np.repeat(np.arange(len(rows)), [len(p) for p, _, _, _ in rows]),
+        np.array([v for p, _, _, _ in rows for v in p], dtype=float),
+        np.repeat(np.arange(len(rows)), [len(iv) for _, iv, _, _ in rows]),
+        np.array([v for _, iv, _, _ in rows for v in iv], dtype=float).reshape(-1, 2),
+    )
+    origin = np.array([o for _, _, o, _ in rows])
+    gap_tol = np.array([g for _, _, _, g in rows])
+    got = _ray_coverage_rows(origin, direction, gap_tol, structure)
+    for i, (points, intervals, o, g) in enumerate(rows):
+        assert float(got[i]).hex() == float(_reference_ray_coverage(o, direction, points, intervals, g)).hex()
+
+
 def test_bridged_structure_gap_equal_to_cut_is_bridged():
     vals = np.array([0.0, 1.0, 2.0, 3.0, 11.0, 12.0, 13.0, 22.0])
     # median gap 1, cut 8: the gap of 8 is bridged, the gap of 9 splits
@@ -580,3 +652,195 @@ def test_displacement_equals_the_per_point_loop_of_before(kind, norm, seed, r0):
     got = estimate_modulus("displacement", F, point, sched, norm=norm, seed=seed)
     ref = _reference_displacement(F, point, sched, norm, seed)
     assert _fingerprint(got) == _fingerprint(ref)
+
+
+# ---------------------------------------------------------------------------
+# sur: one batched covering call per shell gives the rates of the per-query
+# loop of before bit for bit
+
+
+def _reference_attained_structure_1d(F, x, t, resolution, norm):
+    """``_attained_structure_1d`` of before, verbatim (with the reference bridging)."""
+    grid = _ball_grid(x, t, resolution if F.n == 1 else 41, norm)
+    gap_tol = max(1e-9, 1e-9 * t)
+    curves = [_eval_vectorized(b, grid, 1, 1, finite=False) for b in scalar_branches(F) or []]
+    if curves and all(c is not None for c in curves):
+        pts, ivs = _reference_bridged_structure_1d([c[:, 0] for c in curves])
+        return pts, ivs, gap_tol
+    outs = F.branch_values(grid)
+    if outs is not None:
+        vals = as_vector(np.hstack(outs).ravel())
+        if len(outs) > 1:
+            return vals.tolist(), [], gap_tol
+        pts, ivs = _reference_bridged_structure_1d([vals])
+        return pts, ivs, gap_tol
+    return _reference_descriptor_structure(F, grid, t)
+
+
+def _reference_largest_covered_c(F, x, y, t, norm="euclidean", directions=32, resolution=801, cap=QUOTIENT_CAP,
+                                 seed=42):
+    """``largest_covered_c`` of before, one query, with the one-query
+    ``covered_c`` hooks of ``LinearOp`` and ``Epigraph`` inlined verbatim."""
+    x = as_vector(x, F.n)
+    y = as_vector(y, F.m)
+    closed = None
+    if isinstance(F, LinearOp):
+        closed = _linear_cover_rate(F.A.tobytes(), F.A.shape, norm, directions, seed)
+    elif isinstance(F, Epigraph):
+        if F.n == 1:
+            lo_f = _reference_inf_on_interval(F.f, float(x[0]) - t, float(x[0]) + t, resolution)
+        else:
+            grid = _ball_grid(x, t, 41 if F.n == 2 else 11, norm)
+            lo_f = float(np.min([_real_first(F.f(row)) for row in grid]))
+        closed = max(0.0, (float(y[0]) - lo_f) / t)
+    if closed is not None:
+        return min(closed, cap)
+
+    if F.m == 1:
+        pts, ivs, gap_tol = _reference_attained_structure_1d(F, x, t, resolution, norm)
+        best = INF
+        for v in (1.0, -1.0):
+            rho = _reference_ray_coverage(float(y[0]), v, pts, ivs, gap_tol)
+            best = min(best, rho / t)
+        return min(best, cap)
+
+    return _covered_c_nd(F, x, y, t, norm, directions, seed, cap)
+
+
+def _reference_sur(F, point, schedule, norm, seed, sur_graph_points):
+    """estimate_modulus("sur", ...) of before: one covering call per graph point and radius."""
+    check_on_graph(F, point, norm=norm)
+    shell_stats, total = [], 0
+    for j, r in enumerate(schedule.radii()):
+        sj = derive_seed(seed, f"sur-shell{j}")
+        quotients = []
+        pts = graph_sample(F, point, r, sur_graph_points, derive_seed(sj, "gp"), norm)
+        for gp in [point] + pts:
+            for frac in (0.25, 0.5, 0.75, 1.0):
+                t = frac * r
+                quotients.append(
+                    _reference_largest_covered_c(F, gp.x, gp.y, t, norm=norm, seed=derive_seed(sj, "c"))
+                )
+        total += len(quotients)
+        shell_stats.append(min(quotients) if quotients else None)
+    return _assemble("sur", point, shell_stats, schedule, seed, norm, total, [])
+
+
+def _scalar_only(fn):
+    def f(x):
+        if np.size(x) > 1:
+            raise TypeError("one point at a time")
+        return fn(x)
+
+    return f
+
+
+def _raises_near(fn, a, b):
+    # raises on any array with a point in (a, b), so balls that reach it
+    # fall back alone while the others stay in the batch
+    def f(x):
+        if np.size(x) > 1 and np.any((arr(x) > a) & (arr(x) < b)):
+            raise ArithmeticError("pole")
+        return fn(x)
+
+    return f
+
+
+def _signed_zero(x):
+    x = arr(x)
+    return np.where(np.signbit(x), -1.0, 0.0) + x * x
+
+
+_STAIR = load_example("staircase")
+_SUM = load_example("sum_remark")
+
+#: name -> (map, graph point, graph points per shell); small shells keep the
+#: one-probe-at-a-time reference and the 2D grids quick
+_SUR_MAPS = {
+    "epigraph_staircase": (Epigraph(staircase_fn), ORIGIN, 16),
+    "epigraph_inline": (build_setmap({"kind": "epigraph", "expr": "abs(x) + 0.01*sin(40*x)"}), ORIGIN, 16),
+    "epigraph_scalar_only": (Epigraph(_scalar_only(staircase_fn)), ORIGIN, 2),
+    "epigraph_raises_on_arrays": (Epigraph(_raises_near(lambda x: np.abs(arr(x)), 0.0101, 0.0102)), ORIGIN, 8),
+    "epigraph_signed_zero": (Epigraph(_signed_zero), ORIGIN, 8),
+    "epigraph_increasing": (Epigraph(lambda x: arr(x)), ORIGIN, 8),
+    "epigraph_decreasing": (Epigraph(lambda x: -arr(x) + _signed_zero(x)), ORIGIN, 8),
+    "epigraph_2d": (Epigraph(lambda x: np.abs(arr(x)).sum(axis=-1), n=2), GraphPoint([0.0, 0.0], [0.0]), 2),
+    "two_branch": (two_branch(), ORIGIN, 16),
+    "finite_constant_branch": (build_setmap({"kind": "finite", "branches": ["x", "0"]}), ORIGIN, 16),
+    "finite_not_vectorized": (FiniteValued([lambda x: arr(x), lambda x: 0.0 * arr(x)], vectorized=False), ORIGIN, 4),
+    "finite_raises_on_arrays": (
+        FiniteValued([_raises_near(lambda x: arr(x), 0.0101, 0.0102), lambda x: 0.5 * arr(x)]), ORIGIN, 8),
+    "single_one_branch": (build_setmap({"kind": "single", "expr": "x + 0.1*abs(x)"}), ORIGIN, 8),
+    "single_kink": (SingleValued(sinkink_fn), ORIGIN, 8),
+    "sum_remark": (SumMap(_SUM.objects["F"], _SUM.objects["G"]), ORIGIN, 16),
+    # no scalar branches and no branch values: each ball alone, row by row
+    "sum_cone": (SumMap(SingleValued(lambda x: 2.1 * arr(x)), NormalConeBox([-1.0], [1.0])), ORIGIN, 1),
+    "linear": (LinearOp(_A2), GraphPoint([0.4, -0.3], _A2 @ np.array([0.4, -0.3])), 16),
+    "single_2d_to_1d": (build_setmap({"kind": "single", "expr": "x1*x2 + x1", "n": 2, "m": 1}),
+                        GraphPoint([0.0, 0.0], [0.0]), 1),
+    # a 2D range takes the target grid of _covered_c_nd (11 grid points for n = 1)
+    "single_2d": (SingleValued(lambda x: np.concatenate([arr(x), arr(x) ** 2]), 1, 2),
+                  GraphPoint([0.0], [0.0, 0.0]), 2),
+}
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("name", sorted(_SUR_MAPS))
+def test_sur_equals_the_per_query_loop_of_before(name, norm):
+    F, point, per_shell = _SUR_MAPS[name]
+    sched = LiminfSchedule(r0=0.1, rho=0.5, shells=3, samples_per_shell=8)
+    with np.errstate(all="ignore"):
+        got = estimate_modulus("sur", F, point, sched, norm=norm, seed=42, sur_graph_points=per_shell)
+        ref = _reference_sur(F, point, sched, norm, 42, per_shell)
+    assert _fingerprint(got) == _fingerprint(ref)
+
+
+@pytest.mark.parametrize("name", sorted(_SUR_MAPS))
+def test_covered_c_many_equals_the_one_query_calls_of_before(name):
+    # every rate of a shell, not only the shell minimum
+    F, point, per_shell = _SUR_MAPS[name]
+    for r in (0.2, 1e-3):
+        gps = [point] + graph_sample(F, point, r, min(per_shell, 4), 11, "euclidean")
+        queries = [(gp, frac * r) for gp in gps for frac in (0.25, 1.0)]
+        X, Y, T = [gp.x for gp, _ in queries], [gp.y for gp, _ in queries], [t for _, t in queries]
+        with np.errstate(all="ignore"):
+            got = largest_covered_c_many(F, X, Y, T, seed=5)
+            ref = [_reference_largest_covered_c(F, x, y, t, seed=5) for x, y, t in zip(X, Y, T)]
+            lone = [largest_covered_c(F, x, y, t, seed=5) for x, y, t in zip(X, Y, T)]
+        assert [float(c).hex() for c in got] == [float(c).hex() for c in ref] == [float(c).hex() for c in lone]
+
+
+@pytest.mark.parametrize("name", ["two_branch", "finite_constant_branch", "finite_raises_on_arrays"])
+def test_covered_c_many_blocks_of_balls_give_the_same_rates(name, monkeypatch):
+    # the 1D ray path answers its balls in blocks of grid points: any block
+    # size gives the rates of one block
+    F, point, _ = _SUR_MAPS[name]
+    gps = [point] + graph_sample(F, point, 0.2, 8, 3, "euclidean")
+    X, Y = [gp.x for gp in gps for _ in range(3)], [gp.y for gp in gps for _ in range(3)]
+    T = [0.05, 0.1, 0.2] * len(gps)
+    got = {}
+    for block in (1, 1000, 10**9):
+        monkeypatch.setattr(moduli, "_COVER_BLOCK", block)
+        got[block] = [float(c).hex() for c in largest_covered_c_many(F, X, Y, T)]
+    assert got[1] == got[1000] == got[10**9]
+
+
+def test_covered_c_many_of_no_query_is_empty():
+    assert largest_covered_c_many(two_branch(), [], [], []) == []
+
+
+def test_staircase_criterion_polishes_in_lockstep(monkeypatch):
+    # criterion 4: one grid call and one probe call per block of polish
+    # rounds for each sur shell, where each interval used to take its own
+    # (9,031 calls of the staircase at seed 42)
+    from reglab import acceptance, corpus
+
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return staircase_fn(x)
+
+    monkeypatch.setattr(corpus, "staircase_fn", counted)
+    assert acceptance.criterion_4(42)["passed"]
+    assert len(calls) < 600

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reglab import setmaps
+from reglab import intervals, setmaps
 from reglab.corpus import load_example, sinkink_fn, staircase_fn
 from reglab.expr import compile_expression
 from reglab.geometry import TOL_FEAS, Ball, DomainError, GraphPoint, as_vector, vec_dist
@@ -622,6 +622,27 @@ def test_pointwise_epigraph_bisects_one_point_at_a_time():
     assert got[0][0] == pytest.approx(0.3377) and got[1][0] == pytest.approx(0.25) and got[2] == (np.inf, None)
 
 
+def test_epigraph_targets_share_one_grid_call():
+    # one call of f on the shared grid and one lockstep bisection for all
+    # targets, where each target used to evaluate the grid and bisect alone
+    calls = []
+
+    def square(x):
+        calls.append(np.shape(x))
+        return arr(x) ** 2
+
+    F = Epigraph(square)
+    ys = [[0.1], [0.2], [0.3], [0.4]]
+    for x0 in ([0.0], [1.0]):
+        calls.clear()
+        got = preimage_search_many(x0, F, ys)
+        # one grid call, then at most 60 halvings of all cells together
+        assert calls.count((401,)) == 1 and len(calls) <= 61
+        for y, found in zip(ys, got):
+            _same_search(found, _reference_search(x0, F, y, Ball(x0, 1.0), "euclidean"))
+    assert [float(d) for d, _ in got] == pytest.approx([1.0 - np.sqrt(y[0]) for y in ys])
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_preimage_search_many_overflowing_target_takes_the_lone_search(monkeypatch):
     # one target's grid values overflow to inf: that target alone falls back
@@ -948,7 +969,7 @@ def _reference_inf_on_interval(f, lo, hi, resolution=1601, polish=30):
 
 
 def _same_inf(f, lo, hi, **kw):
-    got, ref = setmaps._inf_on_interval(f, lo, hi, **kw), _reference_inf_on_interval(f, lo, hi, **kw)
+    got, ref = intervals._inf_on_interval(f, lo, hi, **kw), _reference_inf_on_interval(f, lo, hi, **kw)
     assert float(got).hex() == float(ref).hex()
 
 
@@ -1021,11 +1042,66 @@ def test_inf_on_interval_with_scalar_only_f_makes_the_calls_of_before():
             raise TypeError("one point at a time")
         return np.abs(arr(x) - 0.123)
 
-    got = setmaps._inf_on_interval(f, 0.0, 1.0, resolution=101)
+    got = intervals._inf_on_interval(f, 0.0, 1.0, resolution=101)
     new_calls, calls[:] = list(calls), []
     ref = _reference_inf_on_interval(f, 0.0, 1.0, resolution=101)
     assert float(got).hex() == float(ref).hex()
     assert new_calls == calls and len(calls) == 1 + 101 + 60
+
+
+def _pole_near(a, b):
+    # raises on any array with a point in (a, b); a 0-d point there is fine
+    def f(x):
+        x = arr(x)
+        if x.size > 1 and np.any((x > a) & (x < b)):
+            raise ArithmeticError("pole")
+        return np.abs(x - 0.5 * (a + b))
+
+    return f
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_INF_FUNCS) + ["pole"]),
+    spans=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 0.2, 0.3]), st.floats(-1.0, 1.0)),
+                                 st.one_of(st.sampled_from([0.0, 1e-4, 0.1, 0.5]), st.floats(0.0, 1.0))),
+                       min_size=1, max_size=6),
+    resolution=st.sampled_from([3, 41, 801]),
+    polish=st.sampled_from([7, 30]),
+)
+def test_inf_on_intervals_in_lockstep_equal_the_polish_of_before(name, spans, resolution, polish):
+    # the lockstep polish of several intervals (zero widths, signed zeros and
+    # intervals whose arrays raise among them) against each interval alone
+    f = _pole_near(0.2001, 0.2002) if name == "pole" else _INF_FUNCS[name]
+    lo = [c - w for c, w in spans]
+    hi = [c + w for c, w in spans]
+    with np.errstate(all="ignore"):
+        got = intervals._inf_on_intervals(f, lo, hi, resolution, polish)
+        ref = [_reference_inf_on_interval(f, a, b, resolution, polish) for a, b in zip(lo, hi)]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in ref]
+
+
+@pytest.mark.parametrize("block", [1, 100, 400, 8192])
+def test_inf_on_intervals_grid_blocks_that_raise_answer_their_intervals_alone(block):
+    # a grid block with an interval across the pole fails as a whole; its
+    # intervals are answered alone (the one across the pole point by point)
+    f = _pole_near(0.2001, 0.2002)
+    centers = np.linspace(-0.3, 0.7, 25)
+    lo, hi = centers - 0.05, centers + 0.05
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intervals, "_GRID_BLOCK", block)
+        got = intervals._inf_on_intervals(f, lo, hi, 101)
+    ref = [_reference_inf_on_interval(f, a, b, 101) for a, b in zip(lo, hi)]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in ref]
+
+
+def test_linspace_rows_equal_linspace_row_by_row():
+    lo = np.array([0.0, -0.0, 1.0, 0.3, 5e-324, -1.0])
+    hi = np.array([1.0, 0.0, 1.0, 0.3 + 1e-300, 1e-323, 1.0])
+    for num in (1, 2, 3, 801):
+        got = intervals._linspace_rows(lo, hi, num)
+        for i in range(lo.size):
+            assert got[i].tobytes() == np.linspace(lo[i], hi[i], num).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
@@ -1041,9 +1117,9 @@ def test_inf_on_interval_probe_table_rejects_wrong_shapes_and_complex_values():
         return x * x if x.size in (1, 1601) else x * x + 0j
 
     for f in (wrong_shape, complex_probes):
-        assert setmaps._probe_values(f, 0.5, 0.01, 2, 0.0, 1.0) is None
+        assert intervals._probe_values(f, 0.5, 0.01, 2, 0.0, 1.0) is None
         _same_inf(f, -0.5, 0.75)
-    assert len(setmaps._probe_values(staircase_fn, 0.5, 0.01, 2, 0.0, 1.0)) == 15
+    assert len(intervals._probe_values(staircase_fn, 0.5, 0.01, 2, 0.0, 1.0)) == 15
 
 
 # ---------------------------------------------------------------------------
@@ -1167,7 +1243,7 @@ _COMPLEX_EPIGRAPH_PATHS = {
     "covered_c_1d": lambda f: largest_covered_c(Epigraph(f), [0.5], [0.25], 0.1),
     "covered_c_2d": lambda f: largest_covered_c(
         Epigraph(lambda x: f(arr(x)[..., 0]), n=2), [0.5, 0.0], [0.25], 0.1),
-    "inf_on_interval": lambda f: setmaps._inf_on_interval(f, 0.0, 1.0),
+    "inf_on_interval": lambda f: intervals._inf_on_interval(f, 0.0, 1.0),
     "preimage_1d_epigraph": lambda f: setmaps._preimage_1d_epigraph(
         np.array([0.0]), Epigraph(f), 0.5, _grid_axes(np.array([0.0]), 1.0, 401), TOL_FEAS),
     "preimage_search": lambda f: preimage_search([0.0], Epigraph(f), [0.5]),
