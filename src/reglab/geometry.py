@@ -51,16 +51,11 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def _real(vals) -> np.ndarray:
-    """Function values as a float array; a complex one raises ValueError, as in ``as_vector``."""
+    """Function values as a float array; a complex one raises ValueError, as ``as_vector`` does."""
     vals = np.asarray(vals)
     if np.iscomplexobj(vals):
-        raise ValueError("function values must be real")
+        raise ValueError("vector entries must be real")
     return np.asarray(vals, dtype=float)
-
-
-def _real_first(val) -> float:
-    """The first entry of a function value as a float; see :func:`_real`."""
-    return float(_real(val).reshape(-1)[0])
 
 
 def vec_norm(v: np.ndarray, norm: str = "euclidean") -> float:

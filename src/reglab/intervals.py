@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _real, _real_first
+from .setmaps import _eval_rows, _eval_vectorized
 
 
 #: polish rounds whose probes ``_inf_on_intervals`` evaluates in one call.  k
@@ -70,30 +70,6 @@ def _probe_points(x, step, rounds: int, lo, hi) -> np.ndarray:
     return np.concatenate(levels, axis=-1)
 
 
-def _values_at(f, pts: np.ndarray):
-    """f at every entry of ``pts`` in one call, shaped like pts; None when f
-    raises on the array or gives anything but one real value per point."""
-    try:
-        vals = _real(f(pts.ravel()))
-    except Exception:
-        return None
-    return vals.reshape(pts.shape) if vals.shape == (pts.size,) else None
-
-
-def _probe_values(f, x, step, rounds: int, lo, hi):
-    """f at the ``_probe_points`` of x in one call, or None (see ``_values_at``)."""
-    return _values_at(f, _probe_points(x, step, rounds, lo, hi))
-
-
-def _probe_at(f, z: np.ndarray) -> np.ndarray:
-    """f at the one point of z as a 0-d call; nan (never a decrease) where it raises."""
-    try:
-        fz = f(np.asarray(z[0]))
-    except Exception:
-        return np.array([np.nan])
-    return np.array([_real_first(fz)])
-
-
 def _polish_block(f, x, best, step, rounds: int, lo, hi, batched: bool):
     """``rounds`` polish rounds of every interval in lockstep: probes at x + s
     and then x - s, clamped to [lo, hi], each kept on a strict decrease, with s
@@ -101,14 +77,15 @@ def _polish_block(f, x, best, step, rounds: int, lo, hi, batched: bool):
     (``_probe_points``) and their values from one call on it; where that call
     fails, each interval of the block takes its own call, and a lone interval
     without one (or whose grid was evaluated point by point) makes one 0-d
-    call per probe and skips a probe that raises.  Returns the new
+    call per probe, NaN (never a decrease) where it raises.  Returns the new
     (x, best, step)."""
     pts = _probe_points(x, step, rounds, lo, hi)
-    table = _values_at(f, pts) if batched else None
+    table = _eval_vectorized(f, pts.reshape(-1, 1), 1, 1, finite=False) if batched else None
     if table is None and batched and x.size > 1:
         parts = [_polish_block(f, x[j:j + 1], best[j:j + 1], step[j:j + 1], rounds, lo[j:j + 1], hi[j:j + 1], True)
                  for j in range(x.size)]
         return tuple(np.concatenate(p) for p in zip(*parts))
+    table = None if table is None else table.reshape(pts.shape)
     rows = np.arange(x.size)
     node = np.zeros(x.size, dtype=np.intp)
     for _ in range(rounds):
@@ -117,7 +94,7 @@ def _polish_block(f, x, best, step, rounds: int, lo, hi, batched: bool):
             kind = 1 if first else np.where(outcome > 0, 2, 3)
             at = 3 * node + kind - 1
             z = pts[rows, at]
-            fz = table[rows, at] if table is not None else _probe_at(f, z)
+            fz = table[rows, at] if table is not None else _eval_rows(f, z, 1, 1, finite=False, skip=True)[0][:, 0]
             better = fz < best
             x, best = np.where(better, z, x), np.where(better, fz, best)
             outcome = np.where(better, kind, outcome)
@@ -148,18 +125,17 @@ def _inf_on_intervals(f, lo, hi, resolution: int = 1601, polish: int = 30) -> li
     for start in range(0, lo.size, block):
         rows = slice(start, start + block)
         xs = _linspace_rows(lo[rows], hi[rows], resolution)
-        try:
-            vals = np.asarray(f(xs.ravel()))
-            batched[rows] = vals.shape == (xs.size,)
-        except Exception:
-            batched[rows] = False
-        if batched[start]:
-            x[rows], best[rows] = _grid_min(xs, _real(vals).reshape(xs.shape))
+        vals = _eval_vectorized(f, xs.reshape(-1, 1), 1, 1, finite=False)
+        batched[rows] = vals is not None
+        if vals is not None:
+            x[rows], best[rows] = _grid_min(xs, vals.reshape(xs.shape))
     if batched.all():
         return _polish(f, x, best, lo, hi, resolution, polish, True).tolist()
     if lo.size == 1:
         xs = _linspace_rows(lo, hi, resolution)
-        x, best = _grid_min(xs, np.array([[_real_first(f(np.array([p]))) for p in xs[0]]]))
+        # its batch failed above: one call per point, not that batch again
+        vals = [_eval_rows(f, p, 1, 1, finite=False)[0] for p in xs.reshape(-1, 1, 1)]
+        x, best = _grid_min(xs, np.concatenate(vals).T)
         return _polish(f, x, best, lo, hi, resolution, polish, False).tolist()
     out = np.empty(lo.size)
     for i in np.flatnonzero(~batched).tolist():

@@ -31,6 +31,7 @@ from .setmaps import (
     _bisect_threshold,
     _cone_cover_rates,
     _coordinate_polish,
+    _eval_rows,
     _eval_vectorized,
     _value_candidates,
     dist_to_preimage,
@@ -326,7 +327,12 @@ def _attained_structures_1d(F: SetMap, X: np.ndarray, T: np.ndarray, resolution:
         return _stack_structures([_descriptor_structure(F, [i], _ball_grid(x, t, 41, norm))
                                   for i, (x, t) in enumerate(zip(X, T))])
     xs = _linspace_rows(X[:, 0] - T, X[:, 0] + T, resolution)
-    curves = [_branch_curves(b, xs) for b in scalar_branches(F) or []]
+    # a ball's grid is one point of the branch's curve, answered by one call
+    # of the branch (where that call fails, reshaping None raises and the
+    # ball stays unanswered): every ball in one call, else each ball alone.
+    # A NaN or infinite value stays in the curve (the ball may leave the domain)
+    curves = [_eval_rows(lambda Z, b=b: _eval_vectorized(b, Z.reshape(-1, 1), 1, 1, finite=False).reshape(Z.shape),
+                         xs, resolution, resolution, finite=False, skip=True) for b in scalar_branches(F) or []]
     ok = np.all([c[1] for c in curves], axis=0) if curves else np.zeros(T.size, dtype=bool)
     pieces = []
     if ok.any():
@@ -341,20 +347,6 @@ def _attained_structure_1d(F: SetMap, x: np.ndarray, t: float, resolution: int, 
     the one-ball call of :func:`_attained_structures_1d`."""
     _, pts, _, ivs = _attained_structures_1d(F, x[None, :], np.array([t], dtype=float), resolution, norm)
     return pts.tolist(), [tuple(iv) for iv in ivs.tolist()], max(1e-9, 1e-9 * t)
-
-
-def _branch_curves(b, xs: np.ndarray):
-    """A scalar branch on the (k, L) grid rows: its values (k, L) and which rows
-    it gives, from one call on all rows (a NaN or infinite value stays in the
-    curve: the ball may leave the domain); where that call fails, each row is
-    tried alone."""
-    out = _eval_vectorized(b, xs.reshape(-1, 1), 1, 1, finite=False)
-    if out is not None:
-        return out.reshape(xs.shape), np.ones(len(xs), dtype=bool)
-    if len(xs) == 1:
-        return np.full(xs.shape, np.nan), np.zeros(1, dtype=bool)
-    per_row = [_branch_curves(b, row[None, :]) for row in xs]
-    return np.vstack([v for v, _ in per_row]), np.concatenate([ok for _, ok in per_row])
 
 
 def _descriptor_structure(F: SetMap, rows, grid: np.ndarray):

@@ -39,12 +39,10 @@ from .geometry import (
     DomainError,
     GraphPoint,
     _real,
-    _real_first,
     as_vector,
     vec_dist,
     vec_norm,
 )
-from .intervals import _inf_on_intervals
 from .rng import SplitMix64, derive_seed, shell_points_1d, sphere_directions
 
 INF = float("inf")
@@ -549,10 +547,10 @@ class SetMap:
     {out_j[i]} (by default the batch values as one branch); the base
     ``batch_dist`` is the minimum over branches of their row distances, and a
     kind without branch values may give its own (``PolyhedralGraph``
-    projects all rows at once).  These batch hooks leave a batch with a
-    complex value, or with ``finite`` (the default) a non-finite one, to the
-    row-by-row path, which raises; a search grid passes ``finite=False`` and
-    gets NaN or infinite distances there.
+    projects all rows at once).  The values of a user callable come from
+    ``_eval_rows``; with ``finite`` (the default) a non-finite value raises
+    there, and a search grid passes ``finite=False`` to get NaN or infinite
+    distances instead.
     ``preimage_1d(x0, ys, grid, ...)`` takes an array of targets and gives a
     list with one entry per target: its (distance, point), or ``None`` where
     the 1D path cannot answer that target and the grid search must.
@@ -627,6 +625,10 @@ class SingleValued(SetMap):
     def __call__(self, x):
         return as_vector(self.fn(as_vector(x, self.n)), self.m)
 
+    @property
+    def branches(self):
+        return [self.fn]
+
     def _value_set(self, x):
         return FinitePoints([self(x)])
 
@@ -634,7 +636,7 @@ class SingleValued(SetMap):
         return _eval_vectorized(self.fn, X, self.n, self.m, finite) if self.vectorized else None
 
     def branch_values(self, X, finite=True):
-        return [_branch_rows(self.fn, X, self.n, self.m, self.vectorized, finite)]
+        return FiniteValued.branch_values(self, X, finite)
 
     def scalar_branches(self):
         return [self.fn] if self.vectorized else None
@@ -663,7 +665,10 @@ class FiniteValued(SetMap):
         return FinitePoints([as_vector(b(x), self.m) for b in self.branches])
 
     def branch_values(self, X, finite=True):
-        return [_branch_rows(b, X, self.n, self.m, self.vectorized, finite) for b in self.branches]
+        # a callable that is not vectorized takes one point per call
+        parts = [X] if self.vectorized else X[:, None]
+        return [np.array([_eval_rows(b, Z, self.n, self.m, finite)[0] for Z in parts]).reshape(len(X), self.m)
+                for b in self.branches]
 
     def scalar_branches(self):
         return list(self.branches) if self.vectorized else None
@@ -702,7 +707,7 @@ class Epigraph(SetMap):
         self.vectorized = vectorized
 
     def _value_set(self, x):
-        return BoxSet([_real_first(self.f(x))], [INF])
+        return BoxSet(_eval_rows(self.f, x[None], self.n, 1, finite=False)[0][0], [INF])
 
     def batch_dist(self, y, X, norm, finite=True):
         out = _eval_vectorized(self.f, X, self.n, 1, finite) if self.vectorized else None
@@ -715,16 +720,19 @@ class Epigraph(SetMap):
         # interval arithmetic: F(B[x, t]) = [inf of f over the ball, +inf); in
         # 1D the intervals of all queries are polished in lockstep
         if self.n == 1:
+            from .intervals import _inf_on_intervals
+
             lo_f = _inf_on_intervals(self.f, X[:, 0] - T, X[:, 0] + T, resolution)
         else:
-            per_axis = 41 if self.n == 2 else 11
-            lo_f = [float(np.min([_real_first(self.f(row)) for row in _ball_grid(x, t, per_axis, norm)]))
-                    for x, t in zip(X, T)]
+            grids = [_ball_grid(x, t, 41 if self.n == 2 else 11, norm) for x, t in zip(X, T)]
+            # a callable that is not vectorized takes one point per call
+            lo_f = [float(np.min([_eval_rows(self.f, Z, self.n, 1, finite=False)[0]
+                                  for Z in ([grid] if self.vectorized else grid[:, None])])) for grid in grids]
         return [max(0.0, (y - lo) / t) for y, lo, t in zip(Y[:, 0].tolist(), lo_f, T.tolist())]
 
     def sample_graph(self, s):
         for j, x in enumerate(s.domain()):
-            fx = _real_first(self.f(x))
+            fx = float(self._value_set(x).lo[0])
             if abs(fx - s.cy[0]) <= s.radius:
                 s.push(x, np.array([fx]))  # boundary sample
             if j % 2 == 0:
@@ -941,7 +949,7 @@ class SumMap(SetMap):
         bg = scalar_branches(self.G)
         if bf is None or bg is None:
             return None
-        return [lambda x, f=f, g=g: np.asarray(f(x), dtype=float) + np.asarray(g(x), dtype=float) for f in bf for g in bg]
+        return [lambda x, f=f, g=g: _real(f(x)) + _real(g(x)) for f in bf for g in bg]
 
     def preimage_1d(self, x0, ys, grid, norm, tol_feas):
         # f + N_[lo, hi] with one scalar branch f: F^{-1}(y) is the roots of
@@ -1021,11 +1029,10 @@ def dist_to_value_set(y, F: SetMap, x, norm: str = "euclidean") -> float:
 def dist_to_value_set_batch(y, F: SetMap, X: np.ndarray, norm: str = "euclidean", finite: bool = True) -> np.ndarray:
     """Vectorized dist_to_value_set over rows of X (shape (k, n)).
 
-    A batch whose values are complex, or not finite with ``finite``, goes row
-    by row and raises where dist_to_value_set raises.  ``finite=False`` keeps
-    non-finite values as NaN or infinite distances instead: a search grid
-    that crosses a hole of the domain (sqrt(x), 1/x) counts such a row as
-    infeasible.
+    It raises where dist_to_value_set raises (see ``_eval_rows``), except that
+    ``finite=False`` keeps non-finite values as NaN or infinite distances: a
+    search grid that crosses a hole of the domain (sqrt(x), 1/x) counts such
+    a row as infeasible.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = as_vector(y, F.m)
@@ -1036,30 +1043,55 @@ def dist_to_value_set_batch(y, F: SetMap, X: np.ndarray, norm: str = "euclidean"
 
 
 def _eval_vectorized(fn, X: np.ndarray, n: int, m: int, finite: bool = True):
-    """A callable on a batch of points: its (k, m) values, or None where the
-    call raises or gives the wrong shape, a complex value or, with
-    ``finite``, a non-finite one, so that the per-point path decides (and
-    raises, as ``as_vector`` does)."""
+    """A callable on a batch of points, in one call: its (k, m) values, or None
+    where the call raises, gives the wrong shape (for m = 1, k values as (k,)
+    or (k, 1)), a complex value or, with ``finite``, a non-finite one."""
     try:
         out = _real(fn(X[:, 0] if n == 1 else X))
     except Exception:
         return None
     k = X.shape[0]
-    if m == 1 and out.shape == (k,):
+    if m == 1 and out.size == k and out.ndim < 2:
         out = out.reshape(k, 1)
     elif m != 1 and out.shape == (m, k) != (k, m):
         out = out.T
     return out if out.shape == (k, m) and (not finite or np.isfinite(out).all()) else None
 
 
-def _branch_rows(fn, X: np.ndarray, n: int, m: int, vectorized: bool, finite: bool = True) -> np.ndarray:
-    """(k, m) values of ``fn`` on the rows of X: the first row's value tiled for
-    a constant expression, one batch call when it passes the shape check, else
-    row by row with the call ``value_set`` makes."""
-    if getattr(fn, "constant", False) and len(X):
-        return np.tile(as_vector(fn(X[0]), m), (len(X), 1))
-    out = _eval_vectorized(fn, X, n, m, finite) if vectorized else None
-    return out if out is not None else np.array([as_vector(fn(row), m) for row in X]).reshape(len(X), m)
+def _eval_rows(fn, X: np.ndarray, n: int, m: int, finite: bool = True, skip: bool = False):
+    """The values of a user callable fn: R^n -> R^m at the points X and the
+    points it answered: the one place that decides how such a callable is
+    evaluated.
+
+    X is (k, n), or (k,) for points of R that fn takes as 0-d arrays.  A
+    callable marked ``constant`` (a compiled expression that names no
+    variable) is called at the first point and its value tiled.  Otherwise
+    k >= 2 points take one call (``_eval_vectorized``); where that call
+    fails, and for a single point, each point takes its own call, whose value
+    must pass the checks of ``as_vector`` (real, m entries and, with
+    ``finite``, finite) or raises as it does.  A call that raises raises,
+    or with ``skip`` leaves its point unanswered.  Returns the (k, m) values
+    (NaN where unanswered) and the (k,) mask of answered points.
+    """
+    k = len(X)
+    const = k > 1 and getattr(fn, "constant", False)
+    out = None if const or k < 2 else _eval_vectorized(fn, X, n, m, finite)
+    if out is not None:
+        return out, np.ones(k, dtype=bool)
+    rows = X[:1] if const else X
+    vals, answered = np.full((len(rows), m), np.nan), np.zeros(len(rows), dtype=bool)
+    for i in range(len(rows)):
+        try:
+            v = fn(rows[i, ...])
+        except Exception:
+            if skip:
+                continue
+            raise
+        v = _real(v)
+        if v.size != m or v.ndim > 1 or (finite and not np.isfinite(v).all()):
+            as_vector(v if finite else np.nan_to_num(v), m)  # raises as as_vector does
+        vals[i], answered[i] = v.reshape(m), True
+    return (np.tile(vals, (k, 1)), np.tile(answered, k)) if const else (vals, answered)
 
 
 def _batch_fast_path(y, F, X, norm, finite=True):
@@ -1142,14 +1174,6 @@ def _bisect_root(fn, a, b, fa, iters: int = 60) -> np.ndarray:
         return 0.5 * (a + b)
 
 
-def _real_values(fn, xs: np.ndarray) -> np.ndarray:
-    """``fn`` on the 1D points ``xs``: one real value per point."""
-    vals = np.asarray(fn(xs))
-    if vals.size != xs.size or np.iscomplexobj(vals):
-        raise TypeError("a branch must give one real value per point")
-    return vals.astype(float).reshape(-1)
-
-
 def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_feas: float, bounds=None) -> list:
     """Exact-ish preimages (dist, point) of the targets ``ys`` for a 1D map with
     continuous branches, one entry per target.
@@ -1160,8 +1184,8 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
     With ``bounds`` (lo, hi), only points of [lo, hi] count: the grid keeps
     its points inside and gains the bounds that lie in its span, and the polish
     keeps the grid's step but stays in [lo, hi].  An entry is None when a
-    branch raises or gives the wrong shape or a complex value on the grid, or
-    a non-finite value for that target.
+    branch fails as one call on the grid (``_eval_vectorized``: a constant
+    branch's bare literal too), or gives a non-finite value for that target.
     """
     xs = grid[:, 0]
     h = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
@@ -1174,17 +1198,16 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
     ys = np.asarray(ys, dtype=float).reshape(-1)
     curves = []
     for b in branches:
-        try:
-            vals = _real_values(b, xs)
-        except Exception:
+        vals = _eval_vectorized(b, xs[:, None], 1, 1, finite=False)
+        if vals is None:
             return [None] * ys.size
-        curves.append(vals[None, :] - ys[:, None])
+        curves.append(vals.T - ys[:, None])
     finite = np.all([np.isfinite(v).all(axis=1) for v in curves], axis=0)
     roots = []  # per branch: each target's roots, in cell order
     for b, vals in zip(branches, curves):
         target, cell = np.nonzero((vals[:, :-1] * vals[:, 1:] < 0) & finite[:, None])
         cell_roots = _bisect_root(
-            lambda x, b=b, y0=ys[target]: _real_values(b, x) - y0,
+            lambda x, b=b, y0=ys[target]: _eval_rows(b, x[:, None], 1, 1, finite=False)[0][:, 0] - y0,
             xs[cell], xs[cell + 1], vals[target, cell],
         ) if cell.size else cell
         roots.append(np.split(cell_roots, np.searchsorted(target, np.arange(1, ys.size))))
@@ -1223,7 +1246,7 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
                     if abs(float(vals[i])) > 2.0 * local_delta + tol_feas:
                         continue
                     z, fx = _coordinate_polish(
-                        lambda z, b=b: abs(_real_first(b(np.asarray(z[0]))) - y0),
+                        lambda z, b=b: abs(float(_eval_rows(b, z, 1, 1, finite=False)[0][0, 0]) - y0),
                         lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4, **clamp,
                     )
                     if fx <= tol_feas:
@@ -1244,22 +1267,14 @@ def _preimage_1d_epigraph(x0, F, ys, grid: np.ndarray, tol_feas: float) -> list:
     target, as in ``_preimage_1d_branches``.
     """
     xs = grid[:, 0]
-    f = F.f
-    try:
-        vals = np.asarray(f(xs))
-    except Exception:
-        vals = np.array([_real_first(f(np.array([x]))) for x in xs])
-
-        def f(x):  # the bisection too takes one point at a time
-            return np.array([_real_first(F.f(np.asarray(p))) for p in x])
-
     ys = np.asarray(ys, dtype=float).reshape(-1)
-    vals = _real(vals).reshape(-1)[None, :] - ys[:, None]
+    vals = _eval_rows(F.f, grid, 1, 1, finite=False)[0].T - ys[:, None]
     feas = vals <= tol_feas
     # sharpen across feasibility boundaries adjacent to the best grid points
     target, cell = np.nonzero((feas[:, :-1] != feas[:, 1:]) & (vals[:, :-1] * vals[:, 1:] < 0))
     roots = _bisect_root(
-        lambda x, y0=ys[target]: _real_values(f, x) - y0, xs[cell], xs[cell + 1], vals[target, cell],
+        lambda x, y0=ys[target]: _eval_rows(F.f, x[:, None], 1, 1, finite=False)[0][:, 0] - y0,
+        xs[cell], xs[cell + 1], vals[target, cell],
     ) if cell.size else cell
     roots = np.split(roots, np.searchsorted(target, np.arange(1, ys.size)))
     out = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from reglab import moduli
 from reglab.corpus import load_example, sinkink_fn, staircase_fn
-from reglab.geometry import GraphPoint, _real_first, as_vector, vec_dist
+from reglab.geometry import GraphPoint, _real, as_vector, vec_dist
 from reglab.moduli import (
     LiminfSchedule,
     _attained_structure_1d,
@@ -55,6 +55,12 @@ from test_setmaps import _reference_inf_on_interval
 arr = lambda x: np.asarray(x, dtype=float)
 ORIGIN = GraphPoint([0.0], [0.0])
 FAST = LiminfSchedule(r0=0.1, rho=0.5, shells=5, samples_per_shell=32)
+
+
+# the helper that the verbatim references below call, as it was in reglab.geometry
+def _real_first(val) -> float:
+    """The first entry of a function value as a float; see :func:`_real`."""
+    return float(_real(val).reshape(-1)[0])
 
 
 def two_branch():

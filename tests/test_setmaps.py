@@ -15,10 +15,10 @@ from reglab.setmaps import (
     INF,
     AffineSet,
     _bisect_root,
-    _branch_rows,
     _coordinate_polish,
+    _eval_rows,
+    _eval_vectorized,
     _grid_axes,
-    _real_values,
     Epigraph,
     FinitePoints,
     FiniteValued,
@@ -392,9 +392,9 @@ def test_constant_branch_rows_are_tiled_bitwise(text, n):
     fn = compile_expression(text, n)
     X = _X1_WIDE if n == 1 else np.column_stack([_X1_WIDE[:, 0], _X1_WIDE[::-1, 0]])
     rows = np.array([as_vector(fn(row), 1) for row in X]).reshape(len(X), 1)
-    got = _branch_rows(fn, X, n, 1, True)
+    got = _eval_rows(fn, X, n, 1)[0]
     assert fn.constant and got.shape == rows.shape and got.tobytes() == rows.tobytes()
-    assert _branch_rows(fn, X[:0], n, 1, True).shape == (0, 1)
+    assert _eval_rows(fn, X[:0], n, 1)[0].shape == (0, 1)
 
 
 def test_constant_mark_keeps_the_bare_literal_on_a_batch():
@@ -437,7 +437,7 @@ def test_branch_on_an_array_equals_branch_on_0d_input_bitwise(name, length):
     for pts in (rng.uniform(-1e-3, 1e-3, length), rng.uniform(-1.0, 1.0, length)):
         # the bisection evaluates its midpoints as an array; a lone search, as 0-d input
         scalar = np.array([float(np.asarray(fn(np.asarray(p)))) for p in pts])
-        assert _real_values(fn, pts).tobytes() == scalar.tobytes()
+        assert _eval_rows(fn, pts[:, None], 1, 1, finite=False)[0][:, 0].tobytes() == scalar.tobytes()
 
 
 def _reference_bisect_root(fn, a: float, b: float, fa: float, fb: float, iters: int = 60) -> float:
@@ -686,6 +686,15 @@ def test_complex_branch_values_still_raise():
         preimage_search_many([0.0], F, [[0.3], [0.1]])
     with pytest.raises(ValueError, match="real"):
         dist_to_value_set([0.3], F, [0.1])
+    # the branch sums of a sum cast each summand: the cast dropped the
+    # imaginary part, and preimage_search returned (0.3, [0.3])
+    S = SumMap(SingleValued(lambda x: x + 0.5j * x), SingleValued(lambda x: 0 * x))
+    with pytest.raises(ValueError, match="real"):
+        preimage_search([0.0], S, [0.3])
+    with pytest.raises(ValueError, match="real"):
+        preimage_search_many([0.0], S, [[0.3], [0.1]])
+    with pytest.raises(ValueError, match="real"):
+        dist_to_value_set([0.3], S, [0.1])
 
 
 def test_preimage_search_many_other_kinds_search_per_target():
@@ -1116,10 +1125,11 @@ def test_inf_on_interval_probe_table_rejects_wrong_shapes_and_complex_values():
         x = arr(x)
         return x * x if x.size in (1, 1601) else x * x + 0j
 
+    probes = intervals._probe_points(0.5, 0.01, 2, 0.0, 1.0).reshape(-1, 1)
     for f in (wrong_shape, complex_probes):
-        assert intervals._probe_values(f, 0.5, 0.01, 2, 0.0, 1.0) is None
+        assert _eval_vectorized(f, probes, 1, 1, finite=False) is None
         _same_inf(f, -0.5, 0.75)
-    assert len(intervals._probe_values(staircase_fn, 0.5, 0.01, 2, 0.0, 1.0)) == 15
+    assert len(_eval_vectorized(staircase_fn, probes, 1, 1, finite=False)) == 15
 
 
 # ---------------------------------------------------------------------------
@@ -1189,6 +1199,8 @@ _SQRT = lambda x: np.sqrt(arr(x))
 #: search gave before batches failed where the rows fail
 _DOMAIN_EDGE_SEARCHES = {
     "sqrt": (SingleValued(_SQRT), [0.5], ("0x1.fffffeb851eb8p-3", "0x1.000000a3d70a4p-2")),
+    # one point per call: its rows past the edge are infeasible too (they raised)
+    "sqrt_not_vectorized": (SingleValued(_SQRT, vectorized=False), [0.5], ("0x1.fffffeb851eb8p-3", "0x1.000000a3d70a4p-2")),
     "pole": (SingleValued(lambda x: 1.0 / arr(x)), [3.0], ("0x1.5555553333336p-3", "0x1.5555556666665p-2")),
     "inline_sqrt": (SingleValued(compile_expression("sqrt(x)")), [0.9], ("0x1.3d70a2b851ebap-2", "0x1.9eb8515c28f5dp-1")),
     "pm_sqrt": (FiniteValued([_SQRT, lambda x: -_SQRT(x)]), [-0.9], ("0x1.3d70a2b851ebap-2", "0x1.9eb8515c28f5dp-1")),
