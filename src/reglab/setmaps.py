@@ -1063,8 +1063,8 @@ def _eval_rows(fn, X: np.ndarray, n: int, m: int, finite: bool = True, skip: boo
     points it answered: the one place that decides how such a callable is
     evaluated.
 
-    X is (k, n), or (k,) for points of R that fn takes as 0-d arrays.  A
-    callable marked ``constant`` (a compiled expression that names no
+    X is (k, n); a (1,) array is one point of R, which fn takes as a 0-d
+    array.  A callable marked ``constant`` (a compiled expression that names no
     variable) is called at the first point and its value tiled.  Otherwise
     k >= 2 points take one call (``_eval_vectorized``); where that call
     fails, and for a single point, each point takes its own call, whose value
