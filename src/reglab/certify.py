@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import STRICT_SLACK, TOL_FEAS, Ball, GraphPoint, JsonReport, as_vector, vec_dist
 from .moduli import LiminfSchedule, check_on_graph, estimate_modulus, linear_moduli
-from .rng import SplitMix64, derive_seed, shell_points
+from .rng import SplitMix64, derive_seed, shell_points, sphere_directions
 from .setmaps import (
     INF,
     SetMap,
@@ -26,6 +26,7 @@ from .setmaps import (
     dist_to_value_set,
     graph_sample,
     preimage_search,
+    preimage_search_many,
     require_single_valued,
 )
 
@@ -94,9 +95,8 @@ def _conclusion_tol(scale: float) -> float:
 
 
 def _covering_conclusion(F, point, c, r, seed, norm, t_count=4, n_targets=12):
-    """Sampled check of F(B(xbar, t)) >= B(ybar, c t) on a grid of t in (0, r)."""
-    from .rng import sphere_directions
-
+    """Sampled check of F(B(xbar, t)) >= B(ybar, c t) on a grid of t in (0, r),
+    with one preimage call per t."""
     witnesses = []
     ts = [r * k / (t_count + 1) for k in range(1, t_count + 1)]
     rng = SplitMix64(derive_seed(seed, "cover-conclusion"))
@@ -107,8 +107,8 @@ def _covering_conclusion(F, point, c, r, seed, norm, t_count=4, n_targets=12):
                 targets.append(point.y + frac * c * t * np.asarray(v))
         for _ in range(2):
             targets.append(rng.in_ball(point.y, c * t, norm))
-        for target in targets:
-            dpre = dist_to_preimage(point.x, F, target, Ball(point.x, 1.05 * t), norm=norm)
+        found = preimage_search_many(point.x, F, targets, Ball(point.x, 1.05 * t), norm=norm)
+        for target, (dpre, _) in zip(targets, found):
             if dpre > t * (1 + CONCLUSION_RTOL) + CONCLUSION_ATOL:
                 witnesses.append(
                     {"t": t, "target": [float(v) for v in target], "preimage_distance": dpre}
@@ -574,10 +574,10 @@ def verify_sum_distance_bound(
     total = SumMap(F, G)
     base_vs = F.value_set(xbar).translate(zbar)
     witnesses = []
-    for _ in range(samples):
-        yv = rng.in_ball(ybar + zbar, beta, norm)
+    ys = [rng.in_ball(ybar + zbar, beta, norm) for _ in range(samples)]
+    found = preimage_search_many(xbar, total, ys, Ball(xbar, max(2 * a, 4 * factor * beta)), norm=norm)
+    for yv, (dpre, _) in zip(ys, found):
         rhs = factor * base_vs.dist(yv, norm)
-        dpre = dist_to_preimage(xbar, total, yv, Ball(xbar, max(2 * a, 4 * factor * beta)), norm=norm)
         if dpre > rhs + _conclusion_tol(max(rhs, beta)):
             witnesses.append({"y": list(yv), "preimage_distance": dpre, "bound": rhs})
     report.conclusion = {"checked": True, "passed": not witnesses, "witnesses": witnesses, "factor": factor}

@@ -29,6 +29,7 @@ from .setmaps import (
     dist_to_value_set,
     graph_sample,
     preimage_search,
+    preimage_search_many,
     require_single_valued,
 )
 
@@ -385,18 +386,18 @@ def rosl_check(
         report.notes.append("condition violated: conclusion not tested")
         return report.finalize()
 
-    def attained(center_x, target, t):
-        dpre, _ = preimage_search(center_x, F, target, Ball(center_x, 1.02 * t + 1e-9))
-        return dpre <= t * (1 + COVER_RTOL) + COVER_ATOL, dpre
+    def attained(center_x, targets, t):
+        """(ok, dist) per target: one preimage call for all targets of one center and t."""
+        found = preimage_search_many(center_x, F, targets, Ball(center_x, 1.02 * t + 1e-9))
+        return [(dpre <= t * (1 + COVER_RTOL) + COVER_ATOL, dpre) for dpre, _ in found]
 
     if condition in ("C1", "C2"):
         for t in report.t_grid:
-            for v in sphere_directions(F.m, 8, derive_seed(seed, f"rosl-dirs{t}")):
-                for frac in (0.5, 1.0):
-                    target = ybar + frac * ell * t * np.asarray(v)
-                    ok, dpre = attained(xbar, target, t)
-                    entry = {"t": t, "target": [float(u) for u in target], "preimage_distance": dpre}
-                    (report.attained if ok else report.unattained).append(entry)
+            dirs = sphere_directions(F.m, 8, derive_seed(seed, f"rosl-dirs{t}"))
+            targets = [ybar + frac * ell * t * np.asarray(v) for v in dirs for frac in (0.5, 1.0)]
+            for target, (ok, dpre) in zip(targets, attained(xbar, targets, t)):
+                entry = {"t": t, "target": [float(u) for u in target], "preimage_distance": dpre}
+                (report.attained if ok else report.unattained).append(entry)
     elif condition == "ROSLw":
         for _ in range(min(samples, 64)):
             yv = rng.in_ball(ybar, r * ell, "euclidean")
@@ -412,9 +413,9 @@ def rosl_check(
         pts = graph_sample(F, GraphPoint(xbar, ybar), r, 8, derive_seed(seed, "rosl-gp"))
         for gp in [GraphPoint(xbar, ybar)] + pts:
             for t in report.t_grid:
-                for v in sphere_directions(F.m, 4, derive_seed(seed, f"rosl-a{t}")):
-                    target = gp.y + ell * t * np.asarray(v)
-                    ok, dpre = attained(gp.x, target, t)
+                dirs = sphere_directions(F.m, 4, derive_seed(seed, f"rosl-a{t}"))
+                targets = [gp.y + ell * t * np.asarray(v) for v in dirs]
+                for target, (ok, dpre) in zip(targets, attained(gp.x, targets, t)):
                     entry = {
                         "x": [float(u) for u in gp.x],
                         "t": t,

@@ -6,11 +6,12 @@ and membership tests (finite point sets, boxes, affine sets, unions of convex
 polyhedra).  On top of the descriptors sit the three work-horse oracles:
 
 * ``dist_to_value_set(y, F, x)``   distance from y to F(x)
-* ``dist_to_preimage(x0, F, y)``   distance from x0 to F^{-1}(y), analytic
-  where possible and honest grid search with local refinement otherwise
-* ``preimage_search_many(x0, F, ys)``   the preimage searches of many targets
-  that share x0 and the search region, in one call: a 1D map evaluates its
-  branches once on the shared grid and bisects every root in lockstep
+* ``preimage_search_many(x0, F, ys)``   the preimage oracle: (distance, point)
+  from x0 to F^{-1}(y) for many targets that share x0 and the search region,
+  analytic where possible, else a 1D map's branches evaluated once on the
+  shared grid with every root bisected in lockstep, else honest grid search
+  with local refinement.  ``preimage_search(x0, F, y)`` is its one-query
+  call and ``dist_to_preimage(x0, F, y)`` the distance of that call
 * ``graph_sample(F, center, r)``   seeded, feasibility-checked graph points
 
 The oracles, and the moduli built on them, name no map class: each kind
@@ -1264,16 +1265,24 @@ def _preimage_1d_epigraph(x0, F, ys, grid: np.ndarray, tol_feas: float) -> list:
 
     f is evaluated once on the grid, and the cells where a target's
     feasibility changes sign are bisected in lockstep, each toward its own
-    target, as in ``_preimage_1d_branches``.
+    target, as in ``_preimage_1d_branches``.  Where the grid's batch fails,
+    each grid point and each midpoint takes its own call, as the lone
+    interval of ``intervals._inf_on_intervals`` does.
     """
     xs = grid[:, 0]
     ys = np.asarray(ys, dtype=float).reshape(-1)
-    vals = _eval_rows(F.f, grid, 1, 1, finite=False)[0].T - ys[:, None]
+    batch = _eval_vectorized(F.f, grid, 1, 1, finite=False)
+    each = batch is None and not getattr(F.f, "constant", False)  # _eval_rows tiles a constant f
+
+    def f_rows(X):
+        return np.concatenate([_eval_rows(F.f, p, 1, 1, finite=False)[0] for p in (X[:, None] if each else [X])])
+
+    vals = (f_rows(grid) if batch is None else batch).T - ys[:, None]
     feas = vals <= tol_feas
     # sharpen across feasibility boundaries adjacent to the best grid points
     target, cell = np.nonzero((feas[:, :-1] != feas[:, 1:]) & (vals[:, :-1] * vals[:, 1:] < 0))
     roots = _bisect_root(
-        lambda x, y0=ys[target]: _eval_rows(F.f, x[:, None], 1, 1, finite=False)[0][:, 0] - y0,
+        lambda x, y0=ys[target]: f_rows(x[:, None])[:, 0] - y0,
         xs[cell], xs[cell + 1], vals[target, cell],
     ) if cell.size else cell
     roots = np.split(roots, np.searchsorted(target, np.arange(1, ys.size)))
@@ -1326,16 +1335,33 @@ def preimage_search(
     resolution: int = 401,
     refine_steps: int = 25,
 ):
-    """(distance, point) from x0 to F^{-1}(y) = {x: y in F(x)}.
+    """(distance, point) from x0 to F^{-1}(y) = {x: y in F(x)}: the one-query
+    call of :func:`preimage_search_many`, which says how each kind is answered."""
+    return _preimage_searches(x0, F, [y], region, tol_feas, norm, resolution, refine_steps)[0]
 
-    Closed form where the map kind has one (``SetMap.analytic_preimage``,
-    a global answer: linear maps, box normal cones, polyhedral graphs and
-    inverse views).  Otherwise, for a 1D map, the 1D path of its kind on the
-    grid over ``region`` (``SetMap.preimage_1d``: bisected branch roots,
-    epigraph boundaries, or the roots and bounds of f + N_[lo,hi]); where
-    that cannot answer, a grid search over ``region`` with feasibility
-    restoration and a polish pass toward x0.  Returns (+inf, None) when no
+
+def preimage_search_many(
+    x0,
+    F: SetMap,
+    ys,
+    region: Ball | None = None,
+    tol_feas: float = TOL_FEAS,
+    norm: str = "euclidean",
+    resolution: int = 401,
+    refine_steps: int = 25,
+) -> list:
+    """(distance, point) from x0 to F^{-1}(y) = {x: y in F(x)} for each target
+    y of ``ys``, all searched over one ``region``; (+inf, None) where no
     feasible point is found.
+
+    Each target tries the closed form of its kind first
+    (``SetMap.analytic_preimage``, a global answer: linear maps, box normal
+    cones, polyhedral graphs and inverse views).  For a 1D map the targets
+    left go to the 1D path of its kind (``SetMap.preimage_1d``: bisected
+    branch roots, epigraph boundaries, or the roots and bounds of
+    f + N_[lo,hi]) in one call on the grid over ``region`` that they share.
+    Each target still unanswered goes to a grid search over ``region`` with
+    feasibility restoration and a polish pass toward x0 (n <= 2).
 
     The region bounds the 1D paths, but it is only a hint for the grid
     search: from its grid point the restoration polish takes up to
@@ -1345,24 +1371,39 @@ def preimage_search(
     value (sqrt(x) or 1/x on a grid that crosses the edge of the domain) is
     infeasible.
     """
+    return _preimage_searches(x0, F, ys, region, tol_feas, norm, resolution, refine_steps)
+
+
+def _preimage_searches(x0, F: SetMap, ys, region, tol_feas, norm, resolution, refine_steps) -> list:
+    """The body of :func:`preimage_search_many`, the one place that orders the
+    paths.  ``preimage_search`` calls it directly, so that a traced search
+    keeps the path helpers as its children (``bench/tracer.py`` reads them)."""
     x0 = as_vector(x0, F.n)
-    y = as_vector(y, F.m)
-
-    closed = F.analytic_preimage(x0, y, norm, tol_feas)
-    if closed is not None:
-        return closed
-
+    ys = [as_vector(y, F.m) for y in ys]
+    out = [F.analytic_preimage(x0, y, norm, tol_feas) for y in ys]
+    todo = [i for i, found in enumerate(out) if found is None]
+    if not todo:
+        return out
     if F.n > 2:
         raise UnsupportedDimension(
             "grid preimage search supports n <= 2; higher dimensions need an analytic variant"
         )
-    grid, per_axis, h = _search_grid(x0, F, region, resolution)
-
+    region = Ball(x0, 1.0) if region is None else region
+    per_axis = resolution if F.n == 1 else max(21, int(math.sqrt(resolution)) * 2 + 1)
+    grid = _grid_axes(as_vector(region.center, F.n), region.radius, per_axis)
+    h = 2.0 * region.radius / max(per_axis - 1, 1)
     if F.n == 1 and F.m == 1:
-        out = F.preimage_1d(x0, y, grid, norm, tol_feas)
-        if out is not None and out[0] is not None:
-            return out[0]
+        for i, found in zip(todo, F.preimage_1d(x0, np.array([ys[i][0] for i in todo]), grid, norm, tol_feas) or ()):
+            out[i] = found
+    return [
+        found if found is not None else _preimage_on_grid(x0, F, y, grid, per_axis, h, tol_feas, norm, refine_steps)
+        for found, y in zip(out, ys)
+    ]
 
+
+def _preimage_on_grid(x0, F: SetMap, y, grid, per_axis: int, h: float, tol_feas, norm, refine_steps):
+    """The grid stage of the search for one target: the nearest feasible grid
+    points, or else the restored local minima of infeasibility, polished toward x0."""
     feas = dist_to_value_set_batch(y, F, grid, norm, finite=False)
     dists = _vec_dists(grid, x0, norm)
 
@@ -1402,51 +1443,6 @@ def preimage_search(
     return best, arg
 
 
-def _search_grid(x0: np.ndarray, F: SetMap, region: Ball | None, resolution: int):
-    """The search grid over ``region`` (the unit ball at x0 when None), its
-    points per axis and its spacing."""
-    if region is None:
-        region = Ball(x0, 1.0)
-    center = as_vector(region.center, F.n)
-    per_axis = resolution if F.n == 1 else max(21, int(math.sqrt(resolution)) * 2 + 1)
-    return _grid_axes(center, region.radius, per_axis), per_axis, 2.0 * region.radius / max(per_axis - 1, 1)
-
-
-def preimage_search_many(
-    x0,
-    F: SetMap,
-    ys,
-    region: Ball | None = None,
-    tol_feas: float = TOL_FEAS,
-    norm: str = "euclidean",
-    resolution: int = 401,
-    refine_steps: int = 25,
-) -> list:
-    """``[preimage_search(x0, F, y, region, ...) for y in ys]``, bit for bit.
-
-    Each target tries the closed form first.  For a 1D map the targets left
-    go to ``SetMap.preimage_1d`` in one call on the grid they share; a target
-    that path cannot answer, and every target of other kinds, goes through
-    :func:`preimage_search`.
-    """
-    x0 = as_vector(x0, F.n)
-    ys = [as_vector(y, F.m) for y in ys]
-    out = [F.analytic_preimage(x0, y, norm, tol_feas) for y in ys]
-    todo = [i for i, found in enumerate(out) if found is None]
-    if todo and F.n == 1 and F.m == 1:
-        grid = _search_grid(x0, F, region, resolution)[0]
-        try:
-            batch = F.preimage_1d(x0, np.array([ys[i][0] for i in todo]), grid, norm, tol_feas)
-        except Exception:
-            batch = None  # the searches below raise it where the lone search raises it
-        for i, found in zip(todo, batch or ()):
-            out[i] = found
-    return [
-        found if found is not None else preimage_search(x0, F, y, region, tol_feas, norm, resolution, refine_steps)
-        for found, y in zip(out, ys)
-    ]
-
-
 def _local_minima_indices(feas: np.ndarray, per_axis: int, n: int, limit: int) -> list[int]:
     if n == 1:
         f = feas
@@ -1471,7 +1467,7 @@ def dist_to_preimage(
     resolution: int = 401,
     refine_steps: int = 25,
 ) -> float:
-    """Distance from x0 to F^{-1}(y); see :func:`preimage_search`."""
+    """Distance from x0 to F^{-1}(y): the distance of :func:`preimage_search`."""
     return preimage_search(x0, F, y, region, tol_feas, norm, resolution, refine_steps)[0]
 
 

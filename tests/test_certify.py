@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from dataclasses import asdict
+
+from reglab import certify
 from reglab.certify import (
+    CONCLUSION_ATOL,
+    CONCLUSION_RTOL,
     SHELL_CAP_FACTOR,
+    CertificateReport,
     DescentForm,
+    _conclusion_tol,
+    _covering_conclusion,
     check_descent_certificate,
     verify_linear_perturbation,
     verify_setvalued_perturbation,
@@ -11,8 +19,10 @@ from reglab.certify import (
     verify_sum_semiregularity,
 )
 from reglab.corpus import load_example
-from reglab.geometry import GraphPoint
-from reglab.setmaps import FiniteValued, LinearOp, SingleValued, dist_to_value_set
+from reglab.geometry import TOL_FEAS, Ball, GraphPoint, as_vector, vec_dist
+from reglab.moduli import check_on_graph
+from reglab.rng import SplitMix64, derive_seed
+from reglab.setmaps import INF, FiniteValued, LinearOp, SingleValued, SumMap, dist_to_preimage, dist_to_value_set
 
 arr = lambda x: np.asarray(x, dtype=float)
 ORIGIN = GraphPoint([0.0], [0.0])
@@ -246,3 +256,182 @@ def test_sum_distance_bound_rejects_bad_premise():
 def test_sum_distance_bound_validates_constants():
     with pytest.raises(ValueError):
         verify_sum_distance_bound(LinearOp([[1.0]]), LinearOp([[1.0]]), ([0.0], [0.0], [0.0]), 1.0, 1.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the covering conclusions make one preimage call per t, and answer as the
+# per-target loops of before did, bit for bit
+
+
+def _bits(obj):
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    return obj
+
+
+def _count_oracle_calls(monkeypatch):
+    """The number of targets of each ``preimage_search_many`` call that certify makes."""
+    calls = []
+    many = certify.preimage_search_many
+
+    def counted(x0, F, ys, *args, **kwargs):
+        calls.append(len(ys))
+        return many(x0, F, ys, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "preimage_search_many", counted)
+    return calls
+
+
+def _reference_covering_conclusion(F, point, c, r, seed, norm, t_count=4, n_targets=12):
+    """The per-target loop of ``_covering_conclusion`` (kept verbatim as the oracle)."""
+    from reglab.rng import sphere_directions
+
+    witnesses = []
+    ts = [r * k / (t_count + 1) for k in range(1, t_count + 1)]
+    rng = SplitMix64(derive_seed(seed, "cover-conclusion"))
+    for t in ts:
+        targets = []
+        for v in sphere_directions(F.m, max(2, n_targets // 3), derive_seed(seed, "cc-dirs"), norm):
+            for frac in (0.5, 0.99):
+                targets.append(point.y + frac * c * t * np.asarray(v))
+        for _ in range(2):
+            targets.append(rng.in_ball(point.y, c * t, norm))
+        for target in targets:
+            dpre = dist_to_preimage(point.x, F, target, Ball(point.x, 1.05 * t), norm=norm)
+            if dpre > t * (1 + CONCLUSION_RTOL) + CONCLUSION_ATOL:
+                witnesses.append(
+                    {"t": t, "target": [float(v) for v in target], "preimage_distance": dpre}
+                )
+    return {"checked": True, "t_grid": ts, "passed": not witnesses, "witnesses": witnesses}
+
+
+_TWO_BRANCH = {
+    # the 1D branch path answers every target
+    "two_branch": load_example("two_branch").objects["setmap"],
+    # not vectorized: every target goes to the grid stage
+    "two_branch_grid": FiniteValued([lambda x: arr(x), lambda x: 0.0 * arr(x)], vectorized=False),
+}
+_CONCLUSION_CASES = [
+    (name, point, c, r, norm)
+    for name in _TWO_BRANCH
+    for point, c, r in [
+        (ORIGIN, 0.9, 0.5),
+        # on the branch y = 0 away from the origin: not open, so witnesses
+        (GraphPoint([0.2], [0.0]), 0.9, 0.3),
+        (GraphPoint([-0.3], [-0.3]), 1.5, 0.4),
+    ]
+    for norm in ["euclidean", "max"]
+    if name == "two_branch" or (norm == "euclidean" and point.x[0] == 0.2)
+]
+
+
+@pytest.mark.parametrize("name, point, c, r, norm", _CONCLUSION_CASES)
+def test_covering_conclusion_makes_one_call_per_t(monkeypatch, name, point, c, r, norm):
+    F = _TWO_BRANCH[name]
+    ref = _reference_covering_conclusion(F, point, c, r, 7, norm)
+    calls = _count_oracle_calls(monkeypatch)
+    got = _covering_conclusion(F, point, c, r, 7, norm)
+    assert _bits(got) == _bits(ref)
+    # in 1D the 4 directions are +1 and -1, two targets each, plus 2 drawn targets
+    assert len(calls) == len(got["t_grid"]) == 4 and set(calls) == {6}
+    if point.x[0] == 0.2:
+        assert ref["witnesses"]
+
+
+def _reference_sum_distance_bound(F, G, point, kappa, ell, beta, samples=100, seed=42, norm="euclidean"):
+    """``verify_sum_distance_bound`` with its per-target conclusion loop (kept verbatim as the oracle)."""
+    if kappa <= 0 or ell < 0 or kappa * ell >= 1:
+        raise ValueError("need kappa > 0, ell >= 0 and kappa*ell < 1")
+    xbar, ybar, zbar = (as_vector(v) for v in point)
+    check_on_graph(F, GraphPoint(xbar, ybar), norm=norm)
+    check_on_graph(G, GraphPoint(xbar, zbar), norm=norm)
+    a = 2.2 * beta * max(1.0, kappa) / (1 - kappa * ell)
+    rng = SplitMix64(derive_seed(seed, "sumdist"))
+    report = CertificateReport(
+        check="sum_distance_bound",
+        constants={"kappa": kappa, "ell": ell, "beta": beta, "region": a},
+        premise_samples=0,
+        seed=seed,
+        norm=norm,
+    )
+    # premise: metric regularity of F on B(xbar,a) x B(ybar,a)
+    for _ in range(samples // 2):
+        xv = rng.in_ball(xbar, a, norm)
+        yv = rng.in_ball(ybar, a, norm)
+        dval = dist_to_value_set(yv, F, xv, norm)
+        if dval == INF or dval <= TOL_FEAS:
+            continue
+        report.premise_samples += 1
+        dpre = dist_to_preimage(xv, F, yv, Ball(xbar, 3 * a), norm=norm)
+        if dpre > kappa * dval + _conclusion_tol(kappa * dval):
+            report.verdict = "rejected"
+            report.violations.append(
+                {"premise": "metric_regularity", "x": list(xv), "y": list(yv), "lhs": dpre, "rhs": kappa * dval}
+            )
+            return report
+    # premise: Aubin property of G with constant ell
+    for _ in range(samples // 2):
+        xv = rng.in_ball(xbar, a, norm)
+        xw = rng.in_ball(xbar, a, norm)
+        vs = G.value_set(xv)
+        if vs.is_empty():
+            continue
+        for yv in vs.members_near(zbar, a, 2, rng, norm):
+            report.premise_samples += 1
+            lhs = dist_to_value_set(yv, G, xw, norm)
+            rhs = ell * vec_dist(xv, xw, norm)
+            if lhs > rhs + _conclusion_tol(max(rhs, 1.0)):
+                report.verdict = "rejected"
+                report.violations.append(
+                    {"premise": "aubin", "x": list(xv), "x_prime": list(xw), "y": list(yv), "lhs": lhs, "rhs": rhs}
+                )
+                return report
+    # conclusion
+    factor = kappa / (1 - kappa * ell)
+    total = SumMap(F, G)
+    base_vs = F.value_set(xbar).translate(zbar)
+    witnesses = []
+    for _ in range(samples):
+        yv = rng.in_ball(ybar + zbar, beta, norm)
+        rhs = factor * base_vs.dist(yv, norm)
+        dpre = dist_to_preimage(xbar, total, yv, Ball(xbar, max(2 * a, 4 * factor * beta)), norm=norm)
+        if dpre > rhs + _conclusion_tol(max(rhs, beta)):
+            witnesses.append({"y": list(yv), "preimage_distance": dpre, "bound": rhs})
+    report.conclusion = {"checked": True, "passed": not witnesses, "witnesses": witnesses, "factor": factor}
+    return report.finalize()
+
+
+_SINE = SingleValued(lambda x: 0.5 * np.sin(arr(x)))
+#: F, G, kappa, ell, beta, samples, seed, norm and the verdict
+_SUM_CASES = {
+    # F + G has no closed form: the 1D branch path answers the conclusion
+    "sine": (LinearOp([[1.0]]), _SINE, 1.0, 0.5, 0.1, 40, 5, "euclidean", "pass"),
+    # G not vectorized: every conclusion target goes to the grid stage
+    "sine_grid": (LinearOp([[1.0]]), SingleValued(_SINE.fn, vectorized=False), 1.0, 0.5, 0.1, 20, 5, "euclidean",
+                  "pass"),
+    "linear": (LinearOp([[2.0]]), SingleValued(lambda x: 0.5 * arr(x)), 0.5, 0.5, 0.1, 30, 5, "max", "pass"),
+    # F skips the values of (-0.015, 0.015) but 0: no premise sample falls in
+    # the gap, and the conclusion targets that do have no preimage
+    "gap": (SingleValued(lambda x: np.where(np.abs(arr(x)) < 0.015, 0.0, arr(x))), SingleValued(lambda x: 0.0 * arr(x)),
+            1.0, 0.0, 0.1, 40, 7, "euclidean", "fail"),
+    # G is 2.4-Lipschitz, not 1.9: the Aubin premise rejects, and no conclusion is searched
+    "aubin_fails": (LinearOp([[2.0]]), SingleValued(lambda x: -1.9 * arr(x) + 0.5 * np.sin(arr(x))), 0.5, 1.9, 0.2, 30,
+                    5, "euclidean", "rejected"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUM_CASES))
+def test_sum_distance_bound_makes_one_conclusion_call(monkeypatch, name):
+    F, G, kappa, ell, beta, samples, seed, norm, verdict = _SUM_CASES[name]
+    point = ([0.0], [0.0], [0.0])
+    ref = _reference_sum_distance_bound(F, G, point, kappa, ell, beta, samples, seed, norm)
+    calls = _count_oracle_calls(monkeypatch)
+    got = verify_sum_distance_bound(F, G, point, kappa, ell, beta, samples, seed, norm)
+    assert _bits(asdict(got)) == _bits(asdict(ref))
+    assert got.verdict == verdict and calls == ([samples] if ref.conclusion else [])
+    if verdict == "fail":
+        assert len(got.conclusion["witnesses"]) > 1

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from reglab import covering
 from reglab.corpus import load_example
 from reglab.covering import (
+    COVER_ATOL,
+    COVER_RTOL,
     build_selection,
     covering_check_kaluza,
     pseudo_inverse,
     rosl_check,
     solve_preimage_picard,
 )
-from reglab.rng import SplitMix64
-from reglab.setmaps import LinearOp, PolyhedralGraph, SingleValued
+from reglab.geometry import Ball, GraphPoint, as_vector
+from reglab.rng import SplitMix64, derive_seed, sphere_directions
+from reglab.setmaps import LinearOp, PolyhedralGraph, SingleValued, graph_sample, preimage_search
 
 arr = lambda x: np.asarray(x, dtype=float)
 
@@ -170,3 +174,77 @@ def test_rosl_roslw_distance_bound():
 def test_rosl_around_graph_points():
     rep = rosl_check(interval_map(), [0.0], [0.0], ell=2.0, r=0.15, condition="ROSL", samples=60)
     assert rep.verdict == "pass"
+
+
+def _reference_rosl_conclusion(F, xbar, ybar, ell, t_grid, r, seed, condition):
+    """The per-target conclusion loops of ``rosl_check`` for C1/C2 and ROSL
+    (kept verbatim as the oracle): (attained, unattained, centers x t)."""
+    xbar, ybar = as_vector(xbar, F.n), as_vector(ybar, F.m)
+    attained_, unattained, pairs = [], [], 0
+
+    def attained(center_x, target, t):
+        dpre, _ = preimage_search(center_x, F, target, Ball(center_x, 1.02 * t + 1e-9))
+        return dpre <= t * (1 + COVER_RTOL) + COVER_ATOL, dpre
+
+    if condition in ("C1", "C2"):
+        for t in t_grid:
+            pairs += 1
+            for v in sphere_directions(F.m, 8, derive_seed(seed, f"rosl-dirs{t}")):
+                for frac in (0.5, 1.0):
+                    target = ybar + frac * ell * t * np.asarray(v)
+                    ok, dpre = attained(xbar, target, t)
+                    entry = {"t": t, "target": [float(u) for u in target], "preimage_distance": dpre}
+                    (attained_ if ok else unattained).append(entry)
+    else:  # ROSL: uniform covering around nearby graph points
+        pts = graph_sample(F, GraphPoint(xbar, ybar), r, 8, derive_seed(seed, "rosl-gp"))
+        for gp in [GraphPoint(xbar, ybar)] + pts:
+            for t in t_grid:
+                pairs += 1
+                for v in sphere_directions(F.m, 4, derive_seed(seed, f"rosl-a{t}")):
+                    target = gp.y + ell * t * np.asarray(v)
+                    ok, dpre = attained(gp.x, target, t)
+                    entry = {
+                        "x": [float(u) for u in gp.x],
+                        "t": t,
+                        "target": [float(u) for u in target],
+                        "preimage_distance": dpre,
+                    }
+                    (attained_ if ok else unattained).append(entry)
+    return attained_, unattained, pairs
+
+
+def _bits(entries):
+    return [{k: [float(u).hex() for u in v] if isinstance(v, list) else float(v).hex() for k, v in e.items()}
+            for e in entries]
+
+
+#: decreasing 1D maps with no closed form, so C2 and ROSL hold at rate 1.5
+_ROSL_MAPS = {
+    # the 1D branch path answers every target
+    "branch1d": SingleValued(lambda x: -2.0 * arr(x) - 0.1 * np.sin(arr(x))),
+    # a map that is not vectorized leaves every target to the grid stage
+    "grid": SingleValued(lambda x: -2.0 * arr(x) - 0.1 * np.sin(arr(x)), vectorized=False),
+}
+
+
+@pytest.mark.parametrize("condition", ["C2", "ROSL"])
+@pytest.mark.parametrize("name", sorted(_ROSL_MAPS))
+def test_rosl_conclusions_make_one_call_per_center_and_t(monkeypatch, name, condition):
+    F = _ROSL_MAPS[name]
+    xbar, ybar, ell, r, seed = [0.1], F([0.1]), 1.5, 0.2, 3
+    calls = []
+    many = covering.preimage_search_many
+
+    def counted(x0, F, ys, *args, **kwargs):
+        calls.append(len(ys))
+        return many(x0, F, ys, *args, **kwargs)
+
+    monkeypatch.setattr(covering, "preimage_search_many", counted)
+    rep = rosl_check(F, xbar, ybar, ell=ell, r=r, condition=condition, samples=40, seed=seed)
+    assert rep.verdict == "pass" and not rep.condition_violations
+    att, unatt, pairs = _reference_rosl_conclusion(F, xbar, ybar, ell, rep.t_grid, r, seed, condition)
+    assert _bits(rep.attained) == _bits(att) and _bits(rep.unattained) == _bits(unatt)
+    # in 1D the directions are +1 and -1: 4 targets per t for C2, 2 per graph point and t for ROSL
+    assert len(calls) == pairs and set(calls) == {4 if condition == "C2" else 2}
+    if condition == "ROSL":
+        assert pairs > len(rep.t_grid)

@@ -154,9 +154,8 @@ def test_bad_values_follow_one_policy(case, kind):
 
 
 #: the functions of ``src/reglab`` that may catch every error: the one call on
-#: a batch, the adapter that falls back from it point by point, and the
-#: batched preimage searches, which re-raise through the lone search
-_CATCH_ALL = {"setmaps._eval_vectorized", "setmaps._eval_rows", "setmaps.preimage_search_many"}
+#: a batch and the adapter that falls back from it point by point
+_CATCH_ALL = {"setmaps._eval_vectorized", "setmaps._eval_rows"}
 
 
 class _CatchAll(ast.NodeVisitor):

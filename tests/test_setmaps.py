@@ -564,15 +564,16 @@ _SEARCH_MAPS = {
 }
 
 
-def _count_lone_searches(monkeypatch):
+def _count_grid_searches(monkeypatch):
+    """The targets that reach the grid stage of the preimage search, in order."""
     calls = []
-    lone = setmaps.preimage_search
+    grid_stage = setmaps._preimage_on_grid
 
     def counted(*args, **kwargs):
         calls.append(args[2])
-        return lone(*args, **kwargs)
+        return grid_stage(*args, **kwargs)
 
-    monkeypatch.setattr(setmaps, "preimage_search", counted)
+    monkeypatch.setattr(setmaps, "_preimage_on_grid", counted)
     return calls
 
 
@@ -592,13 +593,13 @@ def test_preimage_search_many_equals_the_search_of_before_bitwise(name, x0, radi
     # targets on grid values: the identity branch hits them on the grid
     ys = [[t] for t in targets] + [[xs[j]] for j in on_grid]
     with pytest.MonkeyPatch.context() as mp:
-        lone = _count_lone_searches(mp)
+        grid = _count_grid_searches(mp)
         got = preimage_search_many([x0], F, ys, region, norm=norm)
     assert len(got) == len(ys)
     for y, found in zip(ys, got):
         _same_search(found, _reference_search([x0], F, y, region, norm))
     if batched:
-        assert lone == []
+        assert grid == []
 
 
 def test_preimage_search_many_tangential_roots_and_misses():
@@ -620,6 +621,14 @@ def test_pointwise_epigraph_bisects_one_point_at_a_time():
     for y, found in zip(ys, got):
         _same_search(found, _reference_search([0.6], F, y, region, "euclidean"))
     assert got[0][0] == pytest.approx(0.3377) and got[1][0] == pytest.approx(0.25) and got[2] == (np.inf, None)
+    # the grid's batch fails once; then each grid point and, in each halving,
+    # each of the 4 cells takes its own call (637 calls when every halving
+    # retried the batch first)
+    calls = []
+    counted = Epigraph(lambda x: calls.append(np.shape(x)) or F.f(x))
+    for found, ref in zip(preimage_search_many([0.6], counted, ys, region), got):
+        _same_search(found, ref)
+    assert calls.count((401,)) == 1 and len(calls) == 590
 
 
 def test_epigraph_targets_share_one_grid_call():
@@ -645,13 +654,14 @@ def test_epigraph_targets_share_one_grid_call():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_preimage_search_many_overflowing_target_takes_the_lone_search(monkeypatch):
-    # one target's grid values overflow to inf: that target alone falls back
+    # one target's grid values overflow to inf: that target alone goes on to
+    # the grid stage
     F = SingleValued(lambda x: 1e308 * arr(x))
     region = Ball([0.5], 0.5)
     ys = [[0.5e308], [-1e308], [0.25e308]]
-    lone = _count_lone_searches(monkeypatch)
+    grid = _count_grid_searches(monkeypatch)
     got = preimage_search_many([0.5], F, ys, region)
-    assert len(lone) == 1 and np.array_equal(lone[0], [-1e308])
+    assert len(grid) == 1 and np.array_equal(grid[0], [-1e308])
     for y, found in zip(ys, got):
         _same_search(found, _reference_search([0.5], F, y, region, "euclidean"))
 
@@ -665,9 +675,10 @@ def test_preimage_search_many_grid_errors_fall_back_per_target(monkeypatch):
     F = FiniteValued([lambda x: arr(x), grid_fails])
     ys = [[0.2], [-0.4], [0.7]]
     expected = [_reference_search([0.0], F, y, Ball([0.0], 1.0), "euclidean") for y in ys]
-    lone = _count_lone_searches(monkeypatch)
+    # the branch fails on the grid, so every target goes on to the grid stage
+    grid = _count_grid_searches(monkeypatch)
     got = preimage_search_many([0.0], F, ys)
-    assert len(lone) == len(ys)
+    assert len(grid) == len(ys)
     for found, ref in zip(got, expected):
         _same_search(found, ref)
 
