@@ -115,11 +115,12 @@ def solve_preimage_picard(
     if n <= 2:
         grid = _ball_grid(xbar, t, grid_resolution if n == 1 else 41, "euclidean")
         resids = np.array([np.linalg.norm(fn(row) - y) for row in grid])
-        x, resid = _coordinate_polish(
-            lambda z: float(np.linalg.norm(fn(z) - y)),
-            lambda z: np.linalg.norm(z - xbar) <= t,
+        X, resid = _coordinate_polish(
+            lambda Z, _: [np.linalg.norm(fn(z) - y) for z in Z],
+            lambda Z, _: [np.linalg.norm(z - xbar) <= t for z in Z],
             grid[int(resids.argmin())], 2.0 * t / (grid_resolution - 1), 40,
         )
+        x, resid = X[0], float(resid[0])
         if resid <= tol:
             result = PicardResult(x, True, "grid", iterations, resid)
             _assert_feasible(result, fn, y, xbar, t, tol)

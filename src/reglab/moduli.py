@@ -425,6 +425,23 @@ def _covered_c_nd(F, x, y, t, norm, directions, seed, cap, c_levels: int = 16):
 # the sampled modulus estimator
 
 
+def _shell_answers(F, xbar, xs, ys, reach, norm, resolution) -> list:
+    """(dist(yv, F(xv)), dist(xv, F^{-1}(yv))) for each drawn pair (xv, yv)
+    of ``xs`` and ``ys`` with yv not in F(xv), in draw order: the value
+    distances in one batch, the preimages in one call, where query i
+    searches the ball around xbar of radius ``reach`` + |xv - xbar|."""
+    if not xs:
+        return []
+    dvals = dist_to_value_set_batch(np.array(ys), F, np.array(xs), norm).tolist()
+    kept = [i for i, dval in enumerate(dvals) if not dval <= TOL_FEAS]
+    if not kept:
+        return []
+    regions = [Ball(xbar, reach + vec_dist(xs[i], xbar, norm)) for i in kept]
+    found = preimage_search_many(np.array([xs[i] for i in kept]), F, [ys[i] for i in kept], regions,
+                                 norm=norm, resolution=resolution)
+    return [(dvals[i], dpre) for i, (dpre, _) in zip(kept, found)]
+
+
 def estimate_modulus(
     kind: str,
     F: SetMap,
@@ -483,16 +500,11 @@ def estimate_modulus(
                 norm=norm, seed=derive_seed(sj, "c"),
             )
         elif kind == "reg":
-            for _ in range(spc):
-                xv = rng.in_ball(xbar, r, norm)
-                yv = rng.in_ball(ybar, r, norm)
-                dval = dist_to_value_set(yv, F, xv, norm)
-                if dval <= TOL_FEAS:
-                    continue
-                dpre = dist_to_preimage(
-                    xv, F, yv, Ball(xbar, region_factor * r + vec_dist(xv, xbar, norm)),
-                    norm=norm, resolution=preimage_resolution,
-                )
+            # draw every pair, answer the shell in one batch and one preimage
+            # call, reduce in draw order
+            pairs = [(rng.in_ball(xbar, r, norm), rng.in_ball(ybar, r, norm)) for _ in range(spc)]
+            for dval, dpre in _shell_answers(F, xbar, [xv for xv, _ in pairs], [yv for _, yv in pairs],
+                                             region_factor * r, norm, preimage_resolution):
                 quotients.append(INF if dpre == INF else dpre / dval)
         elif kind == "lip":
             for _ in range(spc):
@@ -504,14 +516,11 @@ def estimate_modulus(
                 for yv in _value_candidates(F, xw, ybar, r, rng, 2, norm):
                     quotients.append(dist_to_value_set(yv, F, xv, norm) / d_xx)
         elif kind in ("psopen", "subreg"):
-            for xv in shell_points(xbar, r_in, r, spc, sj):
-                dval = dist_to_value_set(ybar, F, xv, norm)
-                if dval <= TOL_FEAS:
-                    continue  # x in F^{-1}(ybar)
-                dpre = dist_to_preimage(
-                    xv, F, ybar, Ball(xbar, region_factor * r + vec_dist(xv, xbar, norm)),
-                    norm=norm, resolution=preimage_resolution,
-                )
+            # draw the shell around xbar and answer it as reg does; x in
+            # F^{-1}(ybar) is not admissible
+            xs = shell_points(xbar, r_in, r, spc, sj)
+            for dval, dpre in _shell_answers(F, xbar, xs, [ybar] * len(xs), region_factor * r, norm,
+                                             preimage_resolution):
                 if kind == "psopen":
                     quotients.append(0.0 if dpre == INF else (dval / dpre if dpre > 0 else QUOTIENT_CAP * 2))
                 else:
@@ -897,8 +906,9 @@ def frechet_coderivative_bound(
         rng = SplitMix64(derive_seed(seed, "coder-starts"))
         starts = [np.zeros(n)] + [rng.uniform_vector(n, -1.0, 1.0) for _ in range(4)]
         for x0 in starts:
-            x, fx = _coordinate_polish(g_at, lambda _z: True, x0, 1.0, 120)
-            if fx > tol:
+            X, fx = _coordinate_polish(lambda Z, _: [g_at(z) for z in Z], None, x0, 1.0, 120)
+            x = X[0]
+            if fx[0] > tol:
                 continue
             if g_at(np.zeros(n)) <= tol:
                 return 0.0

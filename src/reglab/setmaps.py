@@ -5,13 +5,19 @@ at a point yields a :class:`ValueSet` descriptor that supports exact distance
 and membership tests (finite point sets, boxes, affine sets, unions of convex
 polyhedra).  On top of the descriptors sit the three work-horse oracles:
 
-* ``dist_to_value_set(y, F, x)``   distance from y to F(x)
+* ``dist_to_value_set(y, F, x)``   distance from y to F(x);
+  ``dist_to_value_set_batch(y, F, X)`` for the rows of X, with one target
+  y for all rows or a (k, m) y of one target per row
 * ``preimage_search_many(x0, F, ys)``   the preimage oracle: (distance, point)
   from x0 to F^{-1}(y) for many targets that share x0 and the search region,
-  analytic where possible, else a 1D map's branches evaluated once on the
-  shared grid with every root bisected in lockstep, else honest grid search
-  with local refinement.  ``preimage_search(x0, F, y)`` is its one-query
-  call and ``dist_to_preimage(x0, F, y)`` the distance of that call
+  or with ``preimage_search_many(X0, F, ys, regions)`` (a (k, n) X0 and a
+  list of regions) each from its own x0 over its own region; analytic where
+  possible, else a 1D map's branches evaluated once on the grid that the
+  targets with an equal x0 and region share, with every root bisected in
+  lockstep, else honest grid search with local refinement, all grid-stage
+  starts of the call polished in lockstep.  ``preimage_search(x0, F, y)``
+  is its one-query call and ``dist_to_preimage(x0, F, y)`` the distance of
+  that call
 * ``graph_sample(F, center, r)``   seeded, feasibility-checked graph points
 
 The oracles, and the moduli built on them, name no map class: each kind
@@ -712,7 +718,7 @@ class Epigraph(SetMap):
 
     def batch_dist(self, y, X, norm, finite=True):
         out = _eval_vectorized(self.f, X, self.n, 1, finite) if self.vectorized else None
-        return None if out is None else np.maximum(out[:, 0] - y[0], 0.0)
+        return None if out is None else np.maximum(out[:, 0] - y[..., 0], 0.0)
 
     def preimage_1d(self, x0, ys, grid, norm, tol_feas):
         return _preimage_1d_epigraph(x0, self, ys, grid, tol_feas) if self.vectorized else None
@@ -943,7 +949,7 @@ class SumMap(SetMap):
             sets = (self._minkowski(self.F.value_set(row), FinitePoints(s)) for row, s in zip(X, shift))
         else:
             return None
-        return np.array([vs.dist(y, norm) for vs in sets])
+        return np.array([vs.dist(yr, norm) for vs, yr in zip(sets, np.broadcast_to(y, (len(X), self.m)))])
 
     def scalar_branches(self):
         bf = scalar_branches(self.F)
@@ -1028,7 +1034,9 @@ def dist_to_value_set(y, F: SetMap, x, norm: str = "euclidean") -> float:
 
 
 def dist_to_value_set_batch(y, F: SetMap, X: np.ndarray, norm: str = "euclidean", finite: bool = True) -> np.ndarray:
-    """Vectorized dist_to_value_set over rows of X (shape (k, n)).
+    """Vectorized dist_to_value_set over rows of X (shape (k, n)): row i is
+    ``dist_to_value_set(y, F, X[i])``, or with a (k, m) y, one target per row,
+    ``dist_to_value_set(y[i], F, X[i])``, bit for bit.
 
     It raises where dist_to_value_set raises (see ``_eval_rows``), except that
     ``finite=False`` keeps non-finite values as NaN or infinite distances: a
@@ -1036,17 +1044,30 @@ def dist_to_value_set_batch(y, F: SetMap, X: np.ndarray, norm: str = "euclidean"
     a row as infeasible.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = as_vector(y, F.m)
+    y = _targets(y, F.m, len(X)) if np.ndim(y) == 2 else as_vector(y, F.m)
     fast = _batch_fast_path(y, F, X, norm, finite)
     if fast is not None:
         return fast
-    return np.array([dist_to_value_set(y, F, row, norm) for row in X])
+    return np.array([dist_to_value_set(yr, F, row, norm) for yr, row in zip(np.broadcast_to(y, (len(X), F.m)), X)])
+
+
+def _targets(Y, m: int, k: int) -> np.ndarray:
+    """Y as k targets of R^m, one per row: a (k, m) float array whose rows pass
+    ``as_vector``; a bad row raises as ``as_vector`` does."""
+    Y = np.asarray(Y)
+    if Y.dtype != np.float64 or Y.shape[1:] != (m,) or not np.isfinite(Y).all():
+        Y = np.array([as_vector(row, m) for row in Y]).reshape(-1, m)
+    if len(Y) != k:
+        raise DimensionMismatch(f"expected one target per row: {k} rows, got {len(Y)} targets")
+    return Y
 
 
 def _eval_vectorized(fn, X: np.ndarray, n: int, m: int, finite: bool = True):
     """A callable on a batch of points, in one call: its (k, m) values, or None
     where the call raises, gives the wrong shape (for m = 1, k values as (k,)
-    or (k, 1)), a complex value or, with ``finite``, a non-finite one."""
+    or (k, 1); else (k, m) or (m, k)), a complex value or, with ``finite``, a
+    non-finite one.  A batch of k = m >= 2 points gives None: its values may
+    be either way round, so only one point per call tells."""
     try:
         out = _real(fn(X[:, 0] if n == 1 else X))
     except Exception:
@@ -1054,7 +1075,9 @@ def _eval_vectorized(fn, X: np.ndarray, n: int, m: int, finite: bool = True):
     k = X.shape[0]
     if m == 1 and out.size == k and out.ndim < 2:
         out = out.reshape(k, 1)
-    elif m != 1 and out.shape == (m, k) != (k, m):
+    elif m != 1 and out.shape == (m, k):
+        if k == m:
+            return None
         out = out.T
     return out if out.shape == (k, m) and (not finite or np.isfinite(out).all()) else None
 
@@ -1119,16 +1142,18 @@ def _cone_cover_rates(F: SetMap, vs, norm: str) -> list[float]:
     """1/dist(0, F^{-1}(v)) for each direction v of a map whose graph is a cone:
     0 for an empty preimage, inf for d = 0.  A closed form is global and final;
     a search starts on the unit ball and grows x4 while it finds nothing,
-    until the rate would fall below 1/QUOTIENT_CAP."""
+    until the rate would fall below 1/QUOTIENT_CAP; each round searches all
+    directions still empty in one call."""
     origin = np.zeros(F.n)
-    rates = []
-    for v, (d, _) in zip(vs, preimage_search_many(origin, F, vs, Ball(origin, 1.0), norm=norm)):
-        radius = 1.0
-        while d == INF and radius < QUOTIENT_CAP and F.analytic_preimage(origin, v, norm, TOL_FEAS) is None:
-            radius *= 4.0
-            d = preimage_search(origin, F, v, Ball(origin, radius), norm=norm)[0]
-        rates.append(0.0 if d == INF else (1.0 / float(d) if d > 0 else INF))
-    return rates
+    ds = [d for d, _ in preimage_search_many(origin, F, vs, Ball(origin, 1.0), norm=norm)]
+    empty = [i for i, d in enumerate(ds) if d == INF and F.analytic_preimage(origin, vs[i], norm, TOL_FEAS) is None]
+    radius = 1.0
+    while empty and radius < QUOTIENT_CAP:
+        radius *= 4.0
+        for i, (d, _) in zip(empty, preimage_search_many(origin, F, [vs[i] for i in empty], Ball(origin, radius), norm=norm)):
+            ds[i] = d
+        empty = [i for i in empty if ds[i] == INF]
+    return [0.0 if d == INF else (1.0 / float(d) if d > 0 else INF) for d in ds]
 
 
 @functools.lru_cache(maxsize=256)
@@ -1246,13 +1271,13 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
                     )
                     if abs(float(vals[i])) > 2.0 * local_delta + tol_feas:
                         continue
-                    z, fx = _coordinate_polish(
-                        lambda z, b=b: abs(float(_eval_rows(b, z, 1, 1, finite=False)[0][0, 0]) - y0),
-                        lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4, **clamp,
+                    Z, fx = _coordinate_polish(
+                        lambda Z, _, b=b: np.abs(_eval_rows(b, Z[:, 0], 1, 1, finite=False)[0][:, 0] - y0),
+                        None, [xs[i]], h, 60, target=tol_feas / 4, **clamp,
                     )
-                    if fx <= tol_feas:
+                    if fx[0] <= tol_feas:
                         found = True
-                        x = float(z[0])
+                        x = float(Z[0, 0])
                         if abs(x - float(x0[0])) < best:
                             best, arg = abs(x - float(x0[0])), np.array([x])
         out.append((best, arg) if found else (INF, None))
@@ -1301,28 +1326,55 @@ def _preimage_1d_epigraph(x0, F, ys, grid: np.ndarray, tol_feas: float) -> list:
     return out
 
 
-def _coordinate_polish(objective, accept, x0, step0, steps, lo=None, hi=None, target=None):
-    """Greedy coordinate descent with halving steps; ``accept`` gates moves."""
-    x = np.asarray(x0, dtype=float).copy()
-    fx = objective(x)
-    step = step0
+def _coordinate_polish(objective, accept, X0, step0, steps: int, lo=None, hi=None, target=None):
+    """Greedy coordinate descent with halving steps from every row of X0
+    (k, n), all starts in lockstep: the polished rows and their values.
+
+    ``objective(Z, lanes)`` gives the values of the rows of Z, candidates of
+    the starts ``lanes``; ``accept(Z, lanes)`` (None: all) gates the rows
+    whose value is strictly better.  A round tries +step, then -step, on each
+    coordinate in turn, clamped to [lo[i], hi[i]], with one objective call
+    over the live starts per move.  Each start keeps its own step
+    (``step0``: one for all, or one per start), halves it after a round in
+    which it did not move, and stops once its value is at most ``target``,
+    so it takes the path it would take alone.
+    """
+    X = np.array(X0, dtype=float, ndmin=2)
+    k, n = X.shape
+    fx = np.asarray(objective(X, np.arange(k)), dtype=float)
+    # the live starts: their lanes, points, values and steps
+    lanes, x, f, s = np.arange(k), X.copy(), fx.copy(), np.broadcast_to(np.asarray(step0, dtype=float), (k,))
+    # x + D moves coordinate i by column i of D: adding -0.0 leaves every
+    # other coordinate as it is, signed zeros included
+    D = np.full(X.shape, -0.0)
     for _ in range(steps):
-        if target is not None and fx <= target:
-            break
-        improved = False
-        for i in range(x.size):
-            for s in (step, -step):
-                z = x.copy()
-                z[i] += s
+        if target is not None and (done := f <= target).any():
+            X[lanes[done]], fx[lanes[done]] = x[done], f[done]
+            lanes, x, f, s, D = lanes[~done], x[~done], f[~done], s[~done], D[~done]
+            if not lanes.size:
+                return X, fx
+        moved = np.zeros(lanes.size, dtype=bool)
+        for i in range(n):
+            for delta in (s, -s):
+                D[:, i] = delta
+                Z = x + D
                 if lo is not None:
-                    z[i] = min(max(z[i], lo[i]), hi[i])
-                fz = objective(z)
-                if fz < fx and accept(z):
-                    x, fx = z, fz
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return x, fx
+                    # min(max(z, lo), hi) as Python takes it
+                    col = Z[:, i]
+                    np.copyto(col, lo[i], where=lo[i] > col)
+                    np.copyto(col, hi[i], where=hi[i] < col)
+                fz = np.asarray(objective(Z, lanes), dtype=float)
+                better = fz < f
+                if better.any():
+                    if accept is not None:
+                        idx = np.nonzero(better)[0]
+                        better[idx] = accept(Z[idx], lanes[idx])
+                    x[better], f[better] = Z[better], fz[better]
+                    moved |= better
+            D[:, i] = -0.0
+        s = np.where(moved, s, 0.5 * s)
+    X[lanes], fx[lanes] = x, f
+    return X, fx
 
 
 def preimage_search(
@@ -1344,24 +1396,27 @@ def preimage_search_many(
     x0,
     F: SetMap,
     ys,
-    region: Ball | None = None,
+    region: Ball | None | list = None,
     tol_feas: float = TOL_FEAS,
     norm: str = "euclidean",
     resolution: int = 401,
     refine_steps: int = 25,
 ) -> list:
     """(distance, point) from x0 to F^{-1}(y) = {x: y in F(x)} for each target
-    y of ``ys``, all searched over one ``region``; (+inf, None) where no
-    feasible point is found.
+    y of ``ys``, searched over ``region`` (by default the unit ball around
+    x0); (+inf, None) where no feasible point is found.  A (k, n) x0 with a
+    list of k regions (None entries allowed) gives query i its own x0[i] and
+    region[i].
 
     Each target tries the closed form of its kind first
     (``SetMap.analytic_preimage``, a global answer: linear maps, box normal
     cones, polyhedral graphs and inverse views).  For a 1D map the targets
-    left go to the 1D path of its kind (``SetMap.preimage_1d``: bisected
-    branch roots, epigraph boundaries, or the roots and bounds of
-    f + N_[lo,hi]) in one call on the grid over ``region`` that they share.
-    Each target still unanswered goes to a grid search over ``region`` with
-    feasibility restoration and a polish pass toward x0 (n <= 2).
+    left that share x0 and the region go to the 1D path of its kind
+    (``SetMap.preimage_1d``: bisected branch roots, epigraph boundaries, or
+    the roots and bounds of f + N_[lo,hi]) in one call on their grid over
+    the region.  The targets still unanswered go to the grid stage together:
+    a grid search over each region with feasibility restoration and a polish
+    pass toward x0 (n <= 2), all starts of all targets polished in lockstep.
 
     The region bounds the 1D paths, but it is only a hint for the grid
     search: from its grid point the restoration polish takes up to
@@ -1378,9 +1433,14 @@ def _preimage_searches(x0, F: SetMap, ys, region, tol_feas, norm, resolution, re
     """The body of :func:`preimage_search_many`, the one place that orders the
     paths.  ``preimage_search`` calls it directly, so that a traced search
     keeps the path helpers as its children (``bench/tracer.py`` reads them)."""
-    x0 = as_vector(x0, F.n)
+    per_query = np.ndim(x0) == 2
+    x0s = [as_vector(x, F.n) for x in x0] if per_query else as_vector(x0, F.n)
     ys = [as_vector(y, F.m) for y in ys]
-    out = [F.analytic_preimage(x0, y, norm, tol_feas) for y in ys]
+    x0s = x0s if per_query else [x0s] * len(ys)
+    regions = list(region) if isinstance(region, (list, tuple)) else [region] * len(ys)
+    if len(x0s) != len(ys) or len(regions) != len(ys):
+        raise DimensionMismatch(f"{len(ys)} targets need as many x0 rows and regions")
+    out = [F.analytic_preimage(x, y, norm, tol_feas) for x, y in zip(x0s, ys)]
     todo = [i for i, found in enumerate(out) if found is None]
     if not todo:
         return out
@@ -1388,73 +1448,92 @@ def _preimage_searches(x0, F: SetMap, ys, region, tol_feas, norm, resolution, re
         raise UnsupportedDimension(
             "grid preimage search supports n <= 2; higher dimensions need an analytic variant"
         )
-    region = Ball(x0, 1.0) if region is None else region
     per_axis = resolution if F.n == 1 else max(21, int(math.sqrt(resolution)) * 2 + 1)
-    grid = _grid_axes(as_vector(region.center, F.n), region.radius, per_axis)
-    h = 2.0 * region.radius / max(per_axis - 1, 1)
-    if F.n == 1 and F.m == 1:
-        for i, found in zip(todo, F.preimage_1d(x0, np.array([ys[i][0] for i in todo]), grid, norm, tol_feas) or ()):
+    # targets that share x0 and the region share one grid and one 1D call
+    groups: dict = {}
+    for i in todo:
+        ball = Ball(x0s[i], 1.0) if regions[i] is None else regions[i]
+        groups.setdefault((x0s[i].tobytes(), ball.center.tobytes(), ball.radius), (ball, []))[1].append(i)
+    grids = {}
+    for ball, members in groups.values():
+        grid = _grid_axes(as_vector(ball.center, F.n), ball.radius, per_axis)
+        h = 2.0 * ball.radius / max(per_axis - 1, 1)
+        if F.n == 1 and F.m == 1:
+            found = F.preimage_1d(x0s[members[0]], np.array([ys[i][0] for i in members]), grid, norm, tol_feas)
+            for i, hit in zip(members, found or ()):
+                out[i] = hit
+        grids.update((i, (grid, h)) for i in members)
+    left = [i for i in todo if out[i] is None]
+    if left:
+        stage = _preimage_on_grid(F, [x0s[i] for i in left], [ys[i] for i in left],
+                                  [grids[i] for i in left], per_axis, tol_feas, norm, refine_steps)
+        for i, found in zip(left, stage):
             out[i] = found
-    return [
-        found if found is not None else _preimage_on_grid(x0, F, y, grid, per_axis, h, tol_feas, norm, refine_steps)
-        for found, y in zip(out, ys)
-    ]
+    return out
 
 
-def _preimage_on_grid(x0, F: SetMap, y, grid, per_axis: int, h: float, tol_feas, norm, refine_steps):
-    """The grid stage of the search for one target: the nearest feasible grid
-    points, or else the restored local minima of infeasibility, polished toward x0."""
-    feas = dist_to_value_set_batch(y, F, grid, norm, finite=False)
-    dists = _vec_dists(grid, x0, norm)
-
-    def objective(x):
-        return vec_dist(x, x0, norm)
-
-    def feasible(x):
-        return dist_to_value_set(y, F, x, norm) <= tol_feas
-
-    best, arg = INF, None
-    feasible_mask = feas <= tol_feas
-    if np.any(feasible_mask):
-        order = np.argsort(np.where(feasible_mask, dists, INF))[:4]
-        for i in order:
-            if not feasible_mask[i]:
-                continue
-            x, d = _coordinate_polish(objective, feasible, grid[i], h, refine_steps)
-            if d < best:
-                best, arg = d, x
-        return best, arg
-
-    # no grid point is feasible: restore feasibility from the most promising
-    # local minima, then polish toward x0
-    order = _local_minima_indices(feas, per_axis, F.n, limit=4 if F.n == 1 else 8)
-
-    def infeasibility(x):
-        return dist_to_value_set(y, F, x, norm)
-
-    for i in order:
-        x, r = _coordinate_polish(
-            infeasibility, lambda _z: True, grid[i], h, refine_steps + 35, target=tol_feas / 4
+def _preimage_on_grid(F: SetMap, x0s, ys, grids, per_axis: int, tol_feas, norm, refine_steps) -> list:
+    """The grid stage for every target left: target t searches the grid
+    ``grids[t]`` = (points, spacing) from ``x0s[t]``.  Its starts are the
+    nearest feasible grid points, or else the local minima of infeasibility;
+    all restorations of all targets run as one lockstep polish, then all
+    feasible starts are polished toward their own x0 as another, and each
+    target keeps the first nearest of its starts."""
+    starts, owner, restoring = [], [], []
+    for t, (x0, y, (grid, _)) in enumerate(zip(x0s, ys, grids)):
+        feas = dist_to_value_set_batch(y, F, grid, norm, finite=False)
+        dists = _vec_dists(grid, x0, norm)
+        feasible = feas <= tol_feas
+        restore = not np.any(feasible)
+        if restore:
+            picked = _local_minima_indices(feas, per_axis, F.n, limit=4 if F.n == 1 else 8)
+        else:
+            picked = [i for i in np.argsort(np.where(feasible, dists, INF))[:4] if feasible[i]]
+        starts += [grid[i] for i in picked]
+        owner += [t] * len(picked)
+        restoring += [restore] * len(picked)
+    out = [(INF, None)] * len(ys)
+    if not starts:
+        return out
+    X, owner = np.array(starts), np.array(owner)
+    Y, X0, H = np.array(ys)[owner], np.array(x0s)[owner], np.array([h for _, h in grids])[owner]
+    keep = ~np.array(restoring)
+    if not keep.all():
+        # no grid point of these targets is feasible: restore feasibility first
+        r = np.nonzero(~keep)[0]
+        Yr = Y[r]
+        X[r], resid = _coordinate_polish(
+            lambda Z, sub: dist_to_value_set_batch(Yr[sub], F, Z, norm),
+            None, X[r], H[r], refine_steps + 35, target=tol_feas / 4,
         )
-        if r <= tol_feas:
-            x, d = _coordinate_polish(objective, feasible, x, h, refine_steps)
-            if d < best:
-                best, arg = d, x
-    return best, arg
+        keep[r] = resid <= tol_feas
+    lanes = np.nonzero(keep)[0]
+    if not lanes.size:
+        return out
+    Xp, Yp, X0p = X[lanes], Y[lanes], X0[lanes]
+    Xp, d = _coordinate_polish(
+        lambda Z, sub: _vec_dists(Z, X0p[sub], norm),
+        lambda Z, sub: dist_to_value_set_batch(Yp[sub], F, Z, norm) <= tol_feas,
+        Xp, H[lanes], refine_steps,
+    )
+    for x, t, dist in zip(Xp, owner[lanes].tolist(), d.tolist()):
+        if dist < out[t][0]:
+            out[t] = (dist, x)
+    return out
 
 
 def _local_minima_indices(feas: np.ndarray, per_axis: int, n: int, limit: int) -> list[int]:
+    """The ``limit`` most promising restoration starts on a grid of
+    infeasibilities, lowest first (ties in index order): in 1D the local
+    minima, plateaus included, else the 4 * limit lowest points."""
     if n == 1:
-        f = feas
-        idx = [
-            i
-            for i in range(f.size)
-            if (i == 0 or f[i] <= f[i - 1]) and (i == f.size - 1 or f[i] <= f[i + 1])
-        ]
+        low = np.ones(feas.size, dtype=bool)
+        low[1:] &= feas[1:] <= feas[:-1]
+        low[:-1] &= feas[:-1] <= feas[1:]
+        idx = np.nonzero(low)[0]
     else:
-        idx = list(np.argsort(feas)[: 4 * limit])
-    idx.sort(key=lambda i: feas[i])
-    return idx[:limit]
+        idx = np.argsort(feas)[: 4 * limit]
+    return idx[np.argsort(feas[idx], kind="stable")][:limit].tolist()
 
 
 def dist_to_preimage(

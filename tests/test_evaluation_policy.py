@@ -56,12 +56,16 @@ KINDS = {
 }
 
 _X = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+#: one target per row of _X
+_Y = np.linspace(0.1, -0.3, 5).reshape(-1, 1)
 _QUERIES = ([[0.0], [0.5]], [[0.0], [0.25]], [0.5, 0.5])
 
 ORACLES = {
     "dist": lambda F: [dist_to_value_set([0.1], F, x) for x in _X],
     "dist_batch": lambda F: dist_to_value_set_batch([0.1], F, _X),
     "grid_batch": lambda F: dist_to_value_set_batch([0.1], F, _X, finite=False),
+    "dist_rows": lambda F: [dist_to_value_set(y, F, x) for y, x in zip(_Y, _X)],
+    "dist_rows_batch": lambda F: dist_to_value_set_batch(_Y, F, _X),
     "search": lambda F: [preimage_search([0.0], F, y) for y in ([0.3], [0.1])],
     "search_many": lambda F: preimage_search_many([0.0], F, [[0.3], [0.1]]),
     "cover": lambda F: [largest_covered_c(F, x, y, t) for x, y, t in zip(*_QUERIES)],
@@ -72,7 +76,7 @@ ORACLES = {
 }
 
 #: batched oracle -> its per-point counterpart
-PAIRS = {"dist_batch": "dist", "search_many": "search", "cover_many": "cover"}
+PAIRS = {"dist_batch": "dist", "dist_rows_batch": "dist_rows", "search_many": "search", "cover_many": "cover"}
 
 #: case -> outcome on every oracle, or per oracle where they differ: the
 #: error (its type, and for ValueError a word of its message), or "answered".
@@ -80,7 +84,7 @@ PAIRS = {"dist_batch": "dist", "search_many": "search", "cover_many": "cover"}
 #: map and a finite batch of its distances; an epigraph keeps it as its
 #: lower bound.  A search grid counts it as infeasible, a covering ball and a
 #: graph sample take it as it is.
-_NON_FINITE = {"dist": "finite", "dist_batch": "finite"}
+_NON_FINITE = {"dist": "finite", "dist_batch": "finite", "dist_rows": "finite", "dist_rows_batch": "finite"}
 POLICY = {
     "raises": "RuntimeError",
     "scalar_only": "answered",

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from reglab import moduli
 from reglab.corpus import load_example, sinkink_fn, staircase_fn
-from reglab.geometry import GraphPoint, _real, as_vector, vec_dist
+from reglab.geometry import TOL_FEAS, Ball, GraphPoint, _real, as_vector, vec_dist
 from reglab.moduli import (
+    MODULUS_KINDS,
     LiminfSchedule,
+    ModulusEstimate,
+    _INF_KINDS,
     _attained_structure_1d,
     _bridged_structure_1d,
     _bridged_structure_rows,
@@ -41,16 +44,20 @@ from reglab.setmaps import (
     SumMap,
     INF,
     QUOTIENT_CAP,
+    SetMap,
     UnsupportedOperation,
     _ball_grid,
+    _value_candidates,
     _eval_vectorized,
     _linear_cover_rate,
     build_setmap,
     dist_to_value_set,
+    dist_to_value_set_batch,
     graph_sample,
+    preimage_search_many,
     scalar_branches,
 )
-from test_setmaps import _reference_inf_on_interval
+from test_setmaps import _reference_inf_on_interval, _reference_query
 
 arr = lambda x: np.asarray(x, dtype=float)
 ORIGIN = GraphPoint([0.0], [0.0])
@@ -850,3 +857,177 @@ def test_staircase_criterion_polishes_in_lockstep(monkeypatch):
     monkeypatch.setattr(corpus, "staircase_fn", counted)
     assert acceptance.criterion_4(42)["passed"]
     assert len(calls) < 600
+
+# ---------------------------------------------------------------------------
+# reg, psopen and subreg: one value batch and one preimage call per shell give
+# the estimate of the per-sample loop of before bit for bit
+
+
+def dist_to_preimage(x0, F, y, region=None, norm="euclidean", resolution=401):
+    """The preimage distance that the verbatim reference below calls: the
+    one-query search of before, with its one-target grid stage."""
+    return _reference_query(x0, F, y, region, norm, resolution)[0]
+
+
+def _reference_estimate_modulus(
+    kind: str,
+    F: SetMap,
+    point: GraphPoint,
+    schedule: LiminfSchedule | None = None,
+    norm: str = "euclidean",
+    seed: int = 42,
+    preimage_resolution: int = 401,
+    region_factor: float = 8.0,
+    sur_graph_points: int = 16,
+    sur_t_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
+) -> ModulusEstimate:
+    """estimate_modulus of before, verbatim: reg, psopen and subreg take one
+    value distance and one preimage distance per sample.
+
+    Estimate one regularity modulus by sampling its defining quotient.
+
+    Infimum-type moduli (sur, lopen, psopen, displacement) report per-shell
+    infima; supremum-type ones (reg, lip, calm, semireg, subreg) per-shell
+    suprema.  A shell with no admissible samples keeps the empty-set
+    convention (inf = +inf, sup = 0).
+    """
+    if kind not in MODULUS_KINDS:
+        raise ValueError(f"unknown modulus kind {kind!r}")
+    schedule = schedule or LiminfSchedule()
+    check_on_graph(F, point, norm=norm)
+    xbar, ybar = point.x, point.y
+    radii = schedule.radii()
+    spc = schedule.samples_per_shell
+    notes: list[str] = []
+    shell_stats: list[float | None] = []
+    total = 0
+
+    for j, r in enumerate(radii):
+        r_in = r * schedule.rho
+        sj = derive_seed(seed, f"{kind}-shell{j}")
+        rng = SplitMix64(sj)
+        quotients: list[float] = []
+
+        if kind in ("lopen", "semireg"):
+            # y in F(xbar) is not admissible for the liminf; a NaN distance is (not <=)
+            ys = [yv for yv in shell_points(ybar, r_in, r, spc, sj)
+                  if not dist_to_value_set(yv, F, xbar, norm) <= TOL_FEAS]
+            found = preimage_search_many(
+                xbar, F, ys, Ball(xbar, region_factor * r), norm=norm, resolution=preimage_resolution
+            )
+            for yv, (dpre, _) in zip(ys, found):
+                rho_y = vec_dist(yv, ybar, norm)
+                if kind == "lopen":
+                    quotients.append(0.0 if dpre == INF else (rho_y / dpre if dpre > 0 else QUOTIENT_CAP * 2))
+                else:
+                    quotients.append(INF if dpre == INF else dpre / rho_y)
+        elif kind == "sur":
+            # draw the shell, answer it in one covering call, reduce in draw order
+            gps = [point] + graph_sample(F, point, r, sur_graph_points, derive_seed(sj, "gp"), norm)
+            queries = [(gp, frac * r) for gp in gps for frac in sur_t_fractions]
+            quotients = largest_covered_c_many(
+                F, [gp.x for gp, _ in queries], [gp.y for gp, _ in queries], [t for _, t in queries],
+                norm=norm, seed=derive_seed(sj, "c"),
+            )
+        elif kind == "reg":
+            for _ in range(spc):
+                xv = rng.in_ball(xbar, r, norm)
+                yv = rng.in_ball(ybar, r, norm)
+                dval = dist_to_value_set(yv, F, xv, norm)
+                if dval <= TOL_FEAS:
+                    continue
+                dpre = dist_to_preimage(
+                    xv, F, yv, Ball(xbar, region_factor * r + vec_dist(xv, xbar, norm)),
+                    norm=norm, resolution=preimage_resolution,
+                )
+                quotients.append(INF if dpre == INF else dpre / dval)
+        elif kind == "lip":
+            for _ in range(spc):
+                xv = rng.in_ball(xbar, r, norm)
+                xw = rng.in_ball(xbar, r, norm)
+                d_xx = vec_dist(xv, xw, norm)
+                if d_xx <= 1e-12:
+                    continue
+                for yv in _value_candidates(F, xw, ybar, r, rng, 2, norm):
+                    quotients.append(dist_to_value_set(yv, F, xv, norm) / d_xx)
+        elif kind in ("psopen", "subreg"):
+            for xv in shell_points(xbar, r_in, r, spc, sj):
+                dval = dist_to_value_set(ybar, F, xv, norm)
+                if dval <= TOL_FEAS:
+                    continue  # x in F^{-1}(ybar)
+                dpre = dist_to_preimage(
+                    xv, F, ybar, Ball(xbar, region_factor * r + vec_dist(xv, xbar, norm)),
+                    norm=norm, resolution=preimage_resolution,
+                )
+                if kind == "psopen":
+                    quotients.append(0.0 if dpre == INF else (dval / dpre if dpre > 0 else QUOTIENT_CAP * 2))
+                else:
+                    quotients.append(INF if dpre == INF else dpre / dval)
+        elif kind == "calm":
+            # product neighborhood: x from the ball, y in F(x) near ybar
+            for _ in range(spc):
+                xv = rng.in_ball(xbar, r, norm)
+                d_x = vec_dist(xv, xbar, norm)
+                if d_x <= 1e-12:
+                    continue
+                for yv in _value_candidates(F, xv, ybar, r, rng, 2, norm):
+                    quotients.append(dist_to_value_set(yv, F, xbar, norm) / d_x)
+        elif kind == "displacement":
+            # draw the shell, answer it in one batch, reduce in draw order
+            kept = [(xv, d_x) for xv in shell_points(xbar, r_in, r, spc, sj)
+                    if not (d_x := vec_dist(xv, xbar, norm)) <= 1e-12]
+            if kept:
+                dvals = dist_to_value_set_batch(ybar, F, np.array([xv for xv, _ in kept]), norm)
+                for (_, d_x), dval in zip(kept, dvals.tolist()):
+                    quotients.append(INF if dval == INF else dval / d_x)
+
+        total += len(quotients)
+        if not quotients:
+            shell_stats.append(None)
+        elif kind in _INF_KINDS:
+            shell_stats.append(min(quotients))
+        else:
+            shell_stats.append(max(quotients))
+
+    if kind in ("lopen", "semireg") and shell_stats[-1] is None:
+        notes.append("all samples in the smallest shell were values of F(xbar): internal-point convention")
+    if kind in ("psopen", "subreg") and shell_stats[-1] is None:
+        notes.append("all samples in the smallest shell lay in the preimage: internal-point convention")
+    return _assemble(kind, point, shell_stats, schedule, seed, norm, total, notes)
+
+
+_SHELL_MAPS = {
+    "map2d": (build_setmap({"kind": "single", "expr": ["x1+0.2*sin(x2)", "x2-0.1*x1**2"], "n": 2, "m": 2}),
+              GraphPoint([0.0, 0.0], [0.0, 0.0])),
+    "curve_2d_not_vectorized": (SingleValued(_curve_2d, 2, 2, vectorized=False),
+                                GraphPoint([0.3, 0.2], _curve_2d(np.array([0.3, 0.2])))),
+    "epigraph_2d": (Epigraph(lambda x: (arr(x) ** 2).sum(axis=-1), 2), GraphPoint([0.0, 0.0], [0.0])),
+    "finite_x0": (build_setmap({"kind": "finite", "branches": ["x", "0"]}), ORIGIN),
+    "epigraph_abs": (build_setmap({"kind": "epigraph", "expr": "abs(x)"}), ORIGIN),
+    "interval_band": (PolyhedralGraph([([[2.0, 1.0], [-2.0, -1.0]], [0.1, 0.1])], 1, 1), GraphPoint([0.0], [0.1])),
+    "sum_cone": (SumMap(SingleValued(lambda x: 2.1 * arr(x)), NormalConeBox([-1.0], [1.0])), ORIGIN),
+    "two_branch": (two_branch(), ORIGIN),
+}
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("kind", ["reg", "psopen", "subreg"])
+@pytest.mark.parametrize("name", sorted(_SHELL_MAPS))
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**31), r0=st.sampled_from([0.1, 0.02]))
+def test_shell_preimage_kinds_equal_the_per_sample_loop_of_before(name, kind, norm, seed, r0):
+    F, point = _SHELL_MAPS[name]
+    sched = LiminfSchedule(r0=r0, rho=0.5, shells=3, samples_per_shell=6)
+    with np.errstate(all="ignore"):
+        got = estimate_modulus(kind, F, point, sched, norm=norm, seed=seed)
+        ref = _reference_estimate_modulus(kind, F, point, sched, norm=norm, seed=seed)
+    assert _fingerprint(got) == _fingerprint(ref)
+    assert got.to_json_dict() == ref.to_json_dict()
+
+
+def test_shell_preimage_kinds_with_no_samples():
+    # an empty shell makes no oracle call and keeps the empty-set convention
+    F, point = _SHELL_MAPS["map2d"]
+    for kind in ("reg", "psopen", "subreg"):
+        got = estimate_modulus(kind, F, point, LiminfSchedule(r0=0.1, rho=0.5, shells=3, samples_per_shell=0))
+        assert got.samples_used == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reglab import intervals, setmaps
 from reglab.corpus import load_example, sinkink_fn, staircase_fn
 from reglab.expr import compile_expression
-from reglab.geometry import TOL_FEAS, Ball, DomainError, GraphPoint, as_vector, vec_dist
+from reglab.geometry import TOL_FEAS, Ball, DimensionMismatch, DomainError, GraphPoint, as_vector, vec_dist
 from reglab.moduli import frechet_coderivative_bound, largest_covered_c
 from reglab.rng import derive_seed, sphere_directions
 from reglab.setmaps import (
@@ -440,6 +440,30 @@ def test_branch_on_an_array_equals_branch_on_0d_input_bitwise(name, length):
         assert _eval_rows(fn, pts[:, None], 1, 1, finite=False)[0][:, 0].tobytes() == scalar.tobytes()
 
 
+def _reference_coordinate_polish(objective, accept, x0, step0, steps, lo=None, hi=None, target=None):
+    """The one-start polish that the lockstep one replaced (kept verbatim as the oracle)."""
+    x = np.asarray(x0, dtype=float).copy()
+    fx = objective(x)
+    step = step0
+    for _ in range(steps):
+        if target is not None and fx <= target:
+            break
+        improved = False
+        for i in range(x.size):
+            for s in (step, -step):
+                z = x.copy()
+                z[i] += s
+                if lo is not None:
+                    z[i] = min(max(z[i], lo[i]), hi[i])
+                fz = objective(z)
+                if fz < fx and accept(z):
+                    x, fx = z, fz
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return x, fx
+
+
 def _reference_bisect_root(fn, a: float, b: float, fa: float, fb: float, iters: int = 60) -> float:
     """The scalar bisection that the lockstep one replaced (kept verbatim as the oracle)."""
     for _ in range(iters):
@@ -489,7 +513,7 @@ def _reference_preimage_1d_branches(x0, branches, y0: float, grid: np.ndarray, n
                 )
                 if abs(float(vals[i])) > 2.0 * local_delta + tol_feas:
                     continue
-                z, fx = _coordinate_polish(
+                z, fx = _reference_coordinate_polish(
                     lambda z, b=b: abs(float(np.asarray(b(np.asarray(z[0])))) - y0),
                     lambda _z: True, [xs[i]], h, 60, target=tol_feas / 4,
                 )
@@ -569,9 +593,9 @@ def _count_grid_searches(monkeypatch):
     calls = []
     grid_stage = setmaps._preimage_on_grid
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return grid_stage(*args, **kwargs)
+    def counted(F, x0s, ys, *args, **kwargs):
+        calls.extend(ys)
+        return grid_stage(F, x0s, ys, *args, **kwargs)
 
     monkeypatch.setattr(setmaps, "_preimage_on_grid", counted)
     return calls
@@ -1319,3 +1343,419 @@ def test_linear_cover_rate_equals_the_loop_of_before_bitwise(shape, entries, nor
         ref = _reference_linear_cover_rate(*args)
     assert type(got) is float
     assert got.hex() == float(ref).hex()
+
+
+# ---------------------------------------------------------------------------
+# one target per row: a (k, m) y gives each row of the batch its own target
+
+
+def _curve2(x):
+    x = arr(x)
+    return np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2 - x[..., 1]], axis=-1)
+
+
+_ROW_TARGET_CASES = {
+    **MAP_KINDS,
+    **_BRANCH_CASES,
+    "single_m2": (SingleValued(_curve2, 2, 2), _X2, [0.1, -0.2]),
+    "single_m2_not_vectorized": (SingleValued(_curve2, 2, 2, vectorized=False), _X2, [0.1, -0.2]),
+    "finite_m2_not_vectorized": (
+        FiniteValued([_curve2, lambda x: arr(x)[::-1] * 0.5], 2, 2, vectorized=False), _X2, [0.3, 0.1]),
+    "epigraph_not_vectorized": (Epigraph(lambda x: arr(x) ** 2, vectorized=False), _X1, [0.5]),
+    "epigraph_2d": (Epigraph(lambda x: (arr(x) ** 2).sum(axis=-1), 2), _X2, [0.5]),
+    "polyhedral_m2": (PolyhedralGraph([([[1, 0, -1, 0], [0, 1, 0, -1], [-1, -1, 0, 0]], [0, 0, 1])], 2, 2),
+                      _X2, [0.2, 0.4]),
+    "bare_kind": (_Shifted(), _X1, [0.5]),
+}
+
+
+def _row_targets(F, X, y):
+    """One target per row of X: y moved by a different amount on each row."""
+    shift = np.linspace(-0.45, 0.6, len(X))[:, None] * np.linspace(1.0, -0.5, F.m)
+    return arr(y) + shift
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("case", sorted(_ROW_TARGET_CASES))
+def test_batch_distance_with_a_target_per_row_is_row_by_row_bitwise(case, norm):
+    F, X, y = _ROW_TARGET_CASES[case]
+    X = arr(X)
+    Y = _row_targets(F, X, y)
+    rows = np.array([dist_to_value_set(yr, F, x, norm) for yr, x in zip(Y, X)])
+    assert dist_to_value_set_batch(Y, F, X, norm).tobytes() == rows.tobytes()
+    # the targets as nested lists, and a batch of one row
+    assert dist_to_value_set_batch(Y.tolist(), F, X, norm).tobytes() == rows.tobytes()
+    assert dist_to_value_set_batch(Y[:1], F, X[:1], norm).tobytes() == rows[:1].tobytes()
+    # one shared target is the same as that target on every row
+    shared = np.array([dist_to_value_set(y, F, x, norm) for x in X])
+    assert dist_to_value_set_batch(np.tile(arr(y), (len(X), 1)), F, X, norm).tobytes() == shared.tobytes()
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("case", sorted(_BAD_VALUE_CASES))
+def test_batch_distance_with_a_target_per_row_fails_where_the_rows_fail(case, norm):
+    F, X, y = _BAD_VALUE_CASES[case]
+    Y = _row_targets(F, arr(X), y)
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: dist_to_value_set_batch(Y, F, X, norm))
+        rows = _outcome(lambda: np.array([dist_to_value_set(yr, F, x, norm) for yr, x in zip(Y, X)]))
+    assert got == rows
+
+
+def test_bad_row_targets_raise_as_the_row_does():
+    F, X = SingleValued(lambda x: arr(x) ** 2), _X1[:3]
+    Y = np.array([[0.1], [0.2], [0.3]])
+    for bad, error, word in (
+        (np.nan, ValueError, "finite"), (np.inf, ValueError, "finite"), (0.2 + 1j, ValueError, "real"),
+    ):
+        Z = Y.astype(complex) if isinstance(bad, complex) else Y.copy()
+        Z[1, 0] = bad
+        with pytest.raises(error, match=word):
+            dist_to_value_set(Z[1], F, X[1])
+        with pytest.raises(error, match=word):
+            dist_to_value_set_batch(Z, F, X)
+    with pytest.raises(DimensionMismatch):
+        dist_to_value_set_batch(Y[:2], F, X)  # a target short
+    with pytest.raises(DimensionMismatch):
+        dist_to_value_set_batch(np.hstack([Y, Y]), F, X)  # targets of R^2 for a map into R
+
+
+# ---------------------------------------------------------------------------
+# the lockstep polish: every start takes the path of the one-start polish
+
+
+def _lane_objective(Z, C, W, quantum):
+    """A per-row objective with kinks, plateaus (values rounded to ``quantum``)
+    and a NaN region, built one column at a time so that a row gives the same
+    bits alone and in a batch."""
+    out = np.zeros(len(Z))
+    for i in range(Z.shape[1]):
+        out = out + W[:, i] * np.abs(Z[:, i] - C[:, i]) + 0.1 * np.sin(3.0 * Z[:, i])
+    out = np.round(out / quantum) * quantum
+    return np.where(Z[:, 0] > 2.5, np.nan, out)
+
+
+def _lane_accept(Z, G):
+    return np.floor(7.0 * Z.sum(axis=1) + G) % 3 != 0
+
+
+_polish_float = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0]), st.floats(-2.0, 2.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(1, 5),
+    n=st.integers(1, 3),
+    steps=st.integers(0, 30),
+    quantum=st.sampled_from([1e-12, 1e-3, 0.05]),
+    target=st.one_of(st.none(), st.sampled_from([0.0, 1e-3, 0.2, 1.0])),
+    gated=st.booleans(),
+    clamped=st.booleans(),
+)
+def test_lockstep_polish_follows_the_one_start_polish_per_lane(data, k, n, steps, quantum, target, gated, clamped):
+    rows = st.lists(_polish_float, min_size=n, max_size=n)
+    X0 = np.array(data.draw(st.lists(rows, min_size=k, max_size=k)))
+    C = np.array(data.draw(st.lists(rows, min_size=k, max_size=k)))
+    W = np.abs(np.array(data.draw(st.lists(rows, min_size=k, max_size=k)))) + 0.25
+    G = np.array(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=float)
+    step0 = np.array(data.draw(st.lists(st.sampled_from([1.0, 0.3, 0.01, 2.0 ** -20]), min_size=k, max_size=k)))
+    lo = hi = None
+    if clamped:
+        ends = np.sort(np.array(data.draw(st.lists(rows, min_size=2, max_size=2))), axis=0)
+        lo, hi = ends[0], ends[1]
+    calls = np.zeros(k, dtype=int)
+
+    def accept(Z, lanes):
+        np.add.at(calls, lanes, 1)
+        return _lane_accept(Z, G[lanes])
+
+    X, fx = _coordinate_polish(lambda Z, lanes: _lane_objective(Z, C[lanes], W[lanes], quantum),
+                               accept if gated else None, X0, step0, steps, lo, hi, target)
+    assert X.shape == (k, n) and fx.shape == (k,)
+    for j in range(k):
+        count = [0]
+
+        def accept_one(z):
+            count[0] += 1
+            return bool(_lane_accept(z[None], G[j:j + 1])[0])
+
+        x, f = _reference_coordinate_polish(
+            lambda z: float(_lane_objective(z[None], C[j:j + 1], W[j:j + 1], quantum)[0]),
+            accept_one if gated else (lambda _z: True), X0[j], float(step0[j]), steps, lo, hi, target)
+        assert X[j].tobytes() == x.tobytes()
+        assert float(fx[j]).hex() == float(f).hex()
+        assert calls[j] == count[0]
+
+
+def test_lockstep_polish_takes_one_objective_call_per_move_over_the_live_starts():
+    sizes = []
+
+    def objective(Z, lanes):
+        sizes.append(len(lanes))
+        return np.abs(Z - np.array([[0.3, -0.2]])).sum(axis=1) * np.where(lanes == 0, 1.0, 0.0)
+
+    # start 1 meets its target at once; start 0 runs every round
+    X, fx = _coordinate_polish(objective, None, [[0.0, 0.0], [5.0, 5.0]], 0.25, 3, target=1e-12)
+    assert sizes == [2] + [1] * 12
+    assert fx[1] == 0.0 and X[1].tolist() == [5.0, 5.0]
+
+
+# ---------------------------------------------------------------------------
+# the restoration starts: local minima of infeasibility
+
+
+def _reference_local_minima_indices(feas: np.ndarray, per_axis: int, n: int, limit: int) -> list[int]:
+    """The Python scan of before (kept verbatim as the oracle)."""
+    if n == 1:
+        f = feas
+        idx = [
+            i
+            for i in range(f.size)
+            if (i == 0 or f[i] <= f[i - 1]) and (i == f.size - 1 or f[i] <= f[i + 1])
+        ]
+    else:
+        idx = list(np.argsort(feas)[: 4 * limit])
+    idx.sort(key=lambda i: feas[i])
+    return idx[:limit]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    feas=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0, np.inf, np.nan]), st.floats(0.0, 2.0)),
+                  min_size=1, max_size=40),
+    limit=st.sampled_from([1, 4, 8]),
+    n=st.sampled_from([1, 2]),
+)
+def test_local_minima_equal_the_scan_of_before(feas, limit, n):
+    feas = np.array(feas)
+    got = setmaps._local_minima_indices(feas, 0, n, limit)
+    assert got == [int(i) for i in _reference_local_minima_indices(feas, 0, n, limit)]
+
+
+def test_local_minima_on_plateaus_and_ties():
+    # the grid of finite_x0 ({x, 0}) for a target y off the grid: the flat |y|
+    # of the constant branch is one long plateau of ties, cut by the dip of x
+    xs = _grid_axes(np.array([0.0]), 1.0, 401)
+    F = build_setmap({"kind": "finite", "branches": ["x", "0"]})
+    for y in (0.30001, -0.70001, 0.0, 2.0):
+        feas = dist_to_value_set_batch([y], F, xs, finite=False)
+        for limit in (1, 4):
+            want = [int(i) for i in _reference_local_minima_indices(feas, 401, 1, limit)]
+            assert setmaps._local_minima_indices(feas, 401, 1, limit) == want
+    plateau = np.array([1.0, 0.5, 0.5, 0.5, 2.0, 0.5, 0.5, 3.0, 0.25, 0.25])
+    assert setmaps._local_minima_indices(plateau, 0, 1, 4) == [8, 9, 1, 2]
+    assert setmaps._local_minima_indices(np.array([np.nan]), 0, 1, 4) == [0]
+
+
+# ---------------------------------------------------------------------------
+# the grid stage: every target left in one call, each answered as the
+# one-target grid stage of before answered it, for a shared or a per-query x0
+
+
+def _reference_preimage_on_grid(x0, F, y, grid, per_axis, h, tol_feas, norm, refine_steps):
+    """The one-target grid stage of before, with the one-start polish and the
+    scan of before (kept verbatim as the oracle)."""
+    feas = dist_to_value_set_batch(y, F, grid, norm, finite=False)
+    dists = setmaps._vec_dists(grid, x0, norm)
+
+    def objective(x):
+        return vec_dist(x, x0, norm)
+
+    def feasible(x):
+        return dist_to_value_set(y, F, x, norm) <= tol_feas
+
+    best, arg = INF, None
+    feasible_mask = feas <= tol_feas
+    if np.any(feasible_mask):
+        order = np.argsort(np.where(feasible_mask, dists, INF))[:4]
+        for i in order:
+            if not feasible_mask[i]:
+                continue
+            x, d = _reference_coordinate_polish(objective, feasible, grid[i], h, refine_steps)
+            if d < best:
+                best, arg = d, x
+        return best, arg
+
+    order = _reference_local_minima_indices(feas, per_axis, F.n, limit=4 if F.n == 1 else 8)
+
+    def infeasibility(x):
+        return dist_to_value_set(y, F, x, norm)
+
+    for i in order:
+        x, r = _reference_coordinate_polish(
+            infeasibility, lambda _z: True, grid[i], h, refine_steps + 35, target=tol_feas / 4
+        )
+        if r <= tol_feas:
+            x, d = _reference_coordinate_polish(objective, feasible, x, h, refine_steps)
+            if d < best:
+                best, arg = d, x
+    return best, arg
+
+
+def _reference_query(x0, F, y, region, norm, resolution=401, refine_steps=25):
+    """One query as the search of before answered it: the closed form, the 1D
+    path on its own grid, then the one-target grid stage of before."""
+    x0, y = as_vector(x0, F.n), as_vector(y, F.m)
+    found = F.analytic_preimage(x0, y, norm, TOL_FEAS)
+    if found is not None:
+        return found
+    region = Ball(x0, 1.0) if region is None else region
+    per_axis = resolution if F.n == 1 else max(21, int(np.sqrt(resolution)) * 2 + 1)
+    grid = _grid_axes(as_vector(region.center, F.n), region.radius, per_axis)
+    h = 2.0 * region.radius / max(per_axis - 1, 1)
+    if F.n == 1 and F.m == 1:
+        found = (F.preimage_1d(x0, np.array([y[0]]), grid, norm, TOL_FEAS) or [None])[0]
+        if found is not None:
+            return found
+    return _reference_preimage_on_grid(x0, F, y, grid, per_axis, h, TOL_FEAS, norm, refine_steps)
+
+
+def _search_outcome(fn):
+    with np.errstate(all="ignore"):
+        try:
+            return [(float(d).hex(), None if x is None else np.asarray(x, dtype=float).tobytes()) for d, x in fn()]
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+#: maps whose searches reach the grid stage, with a graph point (x, F(x))
+_GRID_MAPS = {
+    "map2d": (build_setmap({"kind": "single", "expr": ["x1+0.2*sin(x2)", "x2-0.1*x1**2"], "n": 2, "m": 2}),
+              [0.0, 0.0]),
+    "curve_not_vectorized": (SingleValued(_curve2, 2, 2, vectorized=False), [0.3, 0.2]),
+    "epigraph_2d": (Epigraph(lambda x: (arr(x) ** 2).sum(axis=-1) - 0.2, 2), [0.1, -0.1]),
+    "finite_x0": (build_setmap({"kind": "finite", "branches": ["x", "0"]}), [0.0]),
+    "not_vectorized": (FiniteValued([lambda x: arr(x) ** 3, lambda x: 1.0 - arr(x)], vectorized=False), [0.2]),
+    "bare_kind": (_Shifted(), [0.1]),
+    "curve_1_to_2": (SingleValued(lambda x: np.stack([arr(x), arr(x) ** 2], axis=-1).reshape(-1, 2).squeeze(), 1, 2,
+                                  vectorized=False), [0.4]),
+    # a map whose restoration can step out of the domain of sqrt
+    "sqrt_not_vectorized": (SingleValued(lambda x: np.sqrt(arr(x)), vectorized=False), [0.5]),
+}
+
+
+def _value_at(F, x):
+    return F.value_set(arr(x)).points[0] if not isinstance(F, Epigraph) else F.value_set(arr(x)).lo
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_GRID_MAPS)),
+    data=st.data(),
+    count=st.integers(1, 4),
+    norm=st.sampled_from(["euclidean", "max"]),
+    shared=st.booleans(),
+)
+def test_grid_stage_answers_every_query_as_the_one_target_stage_of_before(name, data, count, norm, shared):
+    F, x = _GRID_MAPS[name]
+    x = arr(x)
+    offsets = st.lists(st.one_of(st.sampled_from([0.0, 0.05, -0.3, 1.7]), st.floats(-0.6, 0.6)),
+                       min_size=F.n, max_size=F.n)
+    X0 = np.array([x + np.array(data.draw(offsets)) for _ in range(count)])
+    if shared:
+        X0[:] = X0[0]
+    # targets: values near the graph point (off the grid in general), and
+    # targets with no preimage nearby
+    with np.errstate(all="ignore"):
+        ys = [_value_at(F, x + 0.37 * np.array(data.draw(offsets))) + np.array(
+            data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-3, -0.2, 3.0]), min_size=F.m, max_size=F.m)))
+              for _ in range(count)]
+    assume(all(np.isfinite(y).all() for y in ys))
+    radii = [data.draw(st.sampled_from([0.05, 0.4, 1.0])) for _ in range(count)]
+    regions = [None if shared and radius == 1.0 else Ball(X0[0] if shared else x, radius) for radius in radii]
+    if shared:
+        regions = [regions[0]] * count
+        got = _search_outcome(lambda: preimage_search_many(X0[0], F, ys, regions[0], norm=norm))
+    else:
+        got = _search_outcome(lambda: preimage_search_many(X0, F, ys, regions, norm=norm))
+    refs = [_search_outcome(lambda: [_reference_query(x0, F, y, region, norm)]) for x0, y, region in
+            zip(X0, ys, regions)]
+    if any(isinstance(ref, tuple) for ref in refs):  # a query raises: so does the call
+        assert isinstance(got, tuple) and got[0] in {ref[0] for ref in refs if isinstance(ref, tuple)}
+    else:
+        assert got == [ref[0] for ref in refs]
+
+
+def test_grid_stage_polishes_the_starts_of_all_targets_together(monkeypatch):
+    # finite_x0: no grid point is feasible for a target off the grid, so each
+    # target restores 4 starts, of which the one at the dip of x succeeds (the
+    # others sit on the flat |y| of the constant branch).  All starts take
+    # one restoration polish and one polish toward x0, where each target
+    # polished its starts one by one
+    F = build_setmap({"kind": "finite", "branches": ["x", "0"]})
+    ys = [[0.123456], [-0.654321], [0.3000001], [0.0500001]]
+    polishes = []
+    polish = setmaps._coordinate_polish
+
+    def counted(objective, accept, X0, *args, **kwargs):
+        polishes.append(len(X0))
+        return polish(objective, accept, X0, *args, **kwargs)
+
+    monkeypatch.setattr(setmaps, "_coordinate_polish", counted)
+    grid = _count_grid_searches(monkeypatch)
+    got = preimage_search_many([0.0], F, ys)
+    assert len(grid) == len(ys) and polishes == [16, 4]
+    for y, found in zip(ys, got):
+        _same_search(found, _reference_query([0.0], F, y, None, "euclidean"))
+        assert found[0] == pytest.approx(abs(y[0]), abs=1e-6)
+
+
+def test_per_query_searches_share_the_1d_call_of_an_equal_x0_and_region(monkeypatch):
+    F = SingleValued(lambda x: arr(x) ** 3 - arr(x))
+    calls = []
+    branch_path = setmaps._preimage_1d_branches
+
+    def counted(x0, branches, ys, *args, **kwargs):
+        calls.append(len(ys))
+        return branch_path(x0, branches, ys, *args, **kwargs)
+
+    monkeypatch.setattr(setmaps, "_preimage_1d_branches", counted)
+    X0 = [[0.1], [0.1], [0.5], [0.1], [0.5]]
+    regions = [Ball([0.0], 1.0), Ball([0.0], 1.0), Ball([0.0], 1.0), Ball([0.0], 2.0), None]
+    ys = [[0.0], [0.2], [-0.1], [0.3], [0.05]]
+    got = preimage_search_many(np.array(X0), F, ys, regions)
+    assert calls == [2, 1, 1, 1]
+    for x0, y, region, found in zip(X0, ys, regions, got):
+        _same_search(found, preimage_search(x0, F, y, region))
+    # one region for every query, and the default region
+    for region in (Ball([0.2], 1.5), None):
+        for x0, y, found in zip(X0, ys, preimage_search_many(np.array(X0), F, ys, region)):
+            _same_search(found, preimage_search(x0, F, y, region))
+    assert preimage_search_many(np.zeros((0, 1)), F, [], []) == []
+    with pytest.raises(DimensionMismatch):
+        preimage_search_many(np.array(X0[:2]), F, ys, regions[:2])
+
+
+def test_cone_cover_rates_grow_all_empty_directions_in_one_call_per_round(monkeypatch):
+    # v = -1 has no preimage under the epigraph of |x|: it grows the unit
+    # ball x4 per round, together with the other empty direction
+    calls = []
+    many = setmaps.preimage_search_many
+
+    def counted(x0, F, ys, region, **kwargs):
+        calls.append((len(ys), region.radius))
+        return many(x0, F, ys, region, **kwargs)
+
+    monkeypatch.setattr(setmaps, "preimage_search_many", counted)
+    F = Epigraph(lambda x: np.abs(arr(x)) + 0.5 * arr(x))
+    vs = [np.array([1.0]), np.array([-1.0]), np.array([-0.5]), np.array([0.25])]
+    rates = setmaps._cone_cover_rates(F, vs, "euclidean")
+    rounds = [4.0 ** j for j in range(1, 11)]
+    assert calls == [(4, 1.0)] + [(2, r) for r in rounds]
+    assert rates[1] == rates[2] == 0.0
+    assert rates[0] == rates[3] == INF  # in F(0) = [0, inf)
+
+
+def test_square_batches_of_a_multi_output_branch_go_row_by_row():
+    # a compiled 2D branch gives its values as (m, k); with k = m = 2 rows
+    # that shape is (k, m) too, and the batch took the values transposed:
+    # row 0 got the first coordinate of both points
+    F = build_setmap({"kind": "single", "expr": ["x1+0.2*sin(x2)", "x2-0.1*x1**2"], "n": 2, "m": 2})
+    X = np.array([[0.04310028972144443, 0.0], [0.04391352091392373, 0.0]])
+    assert _eval_vectorized(F.fn, X, 2, 2) is None
+    rows = np.array([dist_to_value_set([0.0, 0.0], F, x, "max") for x in X])
+    assert dist_to_value_set_batch([0.0, 0.0], F, X, "max").tobytes() == rows.tobytes()
+    assert rows[0] == X[0, 0]
+    # (m, k) with k != m is still turned round
+    assert _eval_vectorized(F.fn, np.vstack([X, X]), 2, 2).shape == (4, 2)
