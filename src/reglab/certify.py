@@ -11,21 +11,19 @@ reference point and a vacuous pass must be distinguishable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .geometry import STRICT_SLACK, TOL_FEAS, Ball, GraphPoint, JsonReport, as_vector, vec_dist
-from .moduli import LiminfSchedule, check_on_graph, estimate_modulus, linear_moduli
+from .moduli import LiminfSchedule, _shell_answers, _value_dists, check_on_graph, estimate_modulus, linear_moduli
 from .rng import SplitMix64, derive_seed, shell_points, sphere_directions
 from .setmaps import (
     INF,
     SetMap,
     SumMap,
     _minus_linear,
-    dist_to_preimage,
-    dist_to_value_set,
     graph_sample,
-    preimage_search,
     preimage_search_many,
     require_single_valued,
 )
@@ -76,12 +74,6 @@ class CertificateReport(JsonReport):
         else:
             self.verdict = "pass"
         return self
-
-
-class OracleError(ValueError):
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _as_pair(result, n, m):
@@ -169,59 +161,72 @@ def check_descent_certificate(
     )
     xbar, ybar = point.x, point.y
 
-    def on_graph(x, v):
-        return dist_to_value_set(v, F, x, norm) <= 10 * TOL_FEAS
-
-    def run_oracle(x, v, y, cc):
+    def answer(premises):
+        """The oracle's answer to each premise tuple, in draw order: its
+        (x', v'), with x' None where it found nothing, or the witness of an
+        off-graph pair.  A user oracle is called once per tuple; the
+        built-in one heads toward a preimage point of y (the construction
+        used in the necessity proofs), all tuples in one preimage call.
+        Every pair found is checked on the graph in one batch."""
+        if not premises:
+            return []
         if oracle is not None:
-            xp, vp = _as_pair(oracle(x, v, y, dict(report.constants)), F.n, F.m)
+            pairs = [_as_pair(oracle(p.x, p.v, p.y, dict(report.constants)), F.n, F.m) for p in premises]
         else:
-            # built-in: head toward a preimage point of y (the construction
-            # used in the necessity proofs)
-            d, xp = preimage_search(x, F, y, Ball(xbar, max(r, 2 * vec_dist(y, ybar, norm) / cc)), norm=norm)
-            vp = y if xp is not None else None
-        if xp is None:
-            return None, None
-        if vp is None:
-            vp = as_vector(F.value_set(xp).nearest(y, norm)[0], F.m)
-        if not on_graph(xp, vp):
-            raise OracleError(
-                "oracle returned an off-graph pair",
-                {"x": list(x), "y": list(y), "x_prime": list(xp), "v_prime": list(vp)},
-            )
-        return xp, vp
+            regions = [Ball(xbar, max(r, 2 * vec_dist(p.y, ybar, norm) / p.cc)) for p in premises]
+            found = preimage_search_many(np.array([p.x for p in premises]), F, [p.y for p in premises], regions,
+                                         norm=norm)
+            pairs = [(xp, None if xp is None else p.y) for p, (_, xp) in zip(premises, found)]
+        out = []
+        for p, (xp, vp) in zip(premises, pairs):
+            if xp is not None and vp is None:  # x' alone: the member of F(x') nearest y
+                vp = as_vector(F.value_set(xp).nearest(p.y, norm)[0], F.m)
+            out.append((xp, vp))
+        hits = [i for i, (xp, _) in enumerate(out) if xp is not None]
+        for i, d in zip(hits, _value_dists(F, [out[i][0] for i in hits], [out[i][1] for i in hits], norm)):
+            if not d <= 10 * TOL_FEAS:
+                (xp, vp), p = out[i], premises[i]
+                out[i] = {"kind": "oracle", "x": list(p.x), "y": list(p.y), "x_prime": list(xp), "v_prime": list(vp)}
+        return out
 
     if form.tag == "semireg_single" and gv is None:
         raise ValueError("semireg_single requires a single-valued map")
 
+    gxbar = gv(xbar) if gv is not None else None
     rng = SplitMix64(derive_seed(seed, "descent"))
     j = 0
     while j < schedule.shells or (
         report.premise_samples < premise_target and j < SHELL_CAP_FACTOR * schedule.shells
     ):
+        # draw the shell and test each tuple's premise, answer the tuples
+        # that meet it, record their witnesses in draw order
         rad = schedule.r0 * schedule.rho**j
         sj = derive_seed(seed, f"descent-shell{j}")
         if form.tag == "semireg_single" or (form.tag == "regularity" and gv is not None):
             lim = 0.999 * ((c if form.direction == "sufficient" else cprime) * r)
             if form.tag == "regularity":
                 lim = 0.999 * r
-            for _ in range(schedule.samples_per_shell):
-                xv = rng.in_ball(xbar, min(rad, 0.999 * r), norm)
-                yv = rng.in_ball(gv(xbar), lim, norm)
-                _eval_single_premise(
-                    report, form, F, gv, xbar, xv, yv, c, cprime, r, run_oracle, norm
-                )
+            draws = [(rng.in_ball(xbar, min(rad, 0.999 * r), norm), rng.in_ball(gxbar, lim, norm))
+                     for _ in range(schedule.samples_per_shell)]
+            premises = [_single_premise(form, gv, xbar, gxbar, xv, yv, c, cprime, norm) for xv, yv in draws]
         elif form.tag == "semireg_set" or form.tag == "regularity":
             pts = graph_sample(F, point, min(rad, 0.999 * (r / alpha if alpha else r)), schedule.samples_per_shell // 4 + 1, sj, norm)
-            for gp in pts:
-                for _ in range(3):
-                    lim = c * r if form.direction == "sufficient" else cprime * r
-                    yv = rng.in_ball(ybar, 0.999 * lim, norm)
-                    _eval_set_premise(report, form, F, point, gp, yv, c, cprime, r, alpha, run_oracle, norm)
-        elif form.tag == "subregularity":
+            lim = c * r if form.direction == "sufficient" else cprime * r
+            premises = [_set_premise(form, point, gp, rng.in_ball(ybar, 0.999 * lim, norm), c, cprime, r, alpha, norm)
+                        for gp in pts for _ in range(3)]
+        else:  # subregularity
             pts = graph_sample(F, point, min(rad, 0.999 * r), schedule.samples_per_shell // 2 + 1, sj, norm)
-            for gp in pts:
-                _eval_subreg_premise(report, F, point, gp, c, cprime, r, form, run_oracle, norm)
+            dvals = _value_dists(F, [gp.x for gp in pts], [ybar] * len(pts), norm)
+            premises = [_subreg_premise(form, point, gp, dval, c, cprime, r, norm) for gp, dval in zip(pts, dvals)]
+        premises = [p for p in premises if p is not None]
+        report.premise_samples += len(premises)
+        for p, found in zip(premises, answer(premises)):
+            if isinstance(found, dict):
+                report.violations.append(found)
+            elif found[0] is None:
+                report.violations.append({"kind": p.miss, **p.names})
+            elif (violation := p.decrease(*found)) is not None:
+                report.violations.append(violation)
         j += 1
     report.shells = j
 
@@ -238,21 +243,32 @@ def check_descent_certificate(
             report.conclusion = concl
         elif form.tag == "subregularity":
             witnesses = []
-            for xv in shell_points(xbar, 0.0, r / 2, 24, derive_seed(seed, "subreg-concl")):
-                dval = dist_to_value_set(ybar, F, xv, norm)
-                if dval <= TOL_FEAS:
-                    continue
-                dpre = dist_to_preimage(xv, F, ybar, Ball(xbar, 2 * r), norm=norm)
+            xs = shell_points(xbar, 0.0, r / 2, 24, derive_seed(seed, "subreg-concl"))
+            for i, dval, dpre in _shell_answers(F, xs, [ybar] * len(xs), [Ball(xbar, 2 * r)] * len(xs), norm):
                 bound = dval / c
                 if dpre > bound * (1 + CONCLUSION_RTOL) + CONCLUSION_ATOL:
-                    witnesses.append({"x": list(xv), "preimage_distance": dpre, "bound": bound})
+                    witnesses.append({"x": list(xs[i]), "preimage_distance": dpre, "bound": bound})
             report.conclusion = {"checked": True, "passed": not witnesses, "witnesses": witnesses}
     return report.finalize()
 
 
-def _eval_single_premise(report, form, F, gv, xbar, xv, yv, c, cprime, r, run_oracle, norm):
+class _Premise(NamedTuple):
+    """A tuple that meets its form's premise: the oracle's query (x, v, y)
+    and rate cc, the tuple as its witnesses name it, the witness kind of a
+    missing answer, and the test of an answer (x', v'), which gives its
+    violation or None."""
+
+    x: np.ndarray
+    v: np.ndarray
+    y: np.ndarray
+    cc: float
+    names: dict
+    miss: str
+    decrease: Callable
+
+
+def _single_premise(form, gv, xbar, gxbar, xv, yv, c, cprime, norm):
     gx = gv(xv)
-    gxbar = gv(xbar)
     rho_gx_y = vec_dist(gx, yv, norm)
     rho_gxbar_y = vec_dist(gxbar, yv, norm)
     d_x_xbar = vec_dist(xv, xbar, norm)
@@ -267,29 +283,24 @@ def _eval_single_premise(report, form, F, gv, xbar, xv, yv, c, cprime, r, run_or
         ok = rho_gxbar_y > STRICT_SLACK and rho_gxbar_y <= rho_gx_y - cprime * d_x_xbar + STRICT_SLACK
         cc = cprime
     if not ok:
-        return
-    report.premise_samples += 1
-    try:
-        xp, _vp = run_oracle(xv, gx, yv, cc)
-    except OracleError as exc:
-        report.violations.append({"kind": "oracle", **exc.witness})
-        return
-    if xp is None:
-        report.violations.append({"kind": "no-descent-point", "x": list(xv), "y": list(yv)})
-        return
-    lhs = vec_dist(gv(xp), yv, norm)
-    rhs = rho_gx_y - cc * vec_dist(xv, xp, norm)
-    if not (lhs < rhs - STRICT_SLACK):
-        report.violations.append(
-            {"kind": "decrease", "x": list(xv), "y": list(yv), "x_prime": list(xp), "lhs": lhs, "rhs": rhs}
-        )
+        return None
+    names = {"x": list(xv), "y": list(yv)}
+
+    def decrease(xp, _vp):
+        lhs = vec_dist(gv(xp), yv, norm)
+        rhs = rho_gx_y - cc * vec_dist(xv, xp, norm)
+        if not (lhs < rhs - STRICT_SLACK):
+            return {"kind": "decrease", **names, "x_prime": list(xp), "lhs": lhs, "rhs": rhs}
+        return None
+
+    return _Premise(xv, gx, yv, cc, names, "no-descent-point", decrease)
 
 
-def _eval_set_premise(report, form, F, point, gp, yv, c, cprime, r, alpha, run_oracle, norm):
+def _set_premise(form, point, gp, yv, c, cprime, r, alpha, norm):
     xbar, ybar = point.x, point.y
     xv, vv = gp.x, gp.y
     if alpha and vec_dist(vv, ybar, norm) >= r / alpha:
-        return
+        return None
     rho_v_y = vec_dist(vv, yv, norm)
     rho_ybar_y = vec_dist(ybar, yv, norm)
     guard = max(vec_dist(xv, xbar, norm), alpha * vec_dist(vv, ybar, norm)) if alpha else vec_dist(xv, xbar, norm)
@@ -304,68 +315,41 @@ def _eval_set_premise(report, form, F, point, gp, yv, c, cprime, r, alpha, run_o
         ok = rho_ybar_y > STRICT_SLACK and rho_ybar_y <= rho_v_y - cprime * guard + STRICT_SLACK
         cc = cprime
     if not ok:
-        return
-    report.premise_samples += 1
-    try:
-        xp, vp = run_oracle(xv, vv, yv, cc)
-    except OracleError as exc:
-        report.violations.append({"kind": "oracle", **exc.witness})
-        return
-    if xp is None:
-        report.violations.append({"kind": "no-descent-pair", "x": list(xv), "v": list(vv), "y": list(yv)})
-        return
-    lhs = vec_dist(vp, yv, norm)
-    step = max(vec_dist(xv, xp, norm), alpha * vec_dist(vv, vp, norm)) if alpha else vec_dist(xv, xp, norm)
-    rhs = rho_v_y - cc * step
-    if not (lhs < rhs - STRICT_SLACK):
-        report.violations.append(
-            {
-                "kind": "decrease",
-                "x": list(xv),
-                "v": list(vv),
-                "y": list(yv),
-                "x_prime": list(xp),
-                "v_prime": list(vp),
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-        )
+        return None
+    names = {"x": list(xv), "v": list(vv), "y": list(yv)}
+
+    def decrease(xp, vp):
+        lhs = vec_dist(vp, yv, norm)
+        step = max(vec_dist(xv, xp, norm), alpha * vec_dist(vv, vp, norm)) if alpha else vec_dist(xv, xp, norm)
+        rhs = rho_v_y - cc * step
+        if not (lhs < rhs - STRICT_SLACK):
+            return {"kind": "decrease", **names, "x_prime": list(xp), "v_prime": list(vp), "lhs": lhs, "rhs": rhs}
+        return None
+
+    return _Premise(xv, vv, yv, cc, names, "no-descent-pair", decrease)
 
 
-def _eval_subreg_premise(report, F, point, gp, c, cprime, r, form, run_oracle, norm):
+def _subreg_premise(form, point, gp, dval, c, cprime, r, norm):
+    """``dval`` is dist(ybar, F(x)) at the graph point (x, y)."""
     xbar, ybar = point.x, point.y
     xv, yv = gp.x, gp.y
-    if dist_to_value_set(ybar, F, xv, norm) <= TOL_FEAS:
-        return  # x in F^{-1}(ybar)
+    if dval <= TOL_FEAS:
+        return None  # x in F^{-1}(ybar)
     if vec_dist(xv, xbar, norm) >= r or vec_dist(yv, ybar, norm) >= r:
-        return
-    report.premise_samples += 1
+        return None
     cc = c if form.direction == "sufficient" else cprime
-    try:
-        up, vp = run_oracle(xv, yv, ybar, cc)
-    except OracleError as exc:
-        report.violations.append({"kind": "oracle", **exc.witness})
-        return
-    if up is None:
-        report.violations.append({"kind": "no-descent-pair", "x": list(xv), "y": list(yv)})
-        return
-    if vec_dist(up, xv, norm) <= STRICT_SLACK and vec_dist(vp, yv, norm) <= STRICT_SLACK:
-        report.violations.append({"kind": "degenerate-pair", "x": list(xv), "y": list(yv)})
-        return
-    lhs = cc * max(vec_dist(up, xv, norm), r * vec_dist(vp, yv, norm))
-    rhs = vec_dist(yv, ybar, norm) - vec_dist(vp, ybar, norm)
-    if not (lhs < rhs - STRICT_SLACK):
-        report.violations.append(
-            {
-                "kind": "decrease",
-                "x": list(xv),
-                "y": list(yv),
-                "u": list(up),
-                "v": list(vp),
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-        )
+    names = {"x": list(xv), "y": list(yv)}
+
+    def decrease(up, vp):
+        if vec_dist(up, xv, norm) <= STRICT_SLACK and vec_dist(vp, yv, norm) <= STRICT_SLACK:
+            return {"kind": "degenerate-pair", **names}
+        lhs = cc * max(vec_dist(up, xv, norm), r * vec_dist(vp, yv, norm))
+        rhs = vec_dist(yv, ybar, norm) - vec_dist(vp, ybar, norm)
+        if not (lhs < rhs - STRICT_SLACK):
+            return {"kind": "decrease", **names, "u": list(up), "v": list(vp), "lhs": lhs, "rhs": rhs}
+        return None
+
+    return _Premise(xv, yv, ybar, cc, names, "no-descent-pair", decrease)
 
 
 # ---------------------------------------------------------------------------
@@ -537,38 +521,38 @@ def verify_sum_distance_bound(
         seed=seed,
         norm=norm,
     )
-    # premise: metric regularity of F on B(xbar,a) x B(ybar,a)
-    for _ in range(samples // 2):
-        xv = rng.in_ball(xbar, a, norm)
-        yv = rng.in_ball(ybar, a, norm)
-        dval = dist_to_value_set(yv, F, xv, norm)
-        if dval == INF or dval <= TOL_FEAS:
+    # premise: metric regularity of F on B(xbar,a) x B(ybar,a), all pairs
+    # drawn and answered at once; the first violation in draw order ends it
+    pairs = [(rng.in_ball(xbar, a, norm), rng.in_ball(ybar, a, norm)) for _ in range(samples // 2)]
+    xs, ys = [xv for xv, _ in pairs], [yv for _, yv in pairs]
+    for i, dval, dpre in _shell_answers(F, xs, ys, [Ball(xbar, 3 * a)] * len(xs), norm):
+        if dval == INF:
             continue
         report.premise_samples += 1
-        dpre = dist_to_preimage(xv, F, yv, Ball(xbar, 3 * a), norm=norm)
         if dpre > kappa * dval + _conclusion_tol(kappa * dval):
             report.verdict = "rejected"
             report.violations.append(
-                {"premise": "metric_regularity", "x": list(xv), "y": list(yv), "lhs": dpre, "rhs": kappa * dval}
+                {"premise": "metric_regularity", "x": list(xs[i]), "y": list(ys[i]), "lhs": dpre, "rhs": kappa * dval}
             )
             return report
-    # premise: Aubin property of G with constant ell
+    # premise: Aubin property of G with constant ell, drawn (the members come
+    # from the same stream) and answered in one batch
+    drawn = []
     for _ in range(samples // 2):
         xv = rng.in_ball(xbar, a, norm)
         xw = rng.in_ball(xbar, a, norm)
         vs = G.value_set(xv)
-        if vs.is_empty():
-            continue
-        for yv in vs.members_near(zbar, a, 2, rng, norm):
-            report.premise_samples += 1
-            lhs = dist_to_value_set(yv, G, xw, norm)
-            rhs = ell * vec_dist(xv, xw, norm)
-            if lhs > rhs + _conclusion_tol(max(rhs, 1.0)):
-                report.verdict = "rejected"
-                report.violations.append(
-                    {"premise": "aubin", "x": list(xv), "x_prime": list(xw), "y": list(yv), "lhs": lhs, "rhs": rhs}
-                )
-                return report
+        if not vs.is_empty():
+            drawn += [(xv, xw, yv) for yv in vs.members_near(zbar, a, 2, rng, norm)]
+    for (xv, xw, yv), lhs in zip(drawn, _value_dists(G, [xw for _, xw, _ in drawn], [yv for *_, yv in drawn], norm)):
+        report.premise_samples += 1
+        rhs = ell * vec_dist(xv, xw, norm)
+        if lhs > rhs + _conclusion_tol(max(rhs, 1.0)):
+            report.verdict = "rejected"
+            report.violations.append(
+                {"premise": "aubin", "x": list(xv), "x_prime": list(xw), "y": list(yv), "lhs": lhs, "rhs": rhs}
+            )
+            return report
     # conclusion
     factor = kappa / (1 - kappa * ell)
     total = SumMap(F, G)

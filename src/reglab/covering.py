@@ -4,8 +4,9 @@ The Picard solver iterates u -> B(A(tu) - f(xbar + tu) + y)/t from u = 0,
 the fixed-point construction that witnesses covering for approximately
 linear maps; a fixed point yields f(xbar + tu) = y with the solution inside
 the prescribed ball.  Existence is guaranteed under the covering hypotheses
-but Picard convergence is not, so every check carries a grid fallback
-(n <= 2) and explicit failure accounting.
+but Picard convergence is not, so every check falls back to the preimage
+oracle (``preimage_search`` over the ball, n <= 2) and keeps explicit
+failure accounting.
 
 Also here: calm selections of f^{-1} built from the same solver, and the
 relaxed one-sided Lipschitz (ROSL) covering checks for set-valued maps.
@@ -18,15 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import STRICT_SLACK, TOL_FEAS, Ball, GraphPoint, JsonReport, as_vector
-from .moduli import LiminfSchedule, check_on_graph, estimate_modulus, linear_moduli
+from .moduli import LiminfSchedule, _value_dists, check_on_graph, estimate_modulus, linear_moduli
 from .rng import SplitMix64, derive_seed, sphere_directions
 from .setmaps import (
     INF,
     SetMap,
-    _ball_grid,
-    _coordinate_polish,
     _minus_linear,
-    dist_to_value_set,
     graph_sample,
     preimage_search,
     preimage_search_many,
@@ -85,10 +83,10 @@ def solve_preimage_picard(
     t: float,
     max_iter: int = 200,
     tol: float = 1e-9,
-    grid_resolution: int = 201,
 ) -> PicardResult:
     """Solve f(x) = y with x in B[xbar, t] by Picard iteration on the
-    corrected fixed-point map, falling back to grid search for n <= 2.
+    corrected fixed-point map, falling back to the preimage oracle over the
+    ball for n <= 2 (method "grid"; its answer counts only inside the ball).
 
     Success requires the residual test and the ball constraint; both are
     asserted on every successful return.
@@ -113,19 +111,11 @@ def solve_preimage_picard(
         if np.linalg.norm(u) > 4.0:
             break
     if n <= 2:
-        grid = _ball_grid(xbar, t, grid_resolution if n == 1 else 41, "euclidean")
-        resids = np.array([np.linalg.norm(fn(row) - y) for row in grid])
-        X, resid = _coordinate_polish(
-            lambda Z, _: [np.linalg.norm(fn(z) - y) for z in Z],
-            lambda Z, _: [np.linalg.norm(z - xbar) <= t for z in Z],
-            grid[int(resids.argmin())], 2.0 * t / (grid_resolution - 1), 40,
-        )
-        x, resid = X[0], float(resid[0])
-        if resid <= tol:
-            result = PicardResult(x, True, "grid", iterations, resid)
+        d, x = preimage_search(xbar, f, y, Ball(xbar, t), tol_feas=tol)
+        if d <= t:
+            result = PicardResult(x, True, "grid", iterations, float(np.linalg.norm(fn(x) - y)))
             _assert_feasible(result, fn, y, xbar, t, tol)
             return result
-        return PicardResult(None, False, "failed", iterations, resid)
     return PicardResult(None, False, "failed", iterations, best_resid)
 
 
@@ -225,8 +215,6 @@ def covering_check_kaluza(
                 "iterations": res.iterations,
                 "residual": res.residual,
             }
-            if res.method == "grid":
-                entry["grid_resolution"] = 201
             (report.attained if res.converged else report.unattained).append(entry)
     return report.finalize()
 
@@ -400,13 +388,13 @@ def rosl_check(
                 entry = {"t": t, "target": [float(u) for u in target], "preimage_distance": dpre}
                 (report.attained if ok else report.unattained).append(entry)
     elif condition == "ROSLw":
-        for _ in range(min(samples, 64)):
-            yv = rng.in_ball(ybar, r * ell, "euclidean")
-            dy = dist_to_value_set(yv, F, xbar)
-            if dy > r * ell or dy <= TOL_FEAS:
-                continue
-            bound = dy / ell
-            dpre, _ = preimage_search(xbar, F, yv, Ball(xbar, 1.05 * bound + 1e-9))
+        # draw every target, answer them in one batch and one preimage call
+        ys = [rng.in_ball(ybar, r * ell, "euclidean") for _ in range(min(samples, 64))]
+        dys = _value_dists(F, [xbar] * len(ys), ys, "euclidean")
+        kept = [(yv, dy / ell) for yv, dy in zip(ys, dys) if not (dy > r * ell or dy <= TOL_FEAS)]
+        found = preimage_search_many(xbar, F, [yv for yv, _ in kept],
+                                     [Ball(xbar, 1.05 * bound + 1e-9) for _, bound in kept])
+        for (yv, bound), (dpre, _) in zip(kept, found):
             ok = dpre <= bound * (1 + COVER_RTOL) + COVER_ATOL
             entry = {"y": [float(u) for u in yv], "bound": bound, "preimage_distance": dpre}
             (report.attained if ok else report.unattained).append(entry)

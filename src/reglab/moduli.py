@@ -34,7 +34,6 @@ from .setmaps import (
     _eval_rows,
     _eval_vectorized,
     _value_candidates,
-    dist_to_preimage,
     dist_to_value_set,
     dist_to_value_set_batch,
     graph_sample,
@@ -425,21 +424,29 @@ def _covered_c_nd(F, x, y, t, norm, directions, seed, cap, c_levels: int = 16):
 # the sampled modulus estimator
 
 
-def _shell_answers(F, xbar, xs, ys, reach, norm, resolution) -> list:
-    """(dist(yv, F(xv)), dist(xv, F^{-1}(yv))) for each drawn pair (xv, yv)
-    of ``xs`` and ``ys`` with yv not in F(xv), in draw order: the value
-    distances in one batch, the preimages in one call, where query i
-    searches the ball around xbar of radius ``reach`` + |xv - xbar|."""
-    if not xs:
-        return []
-    dvals = dist_to_value_set_batch(np.array(ys), F, np.array(xs), norm).tolist()
+def _value_dists(F, xs, ys, norm) -> list[float]:
+    """dist(ys[i], F(xs[i])) for each drawn pair i, in one batch."""
+    return dist_to_value_set_batch(np.array(ys), F, np.array(xs), norm).tolist() if xs else []
+
+
+def _reach(xbar, xs, reach, norm) -> list[Ball]:
+    """The search region of each drawn x: the ball around xbar of radius
+    ``reach`` + |x - xbar|."""
+    return [Ball(xbar, reach + vec_dist(xv, xbar, norm)) for xv in xs]
+
+
+def _shell_answers(F, xs, ys, regions, norm, resolution=401) -> list:
+    """(i, dist(ys[i], F(xs[i])), dist(xs[i], F^{-1}(ys[i]))) for each drawn
+    pair i with ys[i] not in F(xs[i]), in draw order: the value distances in
+    one batch, the preimages in one call, where query i searches
+    ``regions[i]``."""
+    dvals = _value_dists(F, xs, ys, norm)
     kept = [i for i, dval in enumerate(dvals) if not dval <= TOL_FEAS]
     if not kept:
         return []
-    regions = [Ball(xbar, reach + vec_dist(xs[i], xbar, norm)) for i in kept]
-    found = preimage_search_many(np.array([xs[i] for i in kept]), F, [ys[i] for i in kept], regions,
-                                 norm=norm, resolution=resolution)
-    return [(dvals[i], dpre) for i, (dpre, _) in zip(kept, found)]
+    found = preimage_search_many(np.array([xs[i] for i in kept]), F, [ys[i] for i in kept],
+                                 [regions[i] for i in kept], norm=norm, resolution=resolution)
+    return [(i, dvals[i], dpre) for i, (dpre, _) in zip(kept, found)]
 
 
 def estimate_modulus(
@@ -480,8 +487,8 @@ def estimate_modulus(
 
         if kind in ("lopen", "semireg"):
             # y in F(xbar) is not admissible for the liminf; a NaN distance is (not <=)
-            ys = [yv for yv in shell_points(ybar, r_in, r, spc, sj)
-                  if not dist_to_value_set(yv, F, xbar, norm) <= TOL_FEAS]
+            ys = shell_points(ybar, r_in, r, spc, sj)
+            ys = [yv for yv, d in zip(ys, _value_dists(F, [xbar] * len(ys), ys, norm)) if not d <= TOL_FEAS]
             found = preimage_search_many(
                 xbar, F, ys, Ball(xbar, region_factor * r), norm=norm, resolution=preimage_resolution
             )
@@ -503,37 +510,37 @@ def estimate_modulus(
             # draw every pair, answer the shell in one batch and one preimage
             # call, reduce in draw order
             pairs = [(rng.in_ball(xbar, r, norm), rng.in_ball(ybar, r, norm)) for _ in range(spc)]
-            for dval, dpre in _shell_answers(F, xbar, [xv for xv, _ in pairs], [yv for _, yv in pairs],
-                                             region_factor * r, norm, preimage_resolution):
+            xs = [xv for xv, _ in pairs]
+            regions = _reach(xbar, xs, region_factor * r, norm)
+            for _, dval, dpre in _shell_answers(F, xs, [yv for _, yv in pairs], regions, norm, preimage_resolution):
                 quotients.append(INF if dpre == INF else dpre / dval)
-        elif kind == "lip":
+        elif kind in ("lip", "calm"):
+            # draw (x, y, denominator) per candidate, answer the shell in one
+            # batch, reduce in draw order.  lip: y in F(x') near ybar, its
+            # distance to F(x); calm (product neighborhood): y in F(x) near
+            # ybar, its distance to F(xbar).  The candidates come from the
+            # same stream as the points, so the draw stays one loop
+            drawn = []
             for _ in range(spc):
                 xv = rng.in_ball(xbar, r, norm)
-                xw = rng.in_ball(xbar, r, norm)
-                d_xx = vec_dist(xv, xw, norm)
-                if d_xx <= 1e-12:
+                xw = rng.in_ball(xbar, r, norm) if kind == "lip" else xbar
+                d_x = vec_dist(xv, xw, norm)
+                if d_x <= 1e-12:
                     continue
-                for yv in _value_candidates(F, xw, ybar, r, rng, 2, norm):
-                    quotients.append(dist_to_value_set(yv, F, xv, norm) / d_xx)
+                at, source = (xv, xw) if kind == "lip" else (xbar, xv)
+                drawn += [(at, yv, d_x) for yv in _value_candidates(F, source, ybar, r, rng, 2, norm)]
+            dvals = _value_dists(F, [at for at, _, _ in drawn], [yv for _, yv, _ in drawn], norm)
+            quotients = [dval / d_x for dval, (_, _, d_x) in zip(dvals, drawn)]
         elif kind in ("psopen", "subreg"):
             # draw the shell around xbar and answer it as reg does; x in
             # F^{-1}(ybar) is not admissible
             xs = shell_points(xbar, r_in, r, spc, sj)
-            for dval, dpre in _shell_answers(F, xbar, xs, [ybar] * len(xs), region_factor * r, norm,
-                                             preimage_resolution):
+            regions = _reach(xbar, xs, region_factor * r, norm)
+            for _, dval, dpre in _shell_answers(F, xs, [ybar] * len(xs), regions, norm, preimage_resolution):
                 if kind == "psopen":
                     quotients.append(0.0 if dpre == INF else (dval / dpre if dpre > 0 else QUOTIENT_CAP * 2))
                 else:
                     quotients.append(INF if dpre == INF else dpre / dval)
-        elif kind == "calm":
-            # product neighborhood: x from the ball, y in F(x) near ybar
-            for _ in range(spc):
-                xv = rng.in_ball(xbar, r, norm)
-                d_x = vec_dist(xv, xbar, norm)
-                if d_x <= 1e-12:
-                    continue
-                for yv in _value_candidates(F, xv, ybar, r, rng, 2, norm):
-                    quotients.append(dist_to_value_set(yv, F, xbar, norm) / d_x)
         elif kind == "displacement":
             # draw the shell, answer it in one batch, reduce in draw order
             kept = [(xv, d_x) for xv in shell_points(xbar, r_in, r, spc, sj)
@@ -615,12 +622,11 @@ def convex_process_sur(
             raise ValueError("polyhedral piece does not contain the origin: graph is not a cone")
     check_on_graph(F, origin, norm=norm)
     pts = graph_sample(F, origin, 1.0, homogeneity_samples, derive_seed(seed, "cone"), norm)
-    for gp in pts:
-        for tau in (0.25, 0.5, 2.0):
-            if dist_to_value_set(tau * gp.y, F, tau * gp.x, norm) > 1e-6 * max(1.0, tau):
-                raise ValueError(
-                    f"sampled positive-homogeneity check failed at (x,y)=({gp.x},{gp.y}), tau={tau}"
-                )
+    scaled = [(gp, tau) for gp in pts for tau in (0.25, 0.5, 2.0)]
+    dists = _value_dists(F, [tau * gp.x for gp, tau in scaled], [tau * gp.y for gp, tau in scaled], norm)
+    for (gp, tau), d in zip(scaled, dists):
+        if d > 1e-6 * max(1.0, tau):
+            raise ValueError(f"sampled positive-homogeneity check failed at (x,y)=({gp.x},{gp.y}), tau={tau}")
 
     dirs = sphere_directions(F.m, directions, derive_seed(seed, "cp-dirs"), norm)
     rhos = [INF if s > QUOTIENT_CAP else s for s in _cone_cover_rates(F, dirs, norm)]
@@ -675,35 +681,33 @@ def starshape_bound(
     check_on_graph(F, point, norm=norm)
     radius = 2.0 * max(alpha, beta)
     pts = graph_sample(F, point, radius, samples, derive_seed(seed, "star"), norm)
-    checked = 0
-    for gp in pts:
-        for t in np.linspace(0.0, a, 9):
-            zx = (1 - t) * point.x + t * gp.x
-            zy = (1 - t) * point.y + t * gp.y
-            d = dist_to_value_set(zy, F, zx, norm)
-            checked += 1
-            if d > tol:
-                return StarShapeResult(
-                    False,
-                    None,
-                    {
-                        "reason": "graph not star-shaped",
-                        "t": float(t),
-                        "graph_point": {"x": list(gp.x), "y": list(gp.y)},
-                        "combined_point": {"x": list(zx), "y": list(zy)},
-                        "graph_distance": d,
-                    },
-                    checked,
-                )
+    # each check answers all its samples in one call; the first failure in
+    # draw order is the witness, and ``checked`` counts the samples up to it
+    combined = [(gp, t, (1 - t) * point.x + t * gp.x, (1 - t) * point.y + t * gp.y)
+                for gp in pts for t in np.linspace(0.0, a, 9)]
+    dists = _value_dists(F, [zx for _, _, zx, _ in combined], [zy for _, _, _, zy in combined], norm)
+    for checked, ((gp, t, zx, zy), d) in enumerate(zip(combined, dists), 1):
+        if d > tol:
+            return StarShapeResult(
+                False,
+                None,
+                {
+                    "reason": "graph not star-shaped",
+                    "t": float(t),
+                    "graph_point": {"x": list(gp.x), "y": list(gp.y)},
+                    "combined_point": {"x": list(zx), "y": list(zy)},
+                    "graph_distance": d,
+                },
+                checked,
+            )
     # ball inclusion B[ybar, beta] subset F(B[xbar, alpha])
     rng = SplitMix64(derive_seed(seed, "star-targets"))
     dirs = sphere_directions(F.m, 16, derive_seed(seed, "star-dirs"), norm)
     targets = [point.y + frac * beta * np.asarray(v) for v in dirs for frac in (0.25, 0.5, 0.75, 1.0)]
     for _ in range(8):
         targets.append(rng.in_ball(point.y, beta, norm))
-    for target in targets:
-        dpre = dist_to_preimage(point.x, F, target, Ball(point.x, 1.05 * alpha), norm=norm)
-        checked += 1
+    found = preimage_search_many(point.x, F, targets, Ball(point.x, 1.05 * alpha), norm=norm)
+    for checked, (target, (dpre, _)) in enumerate(zip(targets, found), len(combined) + 1):
         if dpre > alpha + tol:
             return StarShapeResult(
                 False,
@@ -716,7 +720,7 @@ def starshape_bound(
                 },
                 checked,
             )
-    return StarShapeResult(True, beta / alpha, None, checked)
+    return StarShapeResult(True, beta / alpha, None, len(combined) + len(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +775,9 @@ def slope_sandwich(
     for j, r in enumerate(radii):
         sj = derive_seed(seed, f"slope-shell{j}")
         ys = shell_points(ybar, r * schedule.rho, r, schedule.samples_per_shell, sj)
-        for yv, (dpre, _) in zip(ys, preimage_search_many(xbar, F, ys, Ball(xbar, 8.0 * r), norm=norm)):
-            member = dist_to_value_set(yv, F, xbar, norm) <= TOL_FEAS
+        found = preimage_search_many(xbar, F, ys, Ball(xbar, 8.0 * r), norm=norm)
+        for yv, (dpre, _), dval in zip(ys, found, _value_dists(F, [xbar] * len(ys), ys, norm)):
+            member = dval <= TOL_FEAS
             rho_y = vec_dist(yv, ybar, norm)
             if member:
                 phi = INF  # y in F(xbar)\{ybar}: excluded from the outer liminf

@@ -32,7 +32,6 @@ All operations are pure; nothing here keeps mutable state.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -781,7 +780,8 @@ class LinearOp(SetMap):
 
     def covered_c(self, X, Y, T, norm, directions, resolution, seed):
         # point- and scale-independent for linear maps
-        return [_linear_cover_rate(self.A.tobytes(), self.A.shape, norm, directions, seed)] * len(T)
+        dirs = sphere_directions(self.m, directions, derive_seed(seed, "cover-dirs"), norm)
+        return [min(_cone_cover_rates(self, dirs, norm), default=INF)] * len(T)
 
 
 class NormalConeBox(SetMap):
@@ -1140,26 +1140,23 @@ def _ball_grid(center: np.ndarray, radius: float, per_axis: int, norm: str) -> n
 
 def _cone_cover_rates(F: SetMap, vs, norm: str) -> list[float]:
     """1/dist(0, F^{-1}(v)) for each direction v of a map whose graph is a cone:
-    0 for an empty preimage, inf for d = 0.  A closed form is global and final;
-    a search starts on the unit ball and grows x4 while it finds nothing,
-    until the rate would fall below 1/QUOTIENT_CAP; each round searches all
-    directions still empty in one call."""
+    0 for an empty preimage, inf for d = 0.  A closed form, asked once per
+    direction, is global and final; the other directions are searched on the
+    unit ball, grown x4 while nothing is found, until the rate would fall
+    below 1/QUOTIENT_CAP; each round searches all directions still empty in
+    one call."""
     origin = np.zeros(F.n)
-    ds = [d for d, _ in preimage_search_many(origin, F, vs, Ball(origin, 1.0), norm=norm)]
-    empty = [i for i, d in enumerate(ds) if d == INF and F.analytic_preimage(origin, vs[i], norm, TOL_FEAS) is None]
-    radius = 1.0
+    closed = [F.analytic_preimage(origin, as_vector(v, F.m), norm, TOL_FEAS) for v in vs]
+    ds = [INF if found is None else found[0] for found in closed]
+    empty = [i for i, found in enumerate(closed) if found is None]
+    radius = 0.25  # the first round searches the unit ball
     while empty and radius < QUOTIENT_CAP:
         radius *= 4.0
-        for i, (d, _) in zip(empty, preimage_search_many(origin, F, [vs[i] for i in empty], Ball(origin, radius), norm=norm)):
+        found = preimage_search_many(origin, F, [vs[i] for i in empty], Ball(origin, radius), norm=norm)
+        for i, (d, _) in zip(empty, found):
             ds[i] = d
         empty = [i for i in empty if ds[i] == INF]
     return [0.0 if d == INF else (1.0 / float(d) if d > 0 else INF) for d in ds]
-
-
-@functools.lru_cache(maxsize=256)
-def _linear_cover_rate(a_bytes: bytes, shape: tuple, norm: str, directions: int, seed: int) -> float:
-    dirs = sphere_directions(shape[0], directions, derive_seed(seed, "cover-dirs"), norm)
-    return min(_cone_cover_rates(LinearOp(np.frombuffer(a_bytes).reshape(shape)), dirs, norm), default=INF)
 
 
 def _bisect_threshold(pred, good: float, bad: float, iters: int) -> float:

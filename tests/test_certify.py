@@ -1,15 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import asdict
 
 from reglab import certify
 from reglab.certify import (
     CONCLUSION_ATOL,
+    DESCENT_FORMS,
     CONCLUSION_RTOL,
     SHELL_CAP_FACTOR,
     CertificateReport,
     DescentForm,
+    _as_pair,
     _conclusion_tol,
     _covering_conclusion,
     check_descent_certificate,
@@ -19,10 +25,22 @@ from reglab.certify import (
     verify_sum_semiregularity,
 )
 from reglab.corpus import load_example
-from reglab.geometry import TOL_FEAS, Ball, GraphPoint, as_vector, vec_dist
-from reglab.moduli import check_on_graph
-from reglab.rng import SplitMix64, derive_seed
-from reglab.setmaps import INF, FiniteValued, LinearOp, SingleValued, SumMap, dist_to_preimage, dist_to_value_set
+from reglab.geometry import STRICT_SLACK, TOL_FEAS, Ball, GraphPoint, as_vector, vec_dist
+from reglab.moduli import LiminfSchedule, check_on_graph
+from reglab.rng import SplitMix64, derive_seed, shell_points
+from reglab.setmaps import (
+    INF,
+    FiniteValued,
+    LinearOp,
+    NormalConeBox,
+    SetMap,
+    SingleValued,
+    SumMap,
+    dist_to_preimage,
+    dist_to_value_set,
+    graph_sample,
+    preimage_search,
+)
 
 arr = lambda x: np.asarray(x, dtype=float)
 ORIGIN = GraphPoint([0.0], [0.0])
@@ -343,7 +361,8 @@ def test_covering_conclusion_makes_one_call_per_t(monkeypatch, name, point, c, r
 
 
 def _reference_sum_distance_bound(F, G, point, kappa, ell, beta, samples=100, seed=42, norm="euclidean"):
-    """``verify_sum_distance_bound`` with its per-target conclusion loop (kept verbatim as the oracle)."""
+    """``verify_sum_distance_bound`` with its per-sample premise loops and its
+    per-target conclusion loop (kept verbatim as the oracle)."""
     if kappa <= 0 or ell < 0 or kappa * ell >= 1:
         raise ValueError("need kappa > 0, ell >= 0 and kappa*ell < 1")
     xbar, ybar, zbar = (as_vector(v) for v in point)
@@ -418,6 +437,14 @@ _SUM_CASES = {
     # the gap, and the conclusion targets that do have no preimage
     "gap": (SingleValued(lambda x: np.where(np.abs(arr(x)) < 0.015, 0.0, arr(x))), SingleValued(lambda x: 0.0 * arr(x)),
             1.0, 0.0, 0.1, 40, 7, "euclidean", "fail"),
+    # F is metrically regular with constant about 0.5, not 0.2: the first
+    # pair of the metric-regularity premise rejects
+    "metreg_fails": (SingleValued(lambda x: 2.0 * arr(x) + 0.1 * np.sin(arr(x))), SingleValued(lambda x: 0.0 * arr(x)),
+                     0.2, 0.0, 0.1, 30, 5, "euclidean", "rejected"),
+    # F(x) is empty off [-1, 1], so the first pair is no premise sample; the
+    # second rejects, since F^{-1}(y) = {-1} for y < 0
+    "box_cone": (NormalConeBox([-1.0], [1.0]), SingleValued(lambda x: 0.0 * arr(x)), 1.0, 0.0, 1.0, 30, 3, "euclidean",
+                 "rejected"),
     # G is 2.4-Lipschitz, not 1.9: the Aubin premise rejects, and no conclusion is searched
     "aubin_fails": (LinearOp([[2.0]]), SingleValued(lambda x: -1.9 * arr(x) + 0.5 * np.sin(arr(x))), 0.5, 1.9, 0.2, 30,
                     5, "euclidean", "rejected"),
@@ -433,5 +460,313 @@ def test_sum_distance_bound_makes_one_conclusion_call(monkeypatch, name):
     got = verify_sum_distance_bound(F, G, point, kappa, ell, beta, samples, seed, norm)
     assert _bits(asdict(got)) == _bits(asdict(ref))
     assert got.verdict == verdict and calls == ([samples] if ref.conclusion else [])
+    if name in ("metreg_fails", "box_cone"):
+        assert got.premise_samples == 1 and got.violations[0]["premise"] == "metric_regularity"
     if verdict == "fail":
         assert len(got.conclusion["witnesses"]) > 1
+
+
+# ---------------------------------------------------------------------------
+# the descent check answers each shell's premise tuples together (the
+# built-in oracle in one preimage call) and reports as the per-tuple loop of
+# before did, bit for bit
+
+
+class _ReferenceOracleError(ValueError):
+    def __init__(self, message, witness):
+        super().__init__(message)
+        self.witness = witness
+
+
+def _reference_check_descent_certificate(
+    form: DescentForm,
+    F: SetMap,
+    point: GraphPoint,
+    constants: dict,
+    oracle=None,
+    samples: int = 64,
+    seed: int = 42,
+    norm: str = "euclidean",
+    schedule: LiminfSchedule | None = None,
+    premise_target: int = 0,
+) -> CertificateReport:
+    """``check_descent_certificate`` of before, verbatim: each premise tuple
+    calls the oracle alone, the built-in one with its own preimage search,
+    and checks its pair on the graph alone; the subregularity conclusion
+    takes one value and one preimage distance per shell point."""
+    c = float(constants["c"])
+    r = float(constants["r"])
+    if c <= 0 or r <= 0:
+        raise ValueError("constants c and r must be positive")
+    alpha = float(constants.get("alpha", 0.0))
+    # single-valued maps are callables; set-valued regularity uses the
+    # graphical form below
+    gv = F if callable(F) else None
+    if form.tag == "semireg_set" or (form.tag == "regularity" and gv is None):
+        if not constants.get("alpha"):
+            raise ValueError("set-valued forms need a positive alpha")
+    if alpha and alpha * c >= 1:
+        raise ValueError("need alpha * c < 1")
+    cprime = float(constants.get("c_prime", 0.9 * c))
+    check_on_graph(F, point, norm=norm)
+    schedule = schedule or LiminfSchedule(r0=0.8 * r, rho=0.6, shells=5, samples_per_shell=samples)
+    report = CertificateReport(
+        check=f"descent:{form.tag}:{form.direction}",
+        constants={"c": c, "r": r, "alpha": alpha or None, "c_prime": cprime},
+        premise_samples=0,
+        seed=seed,
+        norm=norm,
+    )
+    report.notes.append(
+        "completeness_note: graph-localization completeness is not sample-verifiable; "
+        "only closedness of sampled graph limits was observed"
+    )
+    xbar, ybar = point.x, point.y
+
+    def on_graph(x, v):
+        return dist_to_value_set(v, F, x, norm) <= 10 * TOL_FEAS
+
+    def run_oracle(x, v, y, cc):
+        if oracle is not None:
+            xp, vp = _as_pair(oracle(x, v, y, dict(report.constants)), F.n, F.m)
+        else:
+            # built-in: head toward a preimage point of y (the construction
+            # used in the necessity proofs)
+            d, xp = preimage_search(x, F, y, Ball(xbar, max(r, 2 * vec_dist(y, ybar, norm) / cc)), norm=norm)
+            vp = y if xp is not None else None
+        if xp is None:
+            return None, None
+        if vp is None:
+            vp = as_vector(F.value_set(xp).nearest(y, norm)[0], F.m)
+        if not on_graph(xp, vp):
+            raise _ReferenceOracleError(
+                "oracle returned an off-graph pair",
+                {"x": list(x), "y": list(y), "x_prime": list(xp), "v_prime": list(vp)},
+            )
+        return xp, vp
+
+    if form.tag == "semireg_single" and gv is None:
+        raise ValueError("semireg_single requires a single-valued map")
+
+    rng = SplitMix64(derive_seed(seed, "descent"))
+    j = 0
+    while j < schedule.shells or (
+        report.premise_samples < premise_target and j < SHELL_CAP_FACTOR * schedule.shells
+    ):
+        rad = schedule.r0 * schedule.rho**j
+        sj = derive_seed(seed, f"descent-shell{j}")
+        if form.tag == "semireg_single" or (form.tag == "regularity" and gv is not None):
+            lim = 0.999 * ((c if form.direction == "sufficient" else cprime) * r)
+            if form.tag == "regularity":
+                lim = 0.999 * r
+            for _ in range(schedule.samples_per_shell):
+                xv = rng.in_ball(xbar, min(rad, 0.999 * r), norm)
+                yv = rng.in_ball(gv(xbar), lim, norm)
+                _reference_eval_single_premise(
+                    report, form, F, gv, xbar, xv, yv, c, cprime, r, run_oracle, norm
+                )
+        elif form.tag == "semireg_set" or form.tag == "regularity":
+            pts = graph_sample(F, point, min(rad, 0.999 * (r / alpha if alpha else r)), schedule.samples_per_shell // 4 + 1, sj, norm)
+            for gp in pts:
+                for _ in range(3):
+                    lim = c * r if form.direction == "sufficient" else cprime * r
+                    yv = rng.in_ball(ybar, 0.999 * lim, norm)
+                    _reference_eval_set_premise(report, form, F, point, gp, yv, c, cprime, r, alpha, run_oracle, norm)
+        elif form.tag == "subregularity":
+            pts = graph_sample(F, point, min(rad, 0.999 * r), schedule.samples_per_shell // 2 + 1, sj, norm)
+            for gp in pts:
+                _reference_eval_subreg_premise(report, F, point, gp, c, cprime, r, form, run_oracle, norm)
+        j += 1
+    report.shells = j
+
+    if form.direction == "sufficient":
+        if form.tag == "semireg_single" or form.tag == "semireg_set":
+            report.conclusion = _covering_conclusion(F, point, c, r, seed, norm)
+        elif form.tag == "regularity":
+            # around-point covering: reference plus nearby graph points
+            concl = _covering_conclusion(F, point, c, r / 2, seed, norm)
+            for gp in graph_sample(F, point, r / 4, 3, derive_seed(seed, "around"), norm):
+                sub = _covering_conclusion(F, gp, c, r / 4, seed, norm)
+                concl["witnesses"].extend(sub["witnesses"])
+                concl["passed"] = concl["passed"] and sub["passed"]
+            report.conclusion = concl
+        elif form.tag == "subregularity":
+            witnesses = []
+            for xv in shell_points(xbar, 0.0, r / 2, 24, derive_seed(seed, "subreg-concl")):
+                dval = dist_to_value_set(ybar, F, xv, norm)
+                if dval <= TOL_FEAS:
+                    continue
+                dpre = dist_to_preimage(xv, F, ybar, Ball(xbar, 2 * r), norm=norm)
+                bound = dval / c
+                if dpre > bound * (1 + CONCLUSION_RTOL) + CONCLUSION_ATOL:
+                    witnesses.append({"x": list(xv), "preimage_distance": dpre, "bound": bound})
+            report.conclusion = {"checked": True, "passed": not witnesses, "witnesses": witnesses}
+    return report.finalize()
+
+
+def _reference_eval_single_premise(report, form, F, gv, xbar, xv, yv, c, cprime, r, run_oracle, norm):
+    gx = gv(xv)
+    gxbar = gv(xbar)
+    rho_gx_y = vec_dist(gx, yv, norm)
+    rho_gxbar_y = vec_dist(gxbar, yv, norm)
+    d_x_xbar = vec_dist(xv, xbar, norm)
+    if form.tag == "regularity":
+        # around-point criterion: premise is only y != g(x)
+        ok = rho_gx_y > STRICT_SLACK
+        cc = c if form.direction == "sufficient" else cprime
+    elif form.direction == "sufficient":
+        ok = rho_gx_y > STRICT_SLACK and rho_gx_y <= rho_gxbar_y - c * d_x_xbar + STRICT_SLACK
+        cc = c
+    else:
+        ok = rho_gxbar_y > STRICT_SLACK and rho_gxbar_y <= rho_gx_y - cprime * d_x_xbar + STRICT_SLACK
+        cc = cprime
+    if not ok:
+        return
+    report.premise_samples += 1
+    try:
+        xp, _vp = run_oracle(xv, gx, yv, cc)
+    except _ReferenceOracleError as exc:
+        report.violations.append({"kind": "oracle", **exc.witness})
+        return
+    if xp is None:
+        report.violations.append({"kind": "no-descent-point", "x": list(xv), "y": list(yv)})
+        return
+    lhs = vec_dist(gv(xp), yv, norm)
+    rhs = rho_gx_y - cc * vec_dist(xv, xp, norm)
+    if not (lhs < rhs - STRICT_SLACK):
+        report.violations.append(
+            {"kind": "decrease", "x": list(xv), "y": list(yv), "x_prime": list(xp), "lhs": lhs, "rhs": rhs}
+        )
+
+
+def _reference_eval_set_premise(report, form, F, point, gp, yv, c, cprime, r, alpha, run_oracle, norm):
+    xbar, ybar = point.x, point.y
+    xv, vv = gp.x, gp.y
+    if alpha and vec_dist(vv, ybar, norm) >= r / alpha:
+        return
+    rho_v_y = vec_dist(vv, yv, norm)
+    rho_ybar_y = vec_dist(ybar, yv, norm)
+    guard = max(vec_dist(xv, xbar, norm), alpha * vec_dist(vv, ybar, norm)) if alpha else vec_dist(xv, xbar, norm)
+    if form.tag == "regularity":
+        # around-point criterion: premise is only y != v
+        ok = rho_v_y > STRICT_SLACK
+        cc = c if form.direction == "sufficient" else cprime
+    elif form.direction == "sufficient":
+        ok = rho_v_y > STRICT_SLACK and rho_v_y <= rho_ybar_y - c * guard + STRICT_SLACK
+        cc = c
+    else:
+        ok = rho_ybar_y > STRICT_SLACK and rho_ybar_y <= rho_v_y - cprime * guard + STRICT_SLACK
+        cc = cprime
+    if not ok:
+        return
+    report.premise_samples += 1
+    try:
+        xp, vp = run_oracle(xv, vv, yv, cc)
+    except _ReferenceOracleError as exc:
+        report.violations.append({"kind": "oracle", **exc.witness})
+        return
+    if xp is None:
+        report.violations.append({"kind": "no-descent-pair", "x": list(xv), "v": list(vv), "y": list(yv)})
+        return
+    lhs = vec_dist(vp, yv, norm)
+    step = max(vec_dist(xv, xp, norm), alpha * vec_dist(vv, vp, norm)) if alpha else vec_dist(xv, xp, norm)
+    rhs = rho_v_y - cc * step
+    if not (lhs < rhs - STRICT_SLACK):
+        report.violations.append(
+            {
+                "kind": "decrease",
+                "x": list(xv),
+                "v": list(vv),
+                "y": list(yv),
+                "x_prime": list(xp),
+                "v_prime": list(vp),
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+        )
+
+
+def _reference_eval_subreg_premise(report, F, point, gp, c, cprime, r, form, run_oracle, norm):
+    xbar, ybar = point.x, point.y
+    xv, yv = gp.x, gp.y
+    if dist_to_value_set(ybar, F, xv, norm) <= TOL_FEAS:
+        return  # x in F^{-1}(ybar)
+    if vec_dist(xv, xbar, norm) >= r or vec_dist(yv, ybar, norm) >= r:
+        return
+    report.premise_samples += 1
+    cc = c if form.direction == "sufficient" else cprime
+    try:
+        up, vp = run_oracle(xv, yv, ybar, cc)
+    except _ReferenceOracleError as exc:
+        report.violations.append({"kind": "oracle", **exc.witness})
+        return
+    if up is None:
+        report.violations.append({"kind": "no-descent-pair", "x": list(xv), "y": list(yv)})
+        return
+    if vec_dist(up, xv, norm) <= STRICT_SLACK and vec_dist(vp, yv, norm) <= STRICT_SLACK:
+        report.violations.append({"kind": "degenerate-pair", "x": list(xv), "y": list(yv)})
+        return
+    lhs = cc * max(vec_dist(up, xv, norm), r * vec_dist(vp, yv, norm))
+    rhs = vec_dist(yv, ybar, norm) - vec_dist(vp, ybar, norm)
+    if not (lhs < rhs - STRICT_SLACK):
+        report.violations.append(
+            {
+                "kind": "decrease",
+                "x": list(xv),
+                "y": list(yv),
+                "u": list(up),
+                "v": list(vp),
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+        )
+
+
+_DESCENT_MAPS = {
+    "single": (SingleValued(lambda x: arr(x) + 0.3 * arr(x) ** 2), ORIGIN),
+    "two_branch": (load_example("two_branch").objects["setmap"], load_example("two_branch").objects["point"]),
+    # y < 0 has no preimage: the built-in oracle misses
+    "square": (SingleValued(lambda x: arr(x) ** 2), ORIGIN),
+}
+_DESCENT_ORACLES = {
+    "builtin": None,
+    # x' alone: v' is the member of F(x') nearest y
+    "user": lambda x, v, y, consts: arr(x) + 0.5 * (arr(y) - arr(v)),
+    "off_graph": lambda x, v, y, consts: (arr(x), arr(v) + 5.0),
+    "none": lambda x, v, y, consts: None,
+    # no move at all: degenerate pairs and failed decreases
+    "stay": lambda x, v, y, consts: (arr(x), arr(v)),
+}
+
+
+def _outcome(run):
+    """A report as its JSON text (floats round-trip, so equal text is equal
+    bits), or the type and message of what it raised."""
+    try:
+        return json.dumps(run().to_json_dict())
+    except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("oracle", sorted(_DESCENT_ORACLES))
+@pytest.mark.parametrize("direction", ["sufficient", "necessary"])
+@pytest.mark.parametrize("tag", DESCENT_FORMS)
+@pytest.mark.parametrize("name", sorted(_DESCENT_MAPS))
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**31))
+def test_descent_check_equals_the_per_tuple_loop_of_before(name, tag, direction, oracle, seed):
+    F, point = _DESCENT_MAPS[name]
+    args = (DescentForm(tag, direction), F, point, {"c": 0.9, "r": 0.3, "alpha": 0.5}, _DESCENT_ORACLES[oracle])
+    kwargs = dict(seed=seed, schedule=LiminfSchedule(r0=0.24, rho=0.6, shells=3, samples_per_shell=12))
+    got = _outcome(lambda: check_descent_certificate(*args, **kwargs))
+    assert got == _outcome(lambda: _reference_check_descent_certificate(*args, **kwargs))
+
+
+@pytest.mark.parametrize("tag", ["semireg_single", "semireg_set", "subregularity"])
+def test_builtin_descent_oracle_makes_one_call_per_shell(monkeypatch, tag):
+    F, point = _DESCENT_MAPS["single"]
+    calls = _count_oracle_calls(monkeypatch)
+    rep = check_descent_certificate(DescentForm(tag, "necessary"), F, point, {"c": 0.9, "r": 0.3, "alpha": 0.5},
+                                    seed=3, schedule=LiminfSchedule(r0=0.24, rho=0.6, shells=3, samples_per_shell=12))
+    # the necessary direction tests no conclusion: every call answers one shell
+    assert rep.premise_samples > 0 and sum(calls) == rep.premise_samples and len(calls) <= 3

@@ -12,9 +12,9 @@ from reglab.covering import (
     rosl_check,
     solve_preimage_picard,
 )
-from reglab.geometry import Ball, GraphPoint, as_vector
+from reglab.geometry import TOL_FEAS, Ball, GraphPoint, as_vector
 from reglab.rng import SplitMix64, derive_seed, sphere_directions
-from reglab.setmaps import LinearOp, PolyhedralGraph, SingleValued, graph_sample, preimage_search
+from reglab.setmaps import LinearOp, PolyhedralGraph, SingleValued, dist_to_value_set, graph_sample, preimage_search
 
 arr = lambda x: np.asarray(x, dtype=float)
 
@@ -176,9 +176,11 @@ def test_rosl_around_graph_points():
     assert rep.verdict == "pass"
 
 
-def _reference_rosl_conclusion(F, xbar, ybar, ell, t_grid, r, seed, condition):
-    """The per-target conclusion loops of ``rosl_check`` for C1/C2 and ROSL
-    (kept verbatim as the oracle): (attained, unattained, centers x t)."""
+def _reference_rosl_conclusion(F, xbar, ybar, ell, t_grid, r, seed, condition, samples=None):
+    """The per-target conclusion loops of ``rosl_check`` for C1/C2, ROSLw and
+    ROSL (kept verbatim as the oracle): (attained, unattained, centers x t).
+    ROSLw replays the draws of its condition check (``samples`` of them)
+    from the shared stream first."""
     xbar, ybar = as_vector(xbar, F.n), as_vector(ybar, F.m)
     attained_, unattained, pairs = [], [], 0
 
@@ -195,6 +197,22 @@ def _reference_rosl_conclusion(F, xbar, ybar, ell, t_grid, r, seed, condition):
                     ok, dpre = attained(xbar, target, t)
                     entry = {"t": t, "target": [float(u) for u in target], "preimage_distance": dpre}
                     (attained_ if ok else unattained).append(entry)
+    elif condition == "ROSLw":
+        rng = SplitMix64(derive_seed(seed, "rosl"))
+        for _ in range(samples):
+            rng.in_ball(xbar, r, "euclidean")
+            F.value_set(xbar).members_near(ybar, 4 * r, 2, rng)
+        for _ in range(min(samples, 64)):
+            yv = rng.in_ball(ybar, r * ell, "euclidean")
+            dy = dist_to_value_set(yv, F, xbar)
+            if dy > r * ell or dy <= TOL_FEAS:
+                continue
+            pairs += 1
+            bound = dy / ell
+            dpre, _ = preimage_search(xbar, F, yv, Ball(xbar, 1.05 * bound + 1e-9))
+            ok = dpre <= bound * (1 + COVER_RTOL) + COVER_ATOL
+            entry = {"y": [float(u) for u in yv], "bound": bound, "preimage_distance": dpre}
+            (attained_ if ok else unattained).append(entry)
     else:  # ROSL: uniform covering around nearby graph points
         pts = graph_sample(F, GraphPoint(xbar, ybar), r, 8, derive_seed(seed, "rosl-gp"))
         for gp in [GraphPoint(xbar, ybar)] + pts:
@@ -248,3 +266,51 @@ def test_rosl_conclusions_make_one_call_per_center_and_t(monkeypatch, name, cond
     assert len(calls) == pairs and set(calls) == {4 if condition == "C2" else 2}
     if condition == "ROSL":
         assert pairs > len(rep.t_grid)
+
+
+@pytest.mark.parametrize("name", sorted(_ROSL_MAPS))
+def test_roslw_conclusion_makes_one_call(monkeypatch, name):
+    F = _ROSL_MAPS[name]
+    xbar, ybar, ell, r, seed, samples = [0.1], F([0.1]), 1.5, 0.2, 3, 40
+    calls = []
+    many = covering.preimage_search_many
+
+    def counted(x0, F, ys, *args, **kwargs):
+        calls.append(len(ys))
+        return many(x0, F, ys, *args, **kwargs)
+
+    monkeypatch.setattr(covering, "preimage_search_many", counted)
+    rep = rosl_check(F, xbar, ybar, ell=ell, r=r, condition="ROSLw", samples=samples, seed=seed)
+    assert rep.verdict == "pass" and not rep.condition_violations
+    att, unatt, pairs = _reference_rosl_conclusion(F, xbar, ybar, ell, rep.t_grid, r, seed, "ROSLw", samples)
+    assert _bits(rep.attained) == _bits(att) and _bits(rep.unattained) == _bits(unatt)
+    assert calls == [pairs] and pairs == samples
+
+
+# ---------------------------------------------------------------------------
+# where Picard fails and n <= 2, the preimage oracle over the ball answers
+
+
+def _tripled(n):
+    # with A = I the corrected map is u -> -2u + y/t: Picard diverges
+    return SingleValued(lambda x: 3.0 * arr(x), n, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_picard_falls_back_to_the_preimage_oracle(n):
+    f, xbar, y, t = _tripled(n), np.zeros(n), np.full(n, 0.1), 0.1
+    res = solve_preimage_picard(f, np.eye(n), xbar, y, t)
+    assert res.converged and res.method == "grid"
+    covering._assert_feasible(res, f, y, xbar, t, 1e-9)
+    np.testing.assert_allclose(res.x, y / 3.0, atol=1e-8)
+
+
+def test_picard_fallback_takes_no_preimage_outside_the_ball():
+    # the preimage 0.5/3 lies outside B[0, 0.1]
+    res = solve_preimage_picard(_tripled(1), [[1.0]], [0.0], [0.5], 0.1)
+    assert not res.converged and res.x is None and res.method == "failed"
+
+
+def test_picard_without_fallback_above_two_dimensions():
+    res = solve_preimage_picard(_tripled(3), np.eye(3), np.zeros(3), np.full(3, 0.1), 0.1)
+    assert not res.converged and res.x is None and res.method == "failed"

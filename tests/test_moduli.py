@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from reglab import moduli
 from reglab.corpus import load_example, sinkink_fn, staircase_fn
-from reglab.geometry import TOL_FEAS, Ball, GraphPoint, _real, as_vector, vec_dist
+from reglab.geometry import TOL_FEAS, Ball, GraphPoint, _real, as_vector, jsonable, vec_dist
 from reglab.moduli import (
     MODULUS_KINDS,
     LiminfSchedule,
@@ -21,6 +22,7 @@ from reglab.moduli import (
     _ray_coverage_rows,
     NotEvaluable,
     NotOnGraph,
+    StarShapeResult,
     _assemble,
     check_on_graph,
     convex_process_sur,
@@ -32,7 +34,7 @@ from reglab.moduli import (
     slope_sandwich,
     starshape_bound,
 )
-from reglab.rng import SplitMix64, derive_seed, shell_points
+from reglab.rng import SplitMix64, derive_seed, shell_points, sphere_directions
 from reglab.setmaps import (
     Epigraph,
     FiniteValued,
@@ -49,7 +51,6 @@ from reglab.setmaps import (
     _ball_grid,
     _value_candidates,
     _eval_vectorized,
-    _linear_cover_rate,
     build_setmap,
     dist_to_value_set,
     dist_to_value_set_batch,
@@ -57,7 +58,7 @@ from reglab.setmaps import (
     preimage_search_many,
     scalar_branches,
 )
-from test_setmaps import _reference_inf_on_interval, _reference_query
+from test_setmaps import _reference_inf_on_interval, _reference_linear_cover_rate, _reference_query
 
 arr = lambda x: np.asarray(x, dtype=float)
 ORIGIN = GraphPoint([0.0], [0.0])
@@ -698,7 +699,7 @@ def _reference_largest_covered_c(F, x, y, t, norm="euclidean", directions=32, re
     y = as_vector(y, F.m)
     closed = None
     if isinstance(F, LinearOp):
-        closed = _linear_cover_rate(F.A.tobytes(), F.A.shape, norm, directions, seed)
+        closed = _reference_linear_cover_rate(F.A.tobytes(), F.A.shape, norm, directions, seed)
     elif isinstance(F, Epigraph):
         if F.n == 1:
             lo_f = _reference_inf_on_interval(F.f, float(x[0]) - t, float(x[0]) + t, resolution)
@@ -882,7 +883,9 @@ def _reference_estimate_modulus(
     sur_t_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
 ) -> ModulusEstimate:
     """estimate_modulus of before, verbatim: reg, psopen and subreg take one
-    value distance and one preimage distance per sample.
+    value distance and one preimage distance per sample, lip and calm one
+    value distance per candidate, and the lopen and semireg filter one value
+    distance per shell point.
 
     Estimate one regularity modulus by sampling its defining quotient.
 
@@ -1031,3 +1034,150 @@ def test_shell_preimage_kinds_with_no_samples():
     for kind in ("reg", "psopen", "subreg"):
         got = estimate_modulus(kind, F, point, LiminfSchedule(r0=0.1, rho=0.5, shells=3, samples_per_shell=0))
         assert got.samples_used == 0
+
+
+# ---------------------------------------------------------------------------
+# lip, calm, lopen and semireg: one value batch per shell (and one preimage
+# call for lopen and semireg) give the estimate of the per-sample loop of
+# before bit for bit
+
+
+#: the grid searches of lopen and semireg on the non-vectorized 2D map take
+#: seconds; map2d covers the same 2D filter and search
+_VALUE_BATCH_CASES = [(name, kind) for name in sorted(_SHELL_MAPS) for kind in ("lip", "calm", "lopen", "semireg")
+                      if not (name == "curve_2d_not_vectorized" and kind in ("lopen", "semireg"))]
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("name, kind", _VALUE_BATCH_CASES)
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**31), r0=st.sampled_from([0.1, 0.02]))
+def test_value_batch_kinds_equal_the_per_sample_loop_of_before(name, kind, norm, seed, r0):
+    F, point = _SHELL_MAPS[name]
+    sched = LiminfSchedule(r0=r0, rho=0.5, shells=3, samples_per_shell=6)
+    with np.errstate(all="ignore"):
+        got = estimate_modulus(kind, F, point, sched, norm=norm, seed=seed)
+        ref = _reference_estimate_modulus(kind, F, point, sched, norm=norm, seed=seed)
+    assert _fingerprint(got) == _fingerprint(ref)
+    assert got.to_json_dict() == ref.to_json_dict()
+
+
+def _count_moduli_oracles(monkeypatch):
+    """The calls of each distance oracle that moduli makes, by name."""
+    calls = {}
+    for name in ("dist_to_value_set", "dist_to_value_set_batch", "preimage_search_many"):
+        def counted(*args, _fn=getattr(moduli, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(moduli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["lip", "calm", "lopen", "semireg"])
+def test_value_batch_kinds_make_one_value_batch_per_shell(monkeypatch, kind):
+    F, point = _SHELL_MAPS["two_branch"]
+    calls = _count_moduli_oracles(monkeypatch)
+    est = estimate_modulus(kind, F, point, LiminfSchedule(r0=0.1, rho=0.5, shells=3, samples_per_shell=6))
+    assert est.samples_used > 0
+    # one scalar distance: the on-graph check of the reference point
+    searches = 3 if kind in ("lopen", "semireg") else 0
+    assert calls == {"dist_to_value_set": 1, "dist_to_value_set_batch": 3, **({"preimage_search_many": 3} if searches else {})}
+
+
+# ---------------------------------------------------------------------------
+# starshape_bound answers each check in one call, with the witness and the
+# count of before
+
+
+def _reference_starshape_bound(
+    F: SetMap,
+    point: GraphPoint,
+    alpha: float,
+    beta: float,
+    a: float = 1.0,
+    samples: int = 64,
+    seed: int = 42,
+    norm: str = "euclidean",
+    tol: float = 1e-7,
+) -> StarShapeResult:
+    """``starshape_bound`` of before, verbatim: one value distance per
+    combined point and one preimage distance per target, each ending the
+    check at the first failure."""
+    if alpha <= 0 or beta <= 0 or not (0 < a <= 1):
+        raise ValueError("need alpha, beta > 0 and a in (0, 1]")
+    check_on_graph(F, point, norm=norm)
+    radius = 2.0 * max(alpha, beta)
+    pts = graph_sample(F, point, radius, samples, derive_seed(seed, "star"), norm)
+    checked = 0
+    for gp in pts:
+        for t in np.linspace(0.0, a, 9):
+            zx = (1 - t) * point.x + t * gp.x
+            zy = (1 - t) * point.y + t * gp.y
+            d = dist_to_value_set(zy, F, zx, norm)
+            checked += 1
+            if d > tol:
+                return StarShapeResult(
+                    False,
+                    None,
+                    {
+                        "reason": "graph not star-shaped",
+                        "t": float(t),
+                        "graph_point": {"x": list(gp.x), "y": list(gp.y)},
+                        "combined_point": {"x": list(zx), "y": list(zy)},
+                        "graph_distance": d,
+                    },
+                    checked,
+                )
+    # ball inclusion B[ybar, beta] subset F(B[xbar, alpha])
+    rng = SplitMix64(derive_seed(seed, "star-targets"))
+    dirs = sphere_directions(F.m, 16, derive_seed(seed, "star-dirs"), norm)
+    targets = [point.y + frac * beta * np.asarray(v) for v in dirs for frac in (0.25, 0.5, 0.75, 1.0)]
+    for _ in range(8):
+        targets.append(rng.in_ball(point.y, beta, norm))
+    for target in targets:
+        dpre = dist_to_preimage(point.x, F, target, Ball(point.x, 1.05 * alpha), norm=norm)
+        checked += 1
+        if dpre > alpha + tol:
+            return StarShapeResult(
+                False,
+                None,
+                {
+                    "reason": "ball inclusion failed",
+                    "target": list(target),
+                    "preimage_distance": dpre,
+                    "alpha": alpha,
+                },
+                checked,
+            )
+    return StarShapeResult(True, beta / alpha, None, checked)
+
+
+_STAR_CASES = {
+    "identity": (LinearOp([[1.0]]), ORIGIN, 1.0, 1.0),
+    "halfspace": (PolyhedralGraph([([[1, -1]], [0.0])], 1, 1), ORIGIN, 1.0, 1.0),
+    # {x, -1}: the segment from (0,0) to (1,-1) leaves the graph
+    "shifted_branch": (FiniteValued([lambda x: arr(x), lambda x: 0.0 * arr(x) - 1.0]), ORIGIN, 1.0, 1.0),
+    "cone_union": (two_branch(), ORIGIN, 1.0, 1.0),
+    # x/2 reaches the targets beyond 1/2 only from outside B[0, 1]
+    "ball_inclusion_fails": (SingleValued(lambda x: 0.5 * arr(x) + 0.05 * np.sin(arr(x))), ORIGIN, 1.0, 1.0),
+    "map2d": (*_SHELL_MAPS["map2d"], 0.3, 0.2),
+}
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("name", sorted(_STAR_CASES))
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**31))
+def test_starshape_bound_equals_the_per_sample_loops_of_before(name, norm, seed):
+    F, point, alpha, beta = _STAR_CASES[name]
+    got = starshape_bound(F, point, alpha, beta, samples=12, seed=seed, norm=norm)
+    ref = _reference_starshape_bound(F, point, alpha, beta, samples=12, seed=seed, norm=norm)
+    assert json.dumps(jsonable(got)) == json.dumps(jsonable(ref))
+    if name in ("shifted_branch", "ball_inclusion_fails"):
+        assert not got.passed
+
+
+def test_starshape_bound_makes_one_call_per_check(monkeypatch):
+    calls = _count_moduli_oracles(monkeypatch)
+    assert starshape_bound(two_branch(), ORIGIN, 1.0, 1.0, samples=12).passed
+    assert calls == {"dist_to_value_set": 1, "dist_to_value_set_batch": 1, "preimage_search_many": 1}

@@ -1313,7 +1313,7 @@ def test_non_finite_epigraph_values_pass_as_floats():
 
 
 # ---------------------------------------------------------------------------
-# _linear_cover_rate is the minimum of the cone covering rates
+# LinearOp's covering rate is the minimum of the cone covering rates
 
 
 def _reference_linear_cover_rate(a_bytes: bytes, shape: tuple, norm: str, directions: int, seed: int) -> float:
@@ -1339,10 +1339,11 @@ def test_linear_cover_rate_equals_the_loop_of_before_bitwise(shape, entries, nor
     A = np.array(entries[: shape[0] * shape[1]]).reshape(shape)
     args = (A.tobytes(), shape, norm, directions, seed)
     with np.errstate(all="ignore"):  # subnormal entries overflow the norms of both
-        got = setmaps._linear_cover_rate.__wrapped__(*args)
+        got = LinearOp(A).covered_c(np.zeros((2, shape[1])), np.zeros((2, shape[0])), [0.1, 1.0], norm, directions,
+                                    801, seed)
         ref = _reference_linear_cover_rate(*args)
-    assert type(got) is float
-    assert got.hex() == float(ref).hex()
+    assert len(got) == 2 and type(got[0]) is float
+    assert got[0].hex() == got[1].hex() == float(ref).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -1745,6 +1746,23 @@ def test_cone_cover_rates_grow_all_empty_directions_in_one_call_per_round(monkey
     assert calls == [(4, 1.0)] + [(2, r) for r in rounds]
     assert rates[1] == rates[2] == 0.0
     assert rates[0] == rates[3] == INF  # in F(0) = [0, inf)
+
+
+def test_cone_cover_rates_ask_the_closed_form_once_per_direction(monkeypatch):
+    # the rank-one map has no preimage of e1 or e2: asking again for each
+    # empty direction made 5 solves for these 3 directions
+    solves = []
+    solve = LinearOp.analytic_preimage
+
+    def counted(self, *args):
+        solves.append(args[1])
+        return solve(self, *args)
+
+    monkeypatch.setattr(LinearOp, "analytic_preimage", counted)
+    vs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 2.0]) / np.sqrt(5.0)]
+    rates = setmaps._cone_cover_rates(LinearOp([[1.0, 2.0], [2.0, 4.0]]), vs, "euclidean")
+    assert len(solves) == 3
+    assert rates[0] == rates[1] == 0.0 and rates[2] > 0.0
 
 
 def test_square_batches_of_a_multi_output_branch_go_row_by_row():
