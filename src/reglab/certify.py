@@ -522,12 +522,16 @@ def verify_sum_distance_bound(
         norm=norm,
     )
     # premise: metric regularity of F on B(xbar,a) x B(ybar,a), all pairs
-    # drawn and answered at once; the first violation in draw order ends it
+    # drawn, then the pairs with TOL_FEAS < dist(y, F(x)) < inf answered in
+    # one call; the first violation in draw order ends it
     pairs = [(rng.in_ball(xbar, a, norm), rng.in_ball(ybar, a, norm)) for _ in range(samples // 2)]
     xs, ys = [xv for xv, _ in pairs], [yv for _, yv in pairs]
-    for i, dval, dpre in _shell_answers(F, xs, ys, [Ball(xbar, 3 * a)] * len(xs), norm):
-        if dval == INF:
-            continue
+    dvals = _value_dists(F, xs, ys, norm)
+    kept = [i for i, dval in enumerate(dvals) if TOL_FEAS < dval < INF]
+    found = preimage_search_many(np.array([xs[i] for i in kept]), F, [ys[i] for i in kept],
+                                 Ball(xbar, 3 * a), norm=norm) if kept else []
+    for i, (dpre, _) in zip(kept, found):
+        dval = dvals[i]
         report.premise_samples += 1
         if dpre > kappa * dval + _conclusion_tol(kappa * dval):
             report.verdict = "rejected"

@@ -86,7 +86,8 @@ def solve_preimage_picard(
 ) -> PicardResult:
     """Solve f(x) = y with x in B[xbar, t] by Picard iteration on the
     corrected fixed-point map, falling back to the preimage oracle over the
-    ball for n <= 2 (method "grid"; its answer counts only inside the ball).
+    ball for n <= 2 (method "grid"; its answer counts only inside the ball
+    and at residual <= tol).
 
     Success requires the residual test and the ball constraint; both are
     asserted on every successful return.
@@ -111,9 +112,12 @@ def solve_preimage_picard(
         if np.linalg.norm(u) > 4.0:
             break
     if n <= 2:
+        # a bracketed root of a map that jumps across y is no preimage: the
+        # oracle's answer counts only inside the ball and at residual <= tol
         d, x = preimage_search(xbar, f, y, Ball(xbar, t), tol_feas=tol)
-        if d <= t:
-            result = PicardResult(x, True, "grid", iterations, float(np.linalg.norm(fn(x) - y)))
+        resid = INF if x is None else float(np.linalg.norm(fn(x) - y))
+        if d <= t and resid <= tol:
+            result = PicardResult(x, True, "grid", iterations, resid)
             _assert_feasible(result, fn, y, xbar, t, tol)
             return result
     return PicardResult(None, False, "failed", iterations, best_resid)

@@ -459,7 +459,12 @@ def test_sum_distance_bound_makes_one_conclusion_call(monkeypatch, name):
     calls = _count_oracle_calls(monkeypatch)
     got = verify_sum_distance_bound(F, G, point, kappa, ell, beta, samples, seed, norm)
     assert _bits(asdict(got)) == _bits(asdict(ref))
-    assert got.verdict == verdict and calls == ([samples] if ref.conclusion else [])
+    # one premise call, then one conclusion call if the premises hold
+    assert got.verdict == verdict and calls[1:] == ([samples] if ref.conclusion else [])
+    assert 0 < calls[0] <= samples // 2
+    if name == "box_cone":
+        # the premise searches only the 4 of its 15 pairs with y off F(x) != {}
+        assert calls[0] == 4
     if name in ("metreg_fails", "box_cone"):
         assert got.premise_samples == 1 and got.violations[0]["premise"] == "metric_regularity"
     if verdict == "fail":

@@ -311,6 +311,14 @@ def test_picard_fallback_takes_no_preimage_outside_the_ball():
     assert not res.converged and res.x is None and res.method == "failed"
 
 
+def test_picard_fallback_takes_no_bracketed_jump_for_a_preimage():
+    # x + 0.1 sign(x) jumps across y = 0.05 at 0: Picard cycles, and the
+    # oracle's bracketed root in the ball has residual about 0.05
+    f = SingleValued(lambda x: arr(x) + 0.1 * np.sign(arr(x)))
+    res = solve_preimage_picard(f, [[1.0]], [0.0], [0.05], 0.5)
+    assert not res.converged and res.x is None and res.method == "failed"
+
+
 def test_picard_without_fallback_above_two_dimensions():
     res = solve_preimage_picard(_tripled(3), np.eye(3), np.zeros(3), np.full(3, 0.1), 0.1)
     assert not res.converged and res.x is None and res.method == "failed"
