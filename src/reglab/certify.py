@@ -76,8 +76,16 @@ class CertificateReport(JsonReport):
         return self
 
 
+class OracleNoAnswer(ValueError):
+    """A user descent oracle returned None, or a pair with a None entry."""
+
+
 def _as_pair(result, n, m):
-    if isinstance(result, tuple) and len(result) == 2:
+    """A user oracle's answer as (x', v'), with v' None where it gave x' alone."""
+    pair = isinstance(result, tuple) and len(result) == 2
+    if result is None or (pair and any(v is None for v in result)):
+        raise OracleNoAnswer(f"the descent oracle gave no answer: it returned {result!r}")
+    if pair:
         return as_vector(result[0], n), as_vector(result[1], m)
     return as_vector(result, n), None
 
@@ -127,10 +135,11 @@ def check_descent_certificate(
     (default 0.9*c).  The oracle maps a premise-satisfying (x, v, y) to a
     candidate descent pair (x', v') lying on the graph; for the necessary
     direction a built-in preimage-search oracle is used when none is given.
-    After the schedule's shells, a check with fewer than ``premise_target``
-    premise samples keeps drawing shells r0 * rho^j from the same seeded
-    stream, up to ``SHELL_CAP_FACTOR`` times the schedule's count;
-    ``report.shells`` is the number of shells drawn.
+    A user oracle that returns None, or a pair with a None entry, raises
+    ``OracleNoAnswer``.  After the schedule's shells, a check with fewer
+    than ``premise_target`` premise samples keeps drawing shells r0 * rho^j
+    from the same seeded stream, up to ``SHELL_CAP_FACTOR`` times the
+    schedule's count; ``report.shells`` is the number of shells drawn.
     """
     c = float(constants["c"])
     r = float(constants["r"])

@@ -200,8 +200,10 @@ def _stack_structures(pieces):
 
 
 def _ray_coverage_rows(origin: np.ndarray, direction: float, gap_tol: np.ndarray, structure) -> np.ndarray:
-    """``_ray_coverage_1d`` of each row of a flat structure (point rows, points,
-    interval rows, intervals), with one origin and gap_tol per row.
+    """Largest rho with [origin, origin + rho*direction] covered contiguously,
+    for each row of a flat structure (point rows, points, interval rows,
+    intervals), with one origin and gap_tol per row: a sweep of the segments
+    in lo order, exact since sorting and max do no rounding.
 
     The segments go into a (k, L) array padded with lo = hi = +inf, which
     also takes the segments that end before -gap_tol.  A pad comes after
@@ -233,16 +235,6 @@ def _ray_coverage_rows(origin: np.ndarray, direction: float, gap_tol: np.ndarray
     stop = LO > cur[:, :-1] + gap_tol[:, None]
     end = np.where(stop.any(axis=1), stop.argmax(axis=1), width)
     return np.maximum(cur[np.arange(k), end], 0.0) + 0.0  # + 0.0: never -0.0
-
-
-def _ray_coverage_1d(origin: float, direction: float, points, intervals, gap_tol: float) -> float:
-    """Largest rho with [origin, origin + rho*direction] covered contiguously:
-    a sweep of the segments in lo order, exact since sorting and max do no
-    rounding.  The one-row call of :func:`_ray_coverage_rows`."""
-    pts = np.asarray(points, dtype=float).reshape(-1)
-    ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
-    structure = (np.zeros(pts.size, dtype=np.intp), pts, np.zeros(len(ivs), dtype=np.intp), ivs)
-    return float(_ray_coverage_rows(np.array([origin], dtype=float), direction, np.array([gap_tol]), structure)[0])
 
 
 #: grid points per batch of balls on the 1D ray coverage path, which bounds
@@ -339,13 +331,6 @@ def _attained_structures_1d(F: SetMap, X: np.ndarray, T: np.ndarray, resolution:
     if not ok.all():
         pieces.append(_descriptor_structure(F, rows[~ok], xs[~ok].reshape(-1, 1)))
     return _stack_structures(pieces)
-
-
-def _attained_structure_1d(F: SetMap, x: np.ndarray, t: float, resolution: int, norm: str):
-    """Attained (points, intervals, gap_tol) of F over B[x, t] for 1D ranges:
-    the one-ball call of :func:`_attained_structures_1d`."""
-    _, pts, _, ivs = _attained_structures_1d(F, x[None, :], np.array([t], dtype=float), resolution, norm)
-    return pts.tolist(), [tuple(iv) for iv in ivs.tolist()], max(1e-9, 1e-9 * t)
 
 
 def _descriptor_structure(F: SetMap, rows, grid: np.ndarray):

@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -247,10 +248,13 @@ def solve_subproblem(
     F = 0: least-norm solve.  F = NormalConeBox: enumeration of the 3^n
     lower/upper/free patterns (n <= 8), feasibility- and
     complementarity-checked; ties broken by distance to x_k then
-    lexicographic pattern.  The patterns are grouped by free-set size and
-    each group's reduced linear systems are solved as one stack of
-    single-column solves, n + 1 stacks in all, with the same arithmetic as
-    one solve per pattern, so results are bit-identical to it; a group
+    lexicographic pattern.  The enumeration is table-driven: gather and
+    scatter indices for every pattern are built once per n
+    (``_box_patterns``).  A call drops the patterns that fix a coordinate
+    on an infinite bound, solves each free-set size's reduced systems as
+    one stack of single-column solves, with the same arithmetic as one
+    solve per pattern, so results are bit-identical to it, and tests the
+    normal cone once over the surviving patterns of all sizes; a stack
     holding a singular block falls back to one solve per pattern and skips
     the singular ones.  F finitely valued (constant branches): branch
     enumeration.  An A_k that is not a finite m x n matrix, or an f(x_k)
@@ -285,22 +289,46 @@ def solve_subproblem(
     return sol
 
 
+class _BoxPatterns(NamedTuple):
+    """Gather tables for the 3^n bound patterns of an n-box (0: lower, 1:
+    free, 2: upper), built once per n.
+
+    Rows hold the patterns grouped by free count nf = 0..n, each group in
+    ``itertools.product`` order.  ``code`` indexes each coordinate's value in
+    ``concat(lo, hi, [0.0])``: its bound, or 0 where it is free.  The two
+    masks mark where the normal-cone test bounds W from above (lower or
+    free) and from below (upper or free).  ``groups`` holds, for each
+    nf >= 1: the group's rows, each row's free indices, flat gather indices
+    into ``A.ravel()`` of the free×free and free×fixed blocks, the codes of
+    the fixed values, and flat scatter indices of the free values into the
+    (3^n, n) array of candidate points.  The arrays are shared by every
+    call, so they are read-only."""
+
+    patterns: np.ndarray
+    code: np.ndarray
+    lower_or_free: np.ndarray
+    upper_or_free: np.ndarray
+    groups: tuple
+
+
 @functools.lru_cache(maxsize=None)
-def _box_patterns(n: int) -> tuple:
-    """The 3^n bound patterns of an n-box (0: lower, 1: free, 2: upper),
-    grouped by free count: one ``(patterns, free, others)`` triple for each
-    nf = 0..n, holding each pattern's free and fixed indices in ascending
-    order.  The arrays are shared by every call, so they are read-only."""
+def _box_patterns(n: int) -> _BoxPatterns:
     every = np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=np.int8).reshape(-1, n)
+    P = every[np.argsort((every == 1).sum(axis=1), kind="stable")]  # grouped by nf, product order within
+    nfree = (P == 1).sum(axis=1)
+    cols = np.arange(n)
+    code = np.where(P == 0, cols, np.where(P == 2, n + cols, 2 * n))
     groups = []
-    for nf in range(n + 1):
-        P = every[(every == 1).sum(axis=1) == nf]
-        order = np.argsort(P != 1, axis=1, kind="stable")  # free first, both parts ascending
-        group = (P, order[:, :nf], order[:, nf:])
-        for a in group:
-            a.setflags(write=False)
-        groups.append(group)
-    return tuple(groups)
+    for nf in range(1, n + 1):
+        rows = np.flatnonzero(nfree == nf)
+        order = np.argsort(P[rows] != 1, axis=1, kind="stable")  # free first, both parts ascending
+        fidx, oidx = order[:, :nf], order[:, nf:]
+        groups.append((rows, fidx, fidx[:, :, None] * n + fidx[:, None, :], fidx[:, :, None] * n + oidx[:, None, :],
+                       np.take_along_axis(code[rows], oidx, axis=1), rows[:, None] * n + fidx))
+    table = _BoxPatterns(P, code, P != 2, P != 0, tuple(groups))
+    for a in (P, code, table.lower_or_free, table.upper_or_free, *itertools.chain(*groups)):
+        a.setflags(write=False)
+    return table
 
 
 def _solve_box_vi(x_k, A_k, fx, box: NormalConeBox) -> SubproblemSolution:
@@ -310,43 +338,50 @@ def _solve_box_vi(x_k, A_k, fx, box: NormalConeBox) -> SubproblemSolution:
     q = fx - A_k @ x_k  # residual of the affine part at u: q + A_k u
     scale = max(1.0, float(np.abs(q).max()), float(np.abs(A_k).max()))
     tol = 1e-10 * scale
+    T = _box_patterns(n)
+    vals = np.concatenate((box.lo, box.hi, [0.0]))
+    U = vals[T.code]  # fixed coordinates on their bound, free ones at 0
+    alive = np.isfinite(U).all(axis=1)  # no fixed coordinate on an infinite bound
+    every_finite = bool(alive.all())
+    Aflat, Uflat = A_k.ravel(), U.reshape(-1)
+    lo, hi = box.lo - 1e-12, box.hi + 1e-12
+    for group in T.groups:
+        if not every_finite:  # drop those patterns before any arithmetic
+            keep = alive[group[0]]
+            group = tuple(a[keep] for a in group)
+        rows, fidx, ff, fo, ocode, scatter = group
+        # one single-column solve per pattern, stacked; each product is the
+        # per-pattern mat-vec, so every bit matches a pattern-by-pattern loop
+        Aff = Aflat[ff]
+        rhs = -(q[fidx] + (np.matmul(Aflat[fo], vals[ocode][..., None])[..., 0] if ocode.shape[1] else 0.0))
+        dead = np.zeros(rows.size, dtype=bool)
+        try:
+            Uf = np.linalg.solve(Aff, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # a singular block skips only its own pattern
+            Uf = np.zeros_like(rhs)
+            for k in range(rows.size):
+                try:
+                    Uf[k] = np.linalg.solve(Aff[k], rhs[k])
+                except np.linalg.LinAlgError:
+                    dead[k] = True
+        Uflat[scatter] = Uf
+        dead |= ((Uf < lo[fidx]) | (Uf > hi[fidx])).any(axis=1)
+        alive[rows[dead]] = False
+    rows = np.flatnonzero(alive)
+    U = U[rows]
+    W = -(q + np.matmul(A_k, U[..., None])[..., 0])  # must lie in the normal cone at u
+    good = ~(((W > tol) & T.lower_or_free[rows]) | ((W < -tol) & T.upper_or_free[rows])).any(axis=1)
     feasible: list[tuple] = []
-    for P, fidx, oidx in _box_patterns(n):
-        U = np.where(P == 0, box.lo, np.where(P == 2, box.hi, 0.0))
-        keep = np.all(np.isfinite(U) | (P == 1), axis=1)  # no fixed coordinate on an infinite bound
-        P, fidx, oidx, U = P[keep], fidx[keep], oidx[keep], U[keep]
-        ok = np.ones(len(P), dtype=bool)
-        if fidx.shape[1]:
-            # one single-column solve per pattern, stacked; each product is the
-            # per-pattern mat-vec, so every bit matches a pattern-by-pattern loop
-            Aff = A_k[fidx[:, :, None], fidx[:, None, :]]
-            Afo = A_k[fidx[:, :, None], oidx[:, None, :]]
-            Uo = np.take_along_axis(U, oidx, axis=1)
-            rhs = -(q[fidx] + (np.matmul(Afo, Uo[..., None])[..., 0] if oidx.shape[1] else 0.0))
-            try:
-                Uf = np.linalg.solve(Aff, rhs[..., None])[..., 0]
-            except np.linalg.LinAlgError:  # a singular block skips only its own pattern
-                Uf = np.zeros_like(rhs)
-                for k in range(len(P)):
-                    try:
-                        Uf[k] = np.linalg.solve(Aff[k], rhs[k])
-                    except np.linalg.LinAlgError:
-                        ok[k] = False
-            np.put_along_axis(U, fidx, Uf, axis=1)
-            ok &= ~np.any((Uf < box.lo[fidx] - 1e-12) | (Uf > box.hi[fidx] + 1e-12), axis=1)
-        P, U, fidx = P[ok], U[ok], fidx[ok]
-        W = -(q + np.matmul(A_k, U[..., None])[..., 0])  # must lie in the normal cone at u
-        good = ~np.any(np.where(P == 0, W > tol, np.where(P == 2, W < -tol, np.abs(W) > tol)), axis=1)
-        for p, u, w, free in zip(P[good], U[good], W[good], fidx[good].tolist()):
-            feasible.append((float(np.linalg.norm(u - x_k)), tuple(p.tolist()), u.copy(),
-                             float(np.abs(w[free]).max() if free else 0.0)))
+    for p, u, w in zip(T.patterns[rows[good]].tolist(), U[good], W[good]):
+        free = [i for i, v in enumerate(p) if v == 1]
+        feasible.append((float(np.linalg.norm(u - x_k)), tuple(p), u, float(np.abs(w[free]).max() if free else 0.0)))
     if not feasible:
         raise SubproblemInfeasible("no bound pattern is feasible")
     feasible.sort(key=lambda rec: rec[1])  # enumeration order, which decides ties of NaN distances
     feasible.sort(key=lambda rec: (rec[0], rec[1]))
     dist, pattern, u, lin_res = feasible[0]
     tag = "".join("LFH"[p] for p in pattern)
-    return SubproblemSolution(u, tag, lin_res, 0.0, free=[i for i, p in enumerate(pattern) if p == 1])
+    return SubproblemSolution(u.copy(), tag, lin_res, 0.0, free=[i for i, p in enumerate(pattern) if p == 1])
 
 
 def _solve_finite_branches(x_k, A_k, fx, F: FiniteValued, problem: GEProblem) -> SubproblemSolution:

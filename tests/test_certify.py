@@ -15,6 +15,7 @@ from reglab.certify import (
     SHELL_CAP_FACTOR,
     CertificateReport,
     DescentForm,
+    OracleNoAnswer,
     _as_pair,
     _conclusion_tol,
     _covering_conclusion,
@@ -765,6 +766,18 @@ def test_descent_check_equals_the_per_tuple_loop_of_before(name, tag, direction,
     kwargs = dict(seed=seed, schedule=LiminfSchedule(r0=0.24, rho=0.6, shells=3, samples_per_shell=12))
     got = _outcome(lambda: check_descent_certificate(*args, **kwargs))
     assert got == _outcome(lambda: _reference_check_descent_certificate(*args, **kwargs))
+    if oracle == "none":  # the oracle's missing answer is named as such, not as a non-finite vector
+        assert "must be finite" not in str(got)
+
+
+@pytest.mark.parametrize("answer", [None, (None, [0.0]), ([0.0], None)])
+def test_user_oracle_without_an_answer_raises_a_typed_error(answer):
+    F, point = _DESCENT_MAPS["single"]
+    with pytest.raises(OracleNoAnswer, match="gave no answer"):
+        check_descent_certificate(DescentForm("semireg_single", "necessary"), F, point, {"c": 0.9, "r": 0.3},
+                                  lambda x, v, y, consts: answer, seed=3,
+                                  schedule=LiminfSchedule(r0=0.24, rho=0.6, shells=3, samples_per_shell=12))
+    assert _as_pair(([0.5], [1.0]), 1, 1)[1] == [1.0] and _as_pair([0.5], 1, 1)[1] is None
 
 
 @pytest.mark.parametrize("tag", ["semireg_single", "semireg_set", "subregularity"])

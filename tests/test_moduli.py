@@ -14,11 +14,10 @@ from reglab.moduli import (
     LiminfSchedule,
     ModulusEstimate,
     _INF_KINDS,
-    _attained_structure_1d,
+    _attained_structures_1d,
     _bridged_structure_1d,
     _bridged_structure_rows,
     _covered_c_nd,
-    _ray_coverage_1d,
     _ray_coverage_rows,
     NotEvaluable,
     NotOnGraph,
@@ -393,6 +392,21 @@ def test_estimate_serialization_roundtrip():
 
 # ---------------------------------------------------------------------------
 # the attained value structure of sur, against the loops it replaced
+
+
+def _attained_structure_1d(F, x, t, resolution, norm):
+    """Attained (points, intervals, gap_tol) of F over B[x, t] for 1D ranges:
+    the one-ball call of ``_attained_structures_1d``."""
+    _, pts, _, ivs = _attained_structures_1d(F, x[None, :], np.array([t], dtype=float), resolution, norm)
+    return pts.tolist(), [tuple(iv) for iv in ivs.tolist()], max(1e-9, 1e-9 * t)
+
+
+def _ray_coverage_1d(origin, direction, points, intervals, gap_tol):
+    """The one-row call of ``_ray_coverage_rows``."""
+    pts = np.asarray(points, dtype=float).reshape(-1)
+    ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    structure = (np.zeros(pts.size, dtype=np.intp), pts, np.zeros(len(ivs), dtype=np.intp), ivs)
+    return float(_ray_coverage_rows(np.array([origin], dtype=float), direction, np.array([gap_tol]), structure)[0])
 
 
 def _reference_descriptor_structure(F, grid, t):

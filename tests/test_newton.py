@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def _reference_solve_box_vi(x_k, A_k, fx, box: NormalConeBox) -> SubproblemSolut
 
 
 def _random_box_vi(rng, kind):
-    n = int(rng.integers(1, 6))
+    n = int(rng.integers(1, 7)) if rng.random() < 0.98 else int(rng.integers(7, 9))  # a few n = 7, 8
     M = rng.normal(size=(n, n))
     if kind == "spd":
         A = M @ M.T + 0.1 * np.eye(n)
@@ -281,11 +282,16 @@ def _random_box_vi(rng, kind):
 
 
 def _outcome(solver, *args):
-    try:
-        sol = solver(*args)
-    except Exception as exc:  # the two solvers must fail alike
-        return type(exc)
-    return sol.u.tobytes(), sol.pattern, np.float64(sol.linear_residual).tobytes(), sol.free
+    """A solver's answer bit for bit, or the type of what it raised, with
+    every warning it emitted on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            sol = solver(*args)
+            result = sol.u.tobytes(), sol.pattern, np.float64(sol.linear_residual).tobytes(), sol.free
+        except Exception as exc:  # the two solvers must fail alike
+            result = type(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 @pytest.mark.parametrize("kind", ["spd", "nonsymmetric", "singular"])
@@ -297,19 +303,52 @@ def test_stacked_box_vi_solver_is_bit_identical_to_the_pattern_loop(kind):
         expected = _outcome(_reference_solve_box_vi, *args)
         assert _outcome(_solve_box_vi, *args) == expected
         outcomes.append(expected)
-    assert sum(o is not SubproblemInfeasible for o in outcomes) >= 50
+    assert sum(result is not SubproblemInfeasible for result, _ in outcomes) >= 50
+    # no finite bound: every stack but the all-free one is empty
+    x, A, fx, box = _random_box_vi(rng, kind)
+    box.lo[:], box.hi[:] = -np.inf, np.inf
+    assert _outcome(_solve_box_vi, x, A, fx, box) == _outcome(_reference_solve_box_vi, x, A, fx, box)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_box_vi_solver_is_bit_identical_on_newton_steps(n):
+    # the linearized step of f(x) = M x + q + 0.05 sin x on [0, 1]^n, with
+    # M = B B^T / n + I, at iterates inside the box
+    rng = np.random.default_rng(100 + n)
+    box = NormalConeBox(np.zeros(n), np.ones(n))
+    for _ in range(3 if n <= 6 else 1):
+        B = rng.uniform(-1.0, 1.0, (n, n))
+        M, q = B @ B.T / n + np.eye(n), rng.uniform(-1.5, 0.5, n)
+        x = rng.uniform(0.0, 1.0, n)
+        args = x, M + 0.05 * np.diag(np.cos(x)), M @ x + q + 0.05 * np.sin(x), box
+        expected = _outcome(_reference_solve_box_vi, *args)
+        assert expected[0] is not SubproblemInfeasible
+        assert _outcome(_solve_box_vi, *args) == expected
 
 
 def test_box_pattern_table_and_size_limit():
-    for n in range(1, 6):
-        groups = _box_patterns(n)
-        seen = sorted(tuple(p) for P, _, _ in groups for p in P.tolist())
-        assert seen == sorted(itertools.product((0, 1, 2), repeat=n))
-        for nf, (P, fidx, oidx) in enumerate(groups):
-            assert fidx.shape == (len(P), nf) and oidx.shape == (len(P), n - nf)
-            for p, f, o in zip(P.tolist(), fidx.tolist(), oidx.tolist()):
-                assert f == [i for i in range(n) if p[i] == 1] and o == [i for i in range(n) if p[i] != 1]
-            assert not any(a.flags.writeable for a in (P, fidx, oidx))
+    for n in range(1, 9):
+        T = _box_patterns(n)
+        every = list(itertools.product((0, 1, 2), repeat=n))
+        patterns = list(map(tuple, T.patterns.tolist()))
+        assert patterns == sorted(every, key=lambda p: p.count(1))  # grouped by free count, product order within
+        free_counts = [p.count(1) for p in patterns]
+        P = T.patterns.astype(int)
+        cols = np.arange(n)
+        assert (T.code == np.where(P == 0, cols, np.where(P == 2, n + cols, 2 * n))).all()
+        assert (T.lower_or_free == (P != 2)).all() and (T.upper_or_free == (P != 0)).all()
+        assert [rows.tolist() for rows, *_ in T.groups] == [
+            [r for r, c in enumerate(free_counts) if c == nf] for nf in range(1, n + 1)]
+        for nf, (rows, fidx, ff, fo, ocode, scatter) in enumerate(T.groups, start=1):
+            for r, f, aff, afo, oc, sc in zip(rows.tolist(), fidx.tolist(), ff.tolist(), fo.tolist(),
+                                               ocode.tolist(), scatter.tolist()):
+                o = [i for i in range(n) if patterns[r][i] != 1]
+                assert f == [i for i in range(n) if patterns[r][i] == 1] and len(f) == nf
+                assert aff == [[i * n + j for j in f] for i in f] and afo == [[i * n + j for j in o] for i in f]
+                assert oc == T.code[r, o].tolist() and sc == [r * n + i for i in f]
+        arrays = [T.patterns, T.code, T.lower_or_free, T.upper_or_free, *itertools.chain(*T.groups)]
+        assert not any(a.flags.writeable for a in arrays)
+        assert _box_patterns(n) is T  # built once per n
     box = NormalConeBox(np.zeros(9), np.ones(9))
     with pytest.raises(SubproblemInfeasible):
         _solve_box_vi(np.zeros(9), np.eye(9), np.zeros(9), box)
