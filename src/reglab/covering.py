@@ -86,8 +86,9 @@ def solve_preimage_picard(
 ) -> PicardResult:
     """Solve f(x) = y with x in B[xbar, t] by Picard iteration on the
     corrected fixed-point map, falling back to the preimage oracle over the
-    ball for n <= 2 (method "grid"; its answer counts only inside the ball
-    and at residual <= tol).
+    ball for n <= 2 (method "grid").  The oracle returns only points it has
+    checked at tol_feas = tol, but its grid stage may leave the ball, so its
+    answer counts only inside the ball and at residual <= tol.
 
     Success requires the residual test and the ball constraint; both are
     asserted on every successful return.
@@ -112,8 +113,9 @@ def solve_preimage_picard(
         if np.linalg.norm(u) > 4.0:
             break
     if n <= 2:
-        # a bracketed root of a map that jumps across y is no preimage: the
-        # oracle's answer counts only inside the ball and at residual <= tol
+        # the oracle checks its points at tol_feas = tol, and its grid stage
+        # may leave the ball: the answer counts only inside the ball and at
+        # residual <= tol, the solver's own contract
         d, x = preimage_search(xbar, f, y, Ball(xbar, t), tol_feas=tol)
         resid = INF if x is None else float(np.linalg.norm(fn(x) - y))
         if d <= t and resid <= tol:

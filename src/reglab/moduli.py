@@ -891,20 +891,16 @@ def frechet_coderivative_bound(
             if g_at(np.array([0.0])) <= tol:
                 return 0.0
             return abs(_bisect_threshold(lambda s: g_at(np.array([s])) <= tol, xf, 0.0, 80))
-        # n == 2: coordinate descent to a feasible point, then radial shrink
-        best = INF
+        # n == 2: coordinate descent from all starts in lockstep to feasible
+        # points, then a radial shrink of each
         rng = SplitMix64(derive_seed(seed, "coder-starts"))
         starts = [np.zeros(n)] + [rng.uniform_vector(n, -1.0, 1.0) for _ in range(4)]
-        for x0 in starts:
-            X, fx = _coordinate_polish(lambda Z, _: [g_at(z) for z in Z], None, x0, 1.0, 120)
-            x = X[0]
-            if fx[0] > tol:
-                continue
-            if g_at(np.zeros(n)) <= tol:
-                return 0.0
-            shrink = _bisect_threshold(lambda s: g_at(s * x) <= tol, 1.0, 0.0, 60)
-            best = min(best, float(np.linalg.norm(shrink * x)))
-        return best
+        X, fx = _coordinate_polish(lambda Z, _: [g_at(z) for z in Z], None, starts, 1.0, 120)
+        feasible = X[fx <= tol]
+        if feasible.size and g_at(np.zeros(n)) <= tol:
+            return 0.0
+        return min((float(np.linalg.norm(_bisect_threshold(lambda s: g_at(s * x) <= tol, 1.0, 0.0, 60) * x))
+                    for x in feasible), default=INF)
 
     per_direction = []
     for ystar in sphere_directions(m, sphere_samples, derive_seed(seed, "coder-dirs")):

@@ -281,9 +281,11 @@ def solve_subproblem(
     else:
         raise SubproblemInfeasible(f"unsupported constraint map {problem.F.describe()}")
 
-    if R.adversarial and R.eta > 0:
-        sol = _adversarial_perturb(sol, problem, x_k, A_k, R, tol, seed)
-    sol.inclusion_gap = _inclusion_gap(problem, x_k, A_k, sol.u, R)
+    perturbed = _adversarial_perturb(sol, problem, x_k, A_k, R, tol, seed) if R.adversarial and R.eta > 0 else None
+    if perturbed is None:
+        sol.inclusion_gap = _inclusion_gap(problem, x_k, A_k, sol.u, R)
+    else:
+        sol = perturbed
     if sol.inclusion_gap > tol:
         raise SubproblemInfeasible(f"inclusion test failed with gap {sol.inclusion_gap:.3g}")
     return sol
@@ -410,14 +412,16 @@ def _solve_finite_branches(x_k, A_k, fx, F: FiniteValued, problem: GEProblem) ->
 
 
 def _adversarial_perturb(sol, problem, x_k, A_k, R, tol, seed):
-    """Spend 0.9 of the inexactness budget, halving until the inclusion holds."""
+    """Spend 0.9 of the inexactness budget, halving until the inclusion holds:
+    the perturbed solution with the gap it was accepted at, or None where
+    there is no step to scale or the inclusion never holds."""
     step = float(np.linalg.norm(sol.u - x_k))
     if step <= 1e-15:
-        return sol
+        return None
     rng = SplitMix64(derive_seed(seed, "adversarial"))
     if sol.free is not None:
         if not sol.free:
-            return sol
+            return None
         direction = np.zeros(problem.n)
         for i in sol.free:
             direction[i] = rng.uniform(-1.0, 1.0)
@@ -425,15 +429,15 @@ def _adversarial_perturb(sol, problem, x_k, A_k, R, tol, seed):
         direction = rng.uniform_vector(problem.n)
     nd = float(np.linalg.norm(direction))
     if nd <= 1e-15:
-        return sol
+        return None
     direction /= nd
     delta = 0.9 * R.eta * step * direction
     for _ in range(40):
         u = sol.u + delta
-        if _inclusion_gap(problem, x_k, A_k, u, R) <= tol:
-            return SubproblemSolution(u, sol.pattern, sol.linear_residual, 0.0, float(np.linalg.norm(delta)))
+        if (gap := _inclusion_gap(problem, x_k, A_k, u, R)) <= tol:
+            return SubproblemSolution(u, sol.pattern, sol.linear_residual, gap, float(np.linalg.norm(delta)))
         delta *= 0.5
-    return sol
+    return None
 
 
 # ---------------------------------------------------------------------------

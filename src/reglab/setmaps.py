@@ -559,7 +559,9 @@ class SetMap:
     distances instead.
     ``preimage_1d(x0, ys, grid, ...)`` takes an array of targets and gives a
     list with one entry per target: its (distance, point), or ``None`` where
-    the 1D path cannot answer that target and the grid search must.
+    the 1D path cannot answer that target and the grid search must (a branch
+    that fails on the grid or is non-finite there, or bracketed cells that
+    held only jumps of a branch across the target).
     """
 
     n: int
@@ -968,12 +970,9 @@ class SumMap(SetMap):
             ends = [e for e in box if grid[0, 0] <= e <= grid[-1, 0]]
             out = []
             for y0, found in zip(ys, _preimage_1d_branches(x0, branches, ys, grid, norm, tol_feas, bounds=box)):
-                y = np.array([y0])
-                if found is not None and found[1] is not None and not dist_to_value_set(y, self, found[1], norm) <= tol_feas:
-                    found = None  # a false root, at a jump of f: the grid search decides
                 for e in ends if found is not None else ():
                     d = abs(e - float(x0[0]))
-                    if d < found[0] and dist_to_value_set(y, self, [e], norm) <= tol_feas:
+                    if d < found[0] and dist_to_value_set([y0], self, [e], norm) <= tol_feas:
                         found = (d, np.array([e]))
                 out.append(found)
             return out
@@ -1198,26 +1197,31 @@ def _bisect_root(fn, a, b, fa, iters: int = 60) -> np.ndarray:
 
 
 def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_feas: float, bounds=None) -> list:
-    """Exact-ish preimages (dist, point) of the targets ``ys`` for a 1D map with
-    continuous branches, one entry per target.
+    """Preimages (dist, point) of the targets ``ys`` for a 1D map given by its
+    scalar branches, one entry per target; every point returned is checked,
+    |b(x) - y| <= tol_feas for one branch b.
 
     Each branch is evaluated once on the grid, and the sign-change cells of all
-    targets are bisected in lockstep; then each target takes its grid hits, its
-    roots in cell order and, for a branch without either, a tangential polish.
-    With ``bounds`` (lo, hi), only points of [lo, hi] count: the grid keeps
-    its points inside and gains the bounds that lie in its span, and the polish
-    keeps the grid's step but stays in [lo, hi].  An entry is None when a
-    branch fails as one call on the grid (``_eval_vectorized``: a constant
-    branch's bare literal too), or gives a non-finite value for that target.
+    targets are bisected in lockstep; the roots are checked in one call per
+    branch, and a root where the branch jumps across y is dropped.  A target
+    takes, per branch, its nearest grid hit, its checked roots in cell order
+    and, where the branch gives neither, the roots of a tangential polish
+    (all starts of a branch in one lockstep polish, with the grid's step),
+    the first nearest of them winning.  With ``bounds`` (lo, hi), only points
+    of [lo, hi] count: the grid keeps its points inside and gains the bounds
+    that lie in its span.  The polish stays between the first and the last
+    of these points, so every answer lies in the grid's span.  An
+    entry is None when a branch fails as one call on the grid
+    (``_eval_vectorized``: a constant branch's bare literal too), gives a
+    non-finite value for that target, or when the target's bracketed cells
+    held only jumps and nothing else was found: the grid search decides.
     """
     xs = grid[:, 0]
     h = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
-    clamp = {}
     if bounds is not None:
         lo, hi = bounds
         ends = [e for e in dict.fromkeys(bounds) if xs[0] <= e <= xs[-1]]
         xs = np.sort(np.concatenate([xs[(xs > lo) & (xs < hi)], ends]))  # np.unique would import numpy.ma
-        clamp = {"lo": [lo], "hi": [hi]}
     ys = np.asarray(ys, dtype=float).reshape(-1)
     curves = []
     for b in branches:
@@ -1226,59 +1230,51 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
             return [None] * ys.size
         curves.append(vals.T - ys[:, None])
     finite = np.all([np.isfinite(v).all(axis=1) for v in curves], axis=0)
-    roots = []  # per branch: each target's roots, in cell order
+    live, x = np.nonzero(finite)[0].tolist(), float(x0[0])
+    bracketed = np.zeros(ys.size, dtype=bool)
+    best, arg = [INF] * ys.size, [None] * ys.size
     for b, vals in zip(branches, curves):
-        target, cell = np.nonzero((vals[:, :-1] * vals[:, 1:] < 0) & finite[:, None])
-        cell_roots = _bisect_root(
-            lambda x, b=b, y0=ys[target]: _eval_rows(b, x[:, None], 1, 1, finite=False)[0][:, 0] - y0,
-            xs[cell], xs[cell + 1], vals[target, cell],
-        ) if cell.size else cell
-        roots.append(np.split(cell_roots, np.searchsorted(target, np.arange(1, ys.size))))
 
-    out = []
-    for t, y0 in enumerate(ys.tolist()):
-        if not finite[t]:
-            out.append(None)
-            continue
-        best = INF
-        arg = None
-        found = False
-        for b, curve, branch_roots in zip(branches, curves, roots):
-            vals = curve[t]
-            branch_found = False
-            hit = np.abs(vals) <= tol_feas
-            if np.any(hit):
-                found = branch_found = True
-                i = int(np.abs(xs[np.nonzero(hit)[0]] - x0[0]).argmin())
-                cand = float(xs[np.nonzero(hit)[0][i]])
-                if abs(cand - x0[0]) < best:
-                    best, arg = abs(cand - x0[0]), np.array([cand])
-            for root in branch_roots[t]:
-                found = branch_found = True
-                if abs(root - float(x0[0])) < best:
-                    best, arg = abs(root - float(x0[0])), np.array([root])
-            if not branch_found:
-                # tangential roots never change sign: descend on |b - y| from the
-                # flattest grid points, but only where the local variation makes
-                # an in-cell root plausible
-                for i in np.argsort(np.abs(vals))[:2]:
-                    local_delta = max(
-                        abs(vals[i] - vals[max(i - 1, 0)]),
-                        abs(vals[min(i + 1, vals.size - 1)] - vals[i]),
-                    )
-                    if abs(float(vals[i])) > 2.0 * local_delta + tol_feas:
-                        continue
-                    Z, fx = _coordinate_polish(
-                        lambda Z, _, b=b: np.abs(_eval_rows(b, Z[:, 0], 1, 1, finite=False)[0][:, 0] - y0),
-                        None, [xs[i]], h, 60, target=tol_feas / 4, **clamp,
-                    )
-                    if fx[0] <= tol_feas:
-                        found = True
-                        x = float(Z[0, 0])
-                        if abs(x - float(x0[0])) < best:
-                            best, arg = abs(x - float(x0[0])), np.array([x])
-        out.append((best, arg) if found else (INF, None))
-    return out
+        def gap(X, y0, b=b):
+            return _eval_rows(b, X[:, None], 1, 1, finite=False)[0][:, 0] - y0
+
+        cands = [[] for _ in ys]  # per target: grid hit, checked roots, tangential roots
+        hit = np.abs(vals) <= tol_feas
+        for t in live:
+            on = np.nonzero(hit[t])[0]
+            if on.size:
+                cands[t].append(float(xs[on[np.abs(xs[on] - x).argmin()]]))
+        target, cell = np.nonzero((vals[:, :-1] * vals[:, 1:] < 0) & finite[:, None])
+        if cell.size:
+            roots = _bisect_root(lambda mid: gap(mid, ys[target]), xs[cell], xs[cell + 1], vals[target, cell])
+            bracketed[target] = True
+            kept = np.abs(gap(roots, ys[target])) <= tol_feas
+            for t, root in zip(target[kept].tolist(), roots[kept].tolist()):
+                cands[t].append(root)
+        # tangential roots never change sign: descend on |b - y| from the
+        # flattest grid points, but only where the local variation makes an
+        # in-cell root plausible
+        starts, owner = [], []
+        for t in (t for t in live if not cands[t]):
+            v = vals[t]
+            for i in np.argsort(np.abs(v))[:2]:
+                local_delta = max(abs(v[i] - v[max(i - 1, 0)]), abs(v[min(i + 1, v.size - 1)] - v[i]))
+                if abs(float(v[i])) <= 2.0 * local_delta + tol_feas:
+                    starts.append(xs[i])
+                    owner.append(t)
+        if starts:
+            y0 = ys[owner]
+            Z, fz = _coordinate_polish(lambda Z, lanes: np.abs(gap(Z[:, 0], y0[lanes])), None,
+                                       np.array(starts)[:, None], h, 60, xs[:1], xs[-1:], tol_feas / 4)
+            for t, z, f in zip(owner, Z[:, 0].tolist(), fz.tolist()):
+                if f <= tol_feas:
+                    cands[t].append(z)
+        for t in live:
+            for p in cands[t]:
+                if abs(p - x) < best[t]:
+                    best[t], arg[t] = abs(p - x), np.array([p])
+    return [None if not finite[t] or (arg[t] is None and bracketed[t]) else (best[t], arg[t])
+            for t in range(ys.size)]
 
 
 def _preimage_1d_epigraph(x0, F, ys, grid: np.ndarray, tol_feas: float) -> list:

@@ -362,6 +362,70 @@ def test_coderivative_diagonal_and_constant():
     assert not cb.inverse_coderivative_trivial
 
 
+def _reference_coderivative_bound_2d(F, point, sphere_samples=32, seed=42, tol=1e-10):
+    """The n = 2 bound with one polish per start (kept verbatim as the oracle)."""
+    pieces = F.graph_pieces()
+    z = np.concatenate([point.x, point.y])
+    scale = max(1.0, float(np.abs(z).max()))
+    containing = []
+    for A, b in pieces:
+        if np.all(A @ z <= b + 1e-9 * scale):
+            active = np.abs(A @ z - b) <= 1e-9 * scale
+            containing.append(A[active])
+
+    def residual(w):
+        return max(moduli._cone_residual(w, G) for G in containing)
+
+    n = F.n
+
+    def min_norm_xstar(ystar):
+        def g_at(xstar):
+            return residual(np.concatenate([np.atleast_1d(xstar), -ystar]))
+
+        # n == 2: coordinate descent to a feasible point, then radial shrink
+        best = INF
+        rng = SplitMix64(derive_seed(seed, "coder-starts"))
+        starts = [np.zeros(n)] + [rng.uniform_vector(n, -1.0, 1.0) for _ in range(4)]
+        for x0 in starts:
+            X, fx = moduli._coordinate_polish(lambda Z, _: [g_at(z) for z in Z], None, x0, 1.0, 120)
+            x = X[0]
+            if fx[0] > tol:
+                continue
+            if g_at(np.zeros(n)) <= tol:
+                return 0.0
+            shrink = moduli._bisect_threshold(lambda s: g_at(s * x) <= tol, 1.0, 0.0, 60)
+            best = min(best, float(np.linalg.norm(shrink * x)))
+        return best
+
+    return [min_norm_xstar(np.asarray(ystar)) for ystar in sphere_directions(F.m, sphere_samples,
+                                                                             derive_seed(seed, "coder-dirs"))]
+
+
+#: polyhedral graphs with n = 2, each with a point of its graph
+_CODERIVATIVE_2D = {
+    # y = 0: x* = 0 is feasible for every y*, so the early return fires
+    "constant": (PolyhedralGraph([([[0, 0, 1], [0, 0, -1]], [0, 0])], 2, 1), GraphPoint([0.0, 0.0], [0.0])),
+    "plane": (PolyhedralGraph([([[1, 1, -1], [-1, -1, 1]], [0, 0])], 2, 1), GraphPoint([0.3, 0.1], [0.4])),
+    "half_space": (PolyhedralGraph([([[1, -1, -1]], [0])], 2, 1), GraphPoint([0.0, 0.0], [0.0])),
+    "union": (PolyhedralGraph([([[1, 0, -1], [-1, 0, 1]], [0, 0]), ([[0, 0, 1], [0, 0, -1], [1, 0, 0]], [0, 0, 0])],
+                              2, 1), GraphPoint([0.0, 0.0], [0.0])),
+    "identity": (PolyhedralGraph([([[1, 0, -1, 0], [-1, 0, 1, 0], [0, 1, 0, -1], [0, -1, 0, 1]], [0, 0, 0, 0])],
+                                 2, 2), GraphPoint([0.0, 0.0], [0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name", sorted(_CODERIVATIVE_2D))
+def test_coderivative_starts_in_lockstep_equal_the_one_start_polish_of_before(name, seed):
+    F, point = _CODERIVATIVE_2D[name]
+    got = frechet_coderivative_bound(F, point, sphere_samples=6, seed=seed)
+    ref = _reference_coderivative_bound_2d(F, point, sphere_samples=6, seed=seed)
+    assert [float(v).hex() for v in got.per_direction] == [float(v).hex() for v in ref]
+    assert float(got.bound).hex() == float(min(ref)).hex()
+    if name == "constant":
+        assert got.bound == 0.0 and set(got.per_direction) == {0.0}
+
+
 # ---------------------------------------------------------------------------
 # corpus covering rates
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from reglab import newton
 from reglab.corpus import load_example
 from reglab.newton import (
     ClarkeSampleJacobian,
@@ -16,6 +17,7 @@ from reglab.newton import (
     SubproblemInfeasible,
     SubproblemSolution,
     _box_patterns,
+    _inclusion_gap,
     _solve_box_vi,
     check_newton_assumptions,
     clarke_sample,
@@ -428,6 +430,54 @@ def test_adversarial_budget_actually_spent():
     prob, H, x0 = entry.objects["problem"], entry.objects["H"], entry.objects["x0"]
     tr = run_newton(prob, H, InexactnessModel(0.3, adversarial=True), x0=x0, max_iter=30)
     assert any(r.perturbation_norm > 0 for r in tr.records[1:])
+
+
+def _newton_steps(R):
+    """(problem, x_k, A_k) of every step of Newton runs on a box VI, the
+    finite-branch inclusion and the smooth equation x^2 = 1."""
+    entry = load_example("smooth2d_boxvi")
+    runs = [(entry.objects["problem"], entry.objects["H"], entry.objects["x0"])]
+    F = FiniteValued([lambda x: 0.0 * arr(x) - 1.0, lambda x: 0.0 * arr(x) + 1.0])
+    runs.append((GEProblem(SingleValued(lambda x: arr(x) ** 3), F), ExactJacobian(lambda x: [[3.0 * float(x[0]) ** 2]]),
+                 [0.8]))
+    runs.append((GEProblem(SingleValued(lambda x: arr(x) ** 2 - 1.0)), ExactJacobian(lambda x: [[2.0 * float(x[0])]]),
+                 [2.0]))
+    for prob, H, x0 in runs:
+        tr = run_newton(prob, H, R, x0=x0, max_iter=20)
+        yield from ((prob, prev.x, rec.A) for prev, rec in zip(tr.records, tr.records[1:]))
+
+
+@pytest.mark.parametrize("R", [InexactnessModel(0.3, adversarial=True), InexactnessModel(0.1, adversarial=True),
+                               InexactnessModel(0.3)], ids=["adversarial_0.3", "adversarial_0.1", "plain"])
+def test_inclusion_gap_is_the_gap_of_the_returned_step_bitwise(R):
+    steps = list(_newton_steps(R))
+    assert len(steps) >= 5
+    for k, (prob, x_k, A_k) in enumerate(steps):
+        sol = solve_subproblem(x_k, A_k, prob, R, seed=k)
+        assert float(sol.inclusion_gap).hex() == float(_inclusion_gap(prob, x_k, A_k, sol.u, R)).hex()
+
+
+def test_subproblem_computes_the_gap_of_each_step_once(monkeypatch):
+    # an accepted perturbation's gap is the solution's gap: one call per
+    # tried step, where the accepted one used to be tested twice
+    calls = []
+    gap = newton._inclusion_gap
+
+    def counted(problem, x_k, A_k, u, R):
+        calls.append(np.asarray(u).tobytes())
+        return gap(problem, x_k, A_k, u, R)
+
+    monkeypatch.setattr(newton, "_inclusion_gap", counted)
+    for R in (InexactnessModel(0.3, adversarial=True), InexactnessModel(0.3)):
+        perturbed = 0
+        for k, (prob, x_k, A_k) in enumerate(list(_newton_steps(R))):
+            calls.clear()
+            sol = solve_subproblem(x_k, A_k, prob, R, seed=k)
+            assert len(calls) == len(set(calls)) and calls[-1] == sol.u.tobytes()
+            perturbed += sol.perturbation_norm > 0
+            if sol.perturbation_norm == 0:
+                assert len(calls) == 1 or R.adversarial
+        assert perturbed > 0 if R.adversarial else perturbed == 0
 
 
 def test_assumptions_and_radius_consistency():
