@@ -103,13 +103,14 @@ def solve_preimage_picard(
     best_resid = INF
     for iterations in range(1, max_iter + 1):
         x = xbar + t * u
-        resid = float(np.linalg.norm(fn(x) - y))
+        fx_k = fn(x)
+        resid = float(np.linalg.norm(fx_k - y))
         best_resid = min(best_resid, resid)
         if resid <= tol and np.linalg.norm(u) <= 1.0 + 1e-9:
             result = PicardResult(x, True, "picard", iterations, resid)
             _assert_feasible(result, fn, y, xbar, t, tol)
             return result
-        u = pinv.B @ (pinv.A @ (t * u) - (fn(x) - fx) + (y - fx)) / t
+        u = pinv.B @ (pinv.A @ (t * u) - (fx_k - fx) + (y - fx)) / t
         if np.linalg.norm(u) > 4.0:
             break
     if n <= 2:

@@ -100,11 +100,6 @@ class GraphPoint:
         object.__setattr__(self, "y", as_vector(self.y))
 
 
-def graph_dist(p: GraphPoint, q: GraphPoint, norm: str = "euclidean") -> float:
-    """Product (box) metric: max of the component distances."""
-    return max(vec_dist(p.x, q.x, norm), vec_dist(p.y, q.y, norm))
-
-
 def jsonable(obj):
     """``obj`` as plain JSON data: dict, list, str, int, finite float, bool or None."""
     if isinstance(obj, (float, np.floating)):

@@ -128,47 +128,33 @@ def _bridged_structure_1d(curves: list[np.ndarray]):
 
     Consecutive branch values are bridged into an interval only when the jump
     is consistent with a locally Lipschitz branch; larger jumps split the
-    polyline so discontinuities are never bridged over.
+    polyline so discontinuities are never bridged over.  The one-row call of
+    ``_bridged_structure_rows``, one branch at a time (their lengths may
+    differ).
     """
     points: list[float] = []
     intervals: list[tuple[float, float]] = []
-
-    def emit(segment: np.ndarray):
-        lo, hi = float(segment.min()), float(segment.max())
-        if hi - lo > 1e-14:
-            intervals.append((lo, hi))
-        else:
-            points.append(lo)
-
     for vals in curves:
-        if vals.size == 1:
-            points.append(float(vals[0]))
-            continue
-        gaps = np.abs(np.diff(vals))
-        positive = gaps[gaps > 1e-14]
-        typical = float(np.median(positive)) if positive.size else 0.0
-        cut = max(8.0 * typical, 1e-12)
-        start = 0
-        for i in np.flatnonzero(gaps > cut):
-            emit(vals[start : i + 1])
-            start = i + 1
-        emit(vals[start:])
+        _, pts, _, ivs = _bridged_structure_rows([np.asarray(vals, dtype=float).reshape(1, -1)], np.zeros(1, np.intp))
+        points += pts.tolist()
+        intervals += [tuple(iv) for iv in ivs.tolist()]
     return points, intervals
 
 
 def _bridged_structure_rows(curves: list[np.ndarray], rows: np.ndarray):
-    """``_bridged_structure_1d`` of each row of the (k, L) branch curves, flat
-    as (point rows, points, interval rows, intervals), labelled with ``rows``
-    and in the order that function lists them per row.
+    """Attained points and intervals of each row of the (k, L) branch curves,
+    flat as (point rows, points, interval rows, intervals), labelled with
+    ``rows``; per row, branch by branch, in segment order.
 
-    A row whose curves need no cut gives one segment per branch, from one
-    min and max over all such rows; rows with the same number of positive
-    gaps share one np.partition median (np.median of the same numbers, bit
-    for bit).  A row with a cut takes the per-row function.
+    A branch's row is cut after each gap above 8 times the median of its
+    positive gaps (at least 1e-12), and every segment of every row is one
+    ``reduceat`` min and max.  Rows with the same number of positive gaps
+    share one np.partition median (np.median of the same numbers, bit for
+    bit).  A segment wider than 1e-14 is an interval, else a point.
     """
-    k = curves[0].shape[0]
-    cut = np.zeros(k, dtype=bool)
+    pieces = []  # (point rows, points, interval rows, intervals)
     for vals in curves:
+        k, L = vals.shape
         gaps = np.abs(np.diff(vals, axis=1))
         positive = gaps > 1e-14
         count = positive.sum(axis=1)
@@ -178,16 +164,13 @@ def _bridged_structure_rows(curves: list[np.ndarray], rows: np.ndarray):
             h = c // 2
             part = np.partition(gaps[same][positive[same]].reshape(-1, c), [h - 1, h] if c % 2 == 0 else h, axis=1)
             typical[same] = part[:, h] if c % 2 else (part[:, h - 1] + part[:, h]) / 2.0
-        cut |= (gaps > np.maximum(8.0 * typical, 1e-12)[:, None]).any(axis=1)
-    pieces = []  # (point rows, points, interval rows, intervals)
-    whole = ~cut
-    for vals in curves:
-        lo, hi = vals[whole].min(axis=1), vals[whole].max(axis=1)
+        starts = np.ones((k, L), dtype=bool)  # a segment starts each row and follows each cut
+        starts[:, 1:] = gaps > np.maximum(8.0 * typical, 1e-12)[:, None]
+        at = np.flatnonzero(starts)
+        flat = vals.ravel()
+        lo, hi, seg_rows = np.minimum.reduceat(flat, at), np.maximum.reduceat(flat, at), rows[at // L]
         wide = hi - lo > 1e-14
-        pieces.append((rows[whole][~wide], lo[~wide], rows[whole][wide], np.stack([lo[wide], hi[wide]], axis=1)))
-    for i in np.flatnonzero(cut).tolist():
-        pp, ii = _bridged_structure_1d([vals[i] for vals in curves])
-        pieces.append(([rows[i]] * len(pp), pp, [rows[i]] * len(ii), ii))
+        pieces.append((seg_rows[~wide], lo[~wide], seg_rows[wide], np.stack([lo[wide], hi[wide]], axis=1)))
     return _stack_structures(pieces)
 
 

@@ -256,9 +256,10 @@ def solve_subproblem(
     solve per pattern, so results are bit-identical to it, and tests the
     normal cone once over the surviving patterns of all sizes; a stack
     holding a singular block falls back to one solve per pattern and skips
-    the singular ones.  F finitely valued (constant branches): branch
-    enumeration.  An A_k that is not a finite m x n matrix, or an f(x_k)
-    that is not a finite vector, raises SubproblemInfeasible.
+    the singular ones.  F finitely valued (constant branches), a
+    single-valued F included: branch enumeration.  An A_k that is not a
+    finite m x n matrix, or an f(x_k) that is not a finite vector, raises
+    SubproblemInfeasible.
     """
     R = R or InexactnessModel()
     x_k = as_vector(x_k, problem.n)
@@ -381,7 +382,7 @@ def _solve_box_vi(x_k, A_k, fx, box: NormalConeBox) -> SubproblemSolution:
         raise SubproblemInfeasible("no bound pattern is feasible")
     feasible.sort(key=lambda rec: rec[1])  # enumeration order, which decides ties of NaN distances
     feasible.sort(key=lambda rec: (rec[0], rec[1]))
-    dist, pattern, u, lin_res = feasible[0]
+    _, pattern, u, lin_res = feasible[0]
     tag = "".join("LFH"[p] for p in pattern)
     return SubproblemSolution(u.copy(), tag, lin_res, 0.0, free=[i for i, p in enumerate(pattern) if p == 1])
 
@@ -407,7 +408,7 @@ def _solve_finite_branches(x_k, A_k, fx, F: FiniteValued, problem: GEProblem) ->
     if not candidates:
         raise SubproblemInfeasible("no branch admits a solution")
     candidates.sort(key=lambda rec: (rec[0], rec[1]))
-    dist, bi, u, resid = candidates[0]
+    _, bi, u, resid = candidates[0]
     return SubproblemSolution(u, f"branch{bi}", resid, 0.0)
 
 

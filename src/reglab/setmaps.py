@@ -22,10 +22,12 @@ polyhedra).  On top of the descriptors sit the three work-horse oracles:
 
 The oracles, and the moduli built on them, name no map class: each kind
 decides its own paths through the hooks on :class:`SetMap`, so a new map
-kind is one class.  The batch, 1D and closed-form preimage hooks, the
-covering rate ``covered_c``, the half-space pieces ``graph_pieces`` and the
-cone interval ``normal_cone_interval`` return ``None`` for "no special
-path"; the analytic inverse and the graph sampler raise UnsupportedOperation.
+kind is one class.  The batch and 1D hooks, the analytic inverse
+``inverse_value_set``, the covering rate ``covered_c``, the half-space
+pieces ``graph_pieces`` and the cone interval ``normal_cone_interval``
+return ``None`` for "no special path"; the closed-form preimage is derived
+once, from the analytic inverse.  Only the graph sampler raises
+UnsupportedOperation.
 
 All operations are pure; nothing here keeps mutable state.
 """
@@ -537,16 +539,18 @@ class SetMap:
 
     A kind defines ``_value_set`` and overrides the per-kind hooks where it
     has a special path.  Here ``batch_values``, ``branch_values``,
-    ``batch_dist``, ``scalar_branches``, ``analytic_preimage``,
+    ``batch_dist``, ``scalar_branches``, ``inverse_value_set``,
     ``preimage_1d``, ``covered_c``, ``graph_pieces`` and
     ``normal_cone_interval`` return ``None`` (no vectorized images, branch
-    values or distances, no 1D branches, no closed-form preimage: search a
-    grid; no closed-form covering rate: sample it; no half-space description
-    of the graph; not the normal cone of an interval); ``inverse_value_set``
-    and ``sample_graph`` raise UnsupportedOperation.  ``LinearOp``,
-    ``NormalConeBox``, ``PolyhedralGraph`` and ``InverseView`` have a
-    closed-form preimage; 1D maps with vectorized branches, epigraphs and
-    1D sums of one branch and a box normal cone have a 1D path.
+    values or distances, no 1D branches, no analytic inverse: search a grid;
+    no closed-form covering rate: sample it; no half-space description of
+    the graph; not the normal cone of an interval); only ``sample_graph``
+    raises UnsupportedOperation.  ``analytic_preimage`` is the nearest point
+    of ``inverse_value_set(y)``, so ``LinearOp``, ``NormalConeBox``,
+    ``PolyhedralGraph`` and ``InverseView`` get their closed-form preimage
+    from their inverse (``FiniteValued`` takes its ``branch_inverses``
+    instead); 1D maps with vectorized branches, epigraphs and 1D sums of one
+    branch and a box normal cone have a 1D path.
     ``value_dist(y, x)`` is ``value_set(x).dist(y)``; ``PolyhedralGraph``
     answers it from ``batch_dist``.
     ``branch_values(X)`` gives one ``(k, m)`` array per branch, F(X[i]) =
@@ -595,7 +599,8 @@ class SetMap:
         return None
 
     def analytic_preimage(self, x0: np.ndarray, y: np.ndarray, norm: str, tol_feas: float):
-        return None
+        inv = self.inverse_value_set(y)
+        return None if inv is None else inv.nearest(x0, norm)[::-1]
 
     def normal_cone_interval(self):
         """(lo, hi) when the map is the normal cone to the interval [lo, hi] of R."""
@@ -605,8 +610,8 @@ class SetMap:
         branches = scalar_branches(self)
         return None if branches is None else _preimage_1d_branches(x0, branches, ys, grid, norm, tol_feas)
 
-    def inverse_value_set(self, y: np.ndarray) -> ValueSet:
-        raise UnsupportedOperation(f"no analytic inverse for {self.describe()}")
+    def inverse_value_set(self, y: np.ndarray) -> ValueSet | None:
+        return None
 
     def sample_graph(self, s: "_GraphSampler") -> list[GraphPoint]:
         raise UnsupportedOperation(f"graph sampling not supported for {self.describe()}")
@@ -621,40 +626,6 @@ class SetMap:
     def graph_pieces(self):
         """The graph as a union of convex polyhedra: a list of (A, b) with A z <= b."""
         return None
-
-
-class SingleValued(SetMap):
-    def __init__(self, fn, n: int = 1, m: int = 1, vectorized: bool = True):
-        self.fn = fn
-        self.n = n
-        self.m = m
-        self.vectorized = vectorized
-
-    def __call__(self, x):
-        return as_vector(self.fn(as_vector(x, self.n)), self.m)
-
-    @property
-    def branches(self):
-        return [self.fn]
-
-    def _value_set(self, x):
-        return FinitePoints([self(x)])
-
-    def batch_values(self, X, finite=True):
-        return _eval_vectorized(self.fn, X, self.n, self.m, finite) if self.vectorized else None
-
-    def branch_values(self, X, finite=True):
-        return FiniteValued.branch_values(self, X, finite)
-
-    def scalar_branches(self):
-        return [self.fn] if self.vectorized else None
-
-    def sample_graph(self, s):
-        for x in s.domain():
-            s.push(x, self(x))
-            if len(s.out) >= s.count:
-                break
-        return s.out
 
 
 class FiniteValued(SetMap):
@@ -703,6 +674,20 @@ class FiniteValued(SetMap):
             if len(s.out) >= s.count:
                 break
         return s.out
+
+
+class SingleValued(FiniteValued):
+    """x -> {fn(x)}: a finite map with the one branch ``fn``, callable as fn."""
+
+    def __init__(self, fn, n: int = 1, m: int = 1, vectorized: bool = True):
+        super().__init__([fn], n, m, vectorized)
+        self.fn = fn
+
+    def __call__(self, x):
+        return as_vector(self.fn(as_vector(x, self.n)), self.m)
+
+    def batch_values(self, X, finite=True):
+        return _eval_vectorized(self.fn, X, self.n, self.m, finite) if self.vectorized else None
 
 
 class Epigraph(SetMap):
@@ -772,13 +757,10 @@ class LinearOp(SetMap):
         a = float(self.A[0, 0])
         return [lambda x, a=a: a * np.asarray(x, dtype=float)]
 
-    def analytic_preimage(self, x0, y, norm, tol_feas):
-        return self.inverse_value_set(y).nearest(x0, norm)[::-1]
-
     def inverse_value_set(self, y):
         return AffineSet(self.A, y)
 
-    sample_graph = SingleValued.sample_graph
+    sample_graph = FiniteValued.sample_graph
 
     def covered_c(self, X, Y, T, norm, directions, resolution, seed):
         # point- and scale-independent for linear maps
@@ -817,8 +799,6 @@ class NormalConeBox(SetMap):
             else:
                 lo[i] = hi[i] = 0.0
         return BoxSet(lo, hi)
-
-    analytic_preimage = LinearOp.analytic_preimage
 
     def normal_cone_interval(self):
         return (float(self.lo[0]), float(self.hi[0])) if self.n == 1 else None
@@ -890,8 +870,6 @@ class PolyhedralGraph(SetMap):
         X = as_vector(x, self.n)[None]
         out = self.batch_dist(as_vector(y, self.m), X, norm)
         return super().value_dist(y, x, norm) if out is None else float(out[0])
-
-    analytic_preimage = LinearOp.analytic_preimage
 
     def inverse_value_set(self, y):
         ps = PolyhedralSet([(A[:, : self.n], b - A[:, self.n:] @ y) for A, b in self.pieces], self.n)
@@ -990,13 +968,14 @@ class InverseView(SetMap):
         self.n, self.m = base.m, base.n
 
     def _value_set(self, y):
-        return self.base.inverse_value_set(y)
+        inv = self.base.inverse_value_set(y)
+        if inv is None:
+            raise UnsupportedOperation(f"no analytic inverse for {self.base.describe()}")
+        return inv
 
     def inverse_value_set(self, y):
+        # the preimage of the inverse is the forward value set of the base
         return self.base._value_set(y)
-
-    # preimage of the inverse is the forward value set of the base
-    analytic_preimage = LinearOp.analytic_preimage
 
     def sample_graph(self, s):
         inner = graph_sample(self.base, GraphPoint(s.cy, s.cx), s.radius, s.count, s.seed, s.norm, s.tol_feas)
@@ -1279,12 +1258,18 @@ def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_fea
 
 def _preimage_1d_epigraph(x0, F, ys, grid: np.ndarray, tol_feas: float) -> list:
     """Preimages (dist, point) of the targets ``ys`` for an epigraph map, one
-    entry per target: the nearest x with f(x) <= y0.
+    entry per target: the nearest x with f(x) <= y0 + tol_feas; every point
+    returned is checked.
 
     f is evaluated once on the grid, and the cells where a target's
     feasibility changes sign are bisected in lockstep, each toward its own
-    target, as in ``_preimage_1d_branches``.  Where the grid's batch fails,
-    each grid point and each midpoint takes its own call, as the lone
+    target, as in ``_preimage_1d_branches``.  At a jump of f across y0 the
+    bisected point may round to the infeasible end of its last cell, so all
+    roots are checked in one call together with their neighbours on the
+    feasible side (the next double toward the cell's feasible end, which is
+    that end once the bisection has converged); a root that fails keeps its
+    neighbour where that passes, else it is dropped.  Where the grid's batch
+    fails, each grid point and each midpoint takes its own call, as the lone
     interval of ``intervals._inf_on_intervals`` does.
     """
     xs = grid[:, 0]
@@ -1299,10 +1284,14 @@ def _preimage_1d_epigraph(x0, F, ys, grid: np.ndarray, tol_feas: float) -> list:
     feas = vals <= tol_feas
     # sharpen across feasibility boundaries adjacent to the best grid points
     target, cell = np.nonzero((feas[:, :-1] != feas[:, 1:]) & (vals[:, :-1] * vals[:, 1:] < 0))
-    roots = _bisect_root(
-        lambda x, y0=ys[target]: f_rows(x[:, None])[:, 0] - y0,
-        xs[cell], xs[cell + 1], vals[target, cell],
-    ) if cell.size else cell
+    roots = np.empty(0)
+    if cell.size:
+        y0 = ys[target]
+        roots = _bisect_root(lambda x: f_rows(x[:, None])[:, 0] - y0, xs[cell], xs[cell + 1], vals[target, cell])
+        near = np.nextafter(roots, np.where(feas[target, cell], -INF, INF))
+        ok = (f_rows(np.concatenate([roots, near])[:, None])[:, 0] - np.tile(y0, 2) <= tol_feas).reshape(2, -1)
+        # a dropped root is NaN, which no distance test takes
+        roots = np.where(ok[0], roots, np.where(ok[1], near, np.nan))
     roots = np.split(roots, np.searchsorted(target, np.arange(1, ys.size)))
     out = []
     for hits, target_roots in zip(feas, roots):

@@ -1,11 +1,12 @@
-"""The 1D branch path of the preimage oracle keeps only the roots it has checked.
+"""The 1D paths of the preimage oracle keep only the roots they have checked.
 
 A branch that jumps across a target brackets a sign change that holds no
 root.  ``_preimage_1d_branches`` drops such bisected points, answers with a
 true root where a branch has one, and leaves a target with only jumps to the
 grid search.  On continuous branches it answers bit for bit as the unchecked
-path did, and every answer of ``preimage_search_many`` is a preimage at the
-distance it reports.
+path did.  ``_preimage_1d_epigraph`` keeps a bisected boundary point only
+where it is feasible, or else its neighbour on the feasible side.  Every
+answer of ``preimage_search_many`` is a preimage at the distance it reports.
 """
 
 import math
@@ -121,6 +122,27 @@ def test_cone_sum_answers_with_a_true_root_beyond_a_jump(monkeypatch):
     # the 1D hook itself answers that target
     found = F.preimage_1d(arr([0.1]), arr([0.5]), _grid_axes(arr([0.1]), 1.0, 401), "euclidean", TOL_FEAS)
     assert found[0][0] == d and found[0][1].tobytes() == x.tobytes()
+
+
+def test_an_epigraph_root_at_a_jump_keeps_the_feasible_end_of_its_cell(monkeypatch):
+    # the staircase steps down from f(0.1) = 1/110 to 0 just past 0.1, so
+    # the grid cell [0.1, 0.10025] brackets y; its bisection ends on the two
+    # doubles at 0.1, and the bisected point rounds to 0.1, where f > y
+    F = load_example("staircase").objects["setmap"]
+    y = 0.0071155762466334205
+    grid = _count_grid_searches(monkeypatch)
+    d, x = preimage_search([0.1], F, [y], Ball([0.1], 0.05))
+    assert grid == [] and x[0] == np.nextafter(0.1, 1.0) and d == x[0] - 0.1
+    assert dist_to_value_set([y], F, x) <= TOL_FEAS
+
+
+def test_an_epigraph_root_whose_feasible_neighbour_fails_is_dropped(monkeypatch):
+    # a bisection that stops at the infeasible end of its cell, 0.3025 for
+    # f(x) = x and y = 0.301: the next double toward the feasible end fails
+    # too, so the nearest feasible grid point 0.3 answers
+    monkeypatch.setattr(setmaps, "_bisect_root", lambda fn, a, b, fa, iters=60: np.array(b, dtype=float))
+    d, x = preimage_search([0.5], Epigraph(lambda x: arr(x)), [0.301], Ball([0.5], 0.5))
+    assert x == pytest.approx([0.3], abs=1e-15) and d == pytest.approx(0.2, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +320,7 @@ _ORACLE_MAPS = {
                               [0.2]),
     "epigraph": (Epigraph(lambda x: np.abs(arr(x)) - 0.25), [0.0]),
     "epigraph_pointwise": (Epigraph(lambda x: abs(np.asarray(x).item()) - 0.25), [0.4]),
+    "staircase": (load_example("staircase").objects["setmap"], [0.1]),
     "linear_1d": (LinearOp([[2.0]]), [0.1]),
     "cone_1d": (NormalConeBox([0.0], [1.0]), [0.0]),
     "polyhedral_1d": (PolyhedralGraph([([[2.0, 1.0], [-2.0, -1.0]], [0.1, 0.1])], 1, 1), [0.0]),

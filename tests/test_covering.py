@@ -61,6 +61,20 @@ def test_picard_cubic_matches_bisection_oracle():
     assert res.x[0] == pytest.approx(CUBIC_ROOT, abs=1e-9)
 
 
+def test_picard_evaluates_f_once_per_iteration():
+    # f(xbar), one value per iteration (its residual and its update), and the
+    # feasibility assertion on return: k + 2 calls for k iterations
+    calls = []
+
+    def cubic(x):
+        calls.append(1)
+        return arr(x) ** 3 + arr(x)
+
+    res = solve_preimage_picard(SingleValued(cubic), [[1.0]], [0.0], [0.05], 0.1)
+    assert res.converged and res.method == "picard" and res.iterations > 2
+    assert len(calls) == res.iterations + 2
+
+
 def test_picard_linear_is_immediate():
     res = solve_preimage_picard(LinearOp([[2.0]]), [[2.0]], [0.0], [0.1], 0.1)
     assert res.converged and res.iterations <= 2

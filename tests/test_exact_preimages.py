@@ -1,9 +1,11 @@
 """Exact preimage hooks against the grid search they replace.
 
-Two map kinds answer preimage queries without the grid: a polyhedral graph
-in closed form, and the 1D sum f + N_[lo, hi] of one scalar branch and a
-normal cone.  Each is compared with the grid path, reached through a subclass
-whose hook returns None, and with an independent exact answer.
+Linear maps, box normal cones and polyhedral graphs answer preimage queries
+in closed form, from their analytic inverse, and the 1D sum f + N_[lo, hi]
+of one scalar branch and a normal cone by its own 1D path.  Each is compared
+with the grid path, reached through a subclass whose hook returns None or a
+bare kind that has only the map's value sets, and with an independent exact
+answer where there is one.
 """
 
 import math
@@ -17,8 +19,10 @@ from scipy.optimize import brentq
 from reglab.geometry import TOL_FEAS, Ball
 from reglab.setmaps import (
     FiniteValued,
+    LinearOp,
     NormalConeBox,
     PolyhedralGraph,
+    SetMap,
     SingleValued,
     SumMap,
     _grid_axes,
@@ -139,6 +143,70 @@ def test_polyhedral_closed_form_against_the_grid_search(case):
 def test_polyhedral_closed_form_against_the_grid_search_n2_m2():
     box = (np.array([-0.3, 0.1]), np.array([0.1, 0.4]), np.array([[0.1, -0.2], [0.25, 0.0]]), 1.0)
     _polyhedral_case([box], 2, 2, np.array([0.4, -0.3]), np.array([0.2, -0.4]))
+
+
+# ---------------------------------------------------------------------------
+# linear maps and box normal cones: the closed form from the analytic inverse
+
+
+class _Bare(SetMap):
+    """A kind that defines only its value sets, those of ``base``: it has no
+    hook, so every preimage query takes the grid path."""
+
+    def __init__(self, base):
+        self.base, self.n, self.m = base, base.n, base.m
+
+    def _value_set(self, x):
+        return self.base._value_set(x)
+
+
+@st.composite
+def linear_queries(draw):
+    """Invertible maps of R^n, n <= 2, with singular values in [0.5, 2], and
+    a target whose preimage lies in the unit ball of the search."""
+    n = draw(st.integers(1, 2))
+    if n == 1:
+        A = np.array([[draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))]])
+    else:
+        def rotation():
+            a = draw(st.floats(0.0, 2.0 * math.pi))
+            return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        A = rotation() @ np.diag([draw(st.floats(0.5, 2.0)) for _ in range(2)]) @ rotation()
+    x_star = np.array([draw(st.floats(-0.8, 0.8)) for _ in range(n)])
+    return LinearOp(A), A @ x_star
+
+
+@st.composite
+def cone_queries(draw):
+    """Box normal cones of R^n, n <= 2, with bounds on the search grid of the
+    unit ball (multiples of 0.25), some open on one side; targets with
+    entries 0 (x_i free in the box) or at least 0.1 in size (x_i pinned to a
+    bound, no preimage where that bound is infinite)."""
+    n = draw(st.integers(1, 2))
+    lo = np.array([draw(st.sampled_from([-0.75, -0.5, -0.25, 0.0])) for _ in range(n)])
+    hi = lo + np.array([draw(st.sampled_from([0.25, 0.5, 0.75])) for _ in range(n)])
+    lo = np.where([draw(st.booleans()) and draw(st.booleans()) for _ in range(n)], -INF, lo)
+    hi = np.where([draw(st.booleans()) and draw(st.booleans()) for _ in range(n)], INF, hi)
+    y = np.array([draw(st.sampled_from([0.0, 0.0, 1.0, -1.0])) * draw(st.floats(0.1, 1.0)) for _ in range(n)])
+    return NormalConeBox(lo, hi), y
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(query=st.one_of(linear_queries(), cone_queries()), data=st.data(),
+       norm=st.sampled_from(["euclidean", "max"]))
+def test_closed_form_from_the_inverse_against_the_grid_search(query, data, norm):
+    F, y = query
+    x0 = np.array([data.draw(st.floats(-0.9, 0.9)) for _ in range(F.n)])
+    region = Ball(np.zeros(F.n), 1.0)
+    exact = preimage_search(x0, F, y, region, norm=norm)
+    grid = preimage_search(x0, _Bare(F), y, region, norm=norm, refine_steps=GRID_POLISH)
+    _same_bits(exact, F.inverse_value_set(y).nearest(x0, norm)[::-1])
+    assert (exact[1] is None) == (grid[1] is None)
+    if exact[1] is not None:
+        # both points are feasible in the norm of the query; the closed form
+        # is global, and the grid path finds it to within its polish
+        assert max(dist_to_value_set(y, F, p, norm) for p in (exact[1], grid[1])) <= TOL_FEAS
+        assert grid[0] == pytest.approx(exact[0], abs=1e-6)
 
 
 def test_polyhedral_empty_slice_has_no_preimage():

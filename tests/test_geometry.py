@@ -8,7 +8,7 @@ import pytest
 from reglab.certify import CertificateReport
 from reglab.corpus import load_example
 from reglab.covering import CoveringReport, PicardResult, SelectionTrace
-from reglab.geometry import Ball, DimensionMismatch, GraphPoint, JsonReport, as_vector, graph_dist, jsonable, vec_dist, vec_norm
+from reglab.geometry import Ball, DimensionMismatch, GraphPoint, JsonReport, as_vector, jsonable, vec_dist, vec_norm
 from reglab.moduli import (
     CoderivativeBound,
     LiminfSchedule,
@@ -107,13 +107,6 @@ def test_ball_membership():
     assert not Ball([0.0], 1.0, closed=False).contains([1.0])
     with pytest.raises(ValueError):
         Ball([0.0], -1.0)
-
-
-def test_product_metric_is_componentwise_max():
-    p = GraphPoint([0.0], [0.0])
-    q = GraphPoint([0.5], [2.0])
-    assert graph_dist(p, q) == 2.0
-    assert graph_dist(p, q, "max") == 2.0
 
 
 # ---------------------------------------------------------------------------

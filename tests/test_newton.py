@@ -141,6 +141,13 @@ def test_subproblem_finite_branch():
     assert sol.u[0] == pytest.approx(1.0)
 
 
+def test_subproblem_single_valued_constraint_is_a_one_branch_map():
+    # a single-valued F is a finite map with one branch: 0 in x + 0.5
+    prob = GEProblem(SingleValued(lambda x: arr(x)), SingleValued(lambda x: 0.0 * arr(x) + 0.5))
+    sol = solve_subproblem([0.3], [[1.0]], prob)
+    assert sol.u[0] == -0.5 and sol.pattern == "branch0"
+
+
 def test_subproblem_infeasible_reported():
     f = SingleValued(lambda x: arr(x) + 5.0)
     box = NormalConeBox([0.0], [1.0])
