@@ -31,7 +31,7 @@ from .covering import build_selection, covering_check_kaluza
 from .geometry import GraphPoint, NORM_KINDS, jsonable
 from .moduli import LiminfSchedule, MODULUS_KINDS, NotEvaluable, NotOnGraph, estimate_modulus
 from .newton import InexactnessModel, rate_report, run_newton
-from .setmaps import build_setmap
+from .setmaps import UnsupportedOperation, build_setmap
 
 SCHEMA_VERSION = 1
 
@@ -170,7 +170,7 @@ def _cmd_moduli(cfg: dict):
     if "mapping" in cfg:
         try:
             F = build_setmap(cfg["mapping"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad mapping: {exc}") from exc
         entry = None
     else:
@@ -185,7 +185,9 @@ def _cmd_moduli(cfg: dict):
         t0 = time.perf_counter()
         try:
             est = estimate_modulus(kind, F, point, schedule, norm, seed)
-        except (NotOnGraph, NotEvaluable) as exc:  # raised by the graph check that precedes any sampling
+        except (NotOnGraph, NotEvaluable, UnsupportedOperation) as exc:
+            # the graph check that precedes any sampling failed, or the map
+            # cannot answer the kind (the inverse of a map without one)
             raise ConfigError(str(exc)) from exc
         estimates[kind] = est
         payload = est.to_json_dict()

@@ -711,11 +711,12 @@ class Epigraph(SetMap):
 
     def covered_c(self, X, Y, T, norm, directions, resolution, seed):
         # interval arithmetic: F(B[x, t]) = [inf of f over the ball, +inf); in
-        # 1D the intervals of all queries are polished in lockstep
+        # 1D the intervals of all queries are polished in lockstep, one call
+        # of f per probe of a round (one per point if f is not vectorized)
         if self.n == 1:
             from .intervals import _inf_on_intervals
 
-            lo_f = _inf_on_intervals(self.f, X[:, 0] - T, X[:, 0] + T, resolution)
+            lo_f = _inf_on_intervals(self.f, X[:, 0] - T, X[:, 0] + T, resolution, vectorized=self.vectorized)
         else:
             grids = [_ball_grid(x, t, 41 if self.n == 2 else 11, norm) for x, t in zip(X, T)]
             # a callable that is not vectorized takes one point per call
@@ -842,6 +843,8 @@ class PolyhedralGraph(SetMap):
         for A, b in self.pieces:
             if A.shape[1] != n + m:
                 raise DimensionMismatch("piece half-spaces must live in R^{n+m}")
+            if b.shape != A.shape[:1]:
+                raise DimensionMismatch(f"a piece with {len(A)} normals needs {len(A)} offsets, got {b.size}")
             if _project_polyhedron(np.zeros(n + m), A, b) is None:
                 raise ValueError("empty polyhedral piece")
 
@@ -1047,7 +1050,7 @@ def _eval_vectorized(fn, X: np.ndarray, n: int, m: int, finite: bool = True):
     non-finite one.  A batch of k = m >= 2 points gives None: its values may
     be either way round, so only one point per call tells."""
     try:
-        out = _real(fn(X[:, 0] if n == 1 else X))
+        out = _real(fn(X[:, 0] if n == 1 and X.ndim == 2 else X))
     except Exception:
         return None
     k = X.shape[0]
@@ -1065,15 +1068,16 @@ def _eval_rows(fn, X: np.ndarray, n: int, m: int, finite: bool = True, skip: boo
     points it answered: the one place that decides how such a callable is
     evaluated.
 
-    X is (k, n); a (1,) array is one point of R, which fn takes as a 0-d
-    array.  A callable marked ``constant`` (a compiled expression that names no
-    variable) is called at the first point and its value tiled.  Otherwise
-    k >= 2 points take one call (``_eval_vectorized``); where that call
-    fails, and for a single point, each point takes its own call, whose value
-    must pass the checks of ``as_vector`` (real, m entries and, with
-    ``finite``, finite) or raises as it does.  A call that raises raises,
-    or with ``skip`` leaves its point unanswered.  Returns the (k, m) values
-    (NaN where unanswered) and the (k,) mask of answered points.
+    X is (k, n), or (k,) for k points of R, which fn takes as 0-d arrays
+    where each point takes its own call.  A callable marked ``constant`` (a
+    compiled expression that names no variable) is called at the first point
+    and its value tiled.  Otherwise k >= 2 points take one call
+    (``_eval_vectorized``); where that call fails, and for a single point,
+    each point takes its own call, whose value must pass the checks of
+    ``as_vector`` (real, m entries and, with ``finite``, finite) or raises as
+    it does.  A call that raises raises, or with ``skip`` leaves its point
+    unanswered.  Returns the (k, m) values (NaN where unanswered) and the
+    (k,) mask of answered points.
     """
     k = len(X)
     const = k > 1 and getattr(fn, "constant", False)
@@ -1269,8 +1273,7 @@ def _preimage_1d_epigraph(x0, F, ys, grid: np.ndarray, tol_feas: float) -> list:
     feasible side (the next double toward the cell's feasible end, which is
     that end once the bisection has converged); a root that fails keeps its
     neighbour where that passes, else it is dropped.  Where the grid's batch
-    fails, each grid point and each midpoint takes its own call, as the lone
-    interval of ``intervals._inf_on_intervals`` does.
+    fails, each grid point and each midpoint takes its own call.
     """
     xs = grid[:, 0]
     ys = np.asarray(ys, dtype=float).reshape(-1)

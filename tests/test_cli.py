@@ -271,6 +271,16 @@ _ORIGIN = {"x": [0.0], "y": [0.0]}
         pytest.param({"command": "moduli", "mapping": {"kind": "single", "expr": "x + 0*(-1)**0.5"},
                       "point": _ORIGIN},
                      id="moduli-inline-complex_value"),
+        pytest.param({"command": "moduli", "point": _ORIGIN,
+                      "mapping": {"kind": "polyhedral_graph", "n": 1, "m": 1,
+                                  "pieces": [{"normals": [[1.0, -1.0], [-1.0, 1.0]], "offsets": [0.1]}]}},
+                     id="moduli-inline-one_offset_for_two_normals"),
+        pytest.param({"command": "moduli", "point": _ORIGIN,
+                      "mapping": {"kind": "polyhedral_graph", "n": 1, "m": 1, "pieces": 3}},
+                     id="moduli-inline-pieces_not_a_list"),
+        pytest.param({"command": "moduli", "point": _ORIGIN,
+                      "mapping": {"kind": "inverse", "base": {"kind": "single", "expr": "x"}}},
+                     id="moduli-inline-inverse_of_a_map_without_one"),
         {"command": "cover", "example": "two_branch", "check": "kaluza"},
         {"command": "cover", "example": "two_branch", "check": "selection"},
         {"command": "solve", "example": "two_branch"},

@@ -1,6 +1,7 @@
 """Static checks for dead code in the library.
 
-* every module-level function or class of ``src/reglab`` is referenced
+* every module-level function, class or constant (``NAME = ...``) of
+  ``src/reglab`` but the dunders such as ``__all__`` is referenced
   somewhere in ``src/``, ``tests/`` or ``bench/`` outside its own body (by
   name, attribute, import, or as a string such as an ``__all__`` entry or a
   helper name wrapped by the benchmark tracer);
@@ -40,6 +41,18 @@ def _references(node) -> Counter:
     return out
 
 
+def _defined_names(node) -> list[str]:
+    """The names a module-level statement defines as a function, a class or
+    a constant."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_every_module_level_definition_is_referenced():
     total = Counter()
     for _, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "bench"):
@@ -47,9 +60,9 @@ def test_every_module_level_definition_is_referenced():
     unused = []
     for path, tree in _trees(SRC):
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("__") and total[node.name] == _references(node)[node.name]:
-                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+            for name in _defined_names(node):
+                if not name.startswith("__") and total[name] == _references(node)[name]:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "defined but never referenced: " + ", ".join(unused)
 
 

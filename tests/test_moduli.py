@@ -922,9 +922,10 @@ def test_covered_c_many_of_no_query_is_empty():
 
 
 def test_staircase_criterion_polishes_in_lockstep(monkeypatch):
-    # criterion 4: one grid call and one probe call per block of polish
-    # rounds for each sur shell, where each interval used to take its own
-    # (9,031 calls of the staircase at seed 42)
+    # criterion 4: each sur shell takes one call per probe of a round (30
+    # rounds of two probes) on its 68 intervals, where each interval used to
+    # take its own (9,031 calls of the staircase at seed 42); the six lone
+    # intervals of the criterion make their 60 probes as 0-d calls
     from reglab import acceptance, corpus
 
     calls = []
@@ -935,7 +936,24 @@ def test_staircase_criterion_polishes_in_lockstep(monkeypatch):
 
     monkeypatch.setattr(corpus, "staircase_fn", counted)
     assert acceptance.criterion_4(42)["passed"]
-    assert len(calls) < 600
+    assert calls.count((68,)) == 8 * 30 * 2
+    assert calls.count(()) == 6 * 60
+    assert len(calls) == 1133
+
+
+def test_epigraph_covering_rate_of_a_scalar_only_f_calls_it_one_point_at_a_time():
+    # a 1D epigraph that is not vectorized takes its grid and its probes one
+    # point per call, as its other hooks and the n >= 2 branch do
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return np.abs(arr(x))
+
+    got = largest_covered_c(Epigraph(f, vectorized=False), [0.3], [0.3], 0.1)
+    assert calls and set(calls) == {1}
+    assert got.hex() == largest_covered_c(Epigraph(f), [0.3], [0.3], 0.1).hex() == (1.0).hex()
+
 
 # ---------------------------------------------------------------------------
 # reg, psopen and subreg: one value batch and one preimage call per shell give

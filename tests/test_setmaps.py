@@ -954,6 +954,55 @@ def test_project_polyhedron_equals_the_enumeration_of_before(case):
             assert Z[i].tobytes() == ref[0].tobytes() and float(dist[i]).hex() == float(ref[1]).hex()
 
 
+@st.composite
+def _least_distance_cases(draw):
+    """(point, A, b) with normals and offsets on a grid of 1e-3, or integers
+    (parallel, repeated and zero rows; polyhedra that are a face, a point or
+    empty), and points anywhere or on face 0."""
+    d = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([1, 1000]))
+    coef, offset = (st.integers(lo * q, hi * q).map(lambda i: i / q) for lo, hi in ((-2, 2), (-1, 2)))
+    A = arr(draw(st.lists(st.lists(coef, min_size=d, max_size=d), min_size=1, max_size=5)))
+    b = arr(draw(st.lists(offset, min_size=len(A), max_size=len(A))))
+    p = arr(draw(st.lists(_COORD, min_size=d, max_size=d)))
+    if draw(st.booleans()) and A[0] @ A[0] > 0:
+        p = p + A[0] * ((b[0] - A[0] @ p) / (A[0] @ A[0]))
+    return p, A, b
+
+
+def _least_distance_projection(p, A, b):
+    """The projection of p onto {z: Az <= b} as Lawson and Hanson's least
+    distance program: NNLS on E = [-A^T; (Ap - b)^T] and f = e_last gives the
+    residual r = Eu - f, which is 0 iff the polyhedron is empty, and else
+    z = p - r[:-1] / r[-1].  Returns (z, dist) or None."""
+    from scipy.optimize import nnls
+
+    E = np.vstack([-A.T, (A @ p - b)[None]])
+    f = np.zeros(len(E))
+    f[-1] = 1.0
+    u, _ = nnls(E, f)
+    r = E @ u - f
+    if np.linalg.norm(r) <= 1e-12:
+        return None
+    z = p - r[:-1] / r[-1]
+    return z, float(np.linalg.norm(z - p))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_least_distance_cases())
+def test_project_polyhedron_equals_the_least_distance_program(case):
+    # the enumeration takes a half-space as met where Az - b is within a
+    # slack of 1e-9 * max(1, |b|, |p|), not scaled by |a|: the normals and
+    # offsets are drawn on a grid of 1e-3, since a tiny normal is met far
+    # from its half-space (1e-38 z <= 0 at z = 0.25)
+    p, A, b = case
+    got, exact = setmaps._project_polyhedron(p, A, b), _least_distance_projection(p, A, b)
+    assert (got is None) == (exact is None)
+    if got is not None:
+        assert abs(got[1] - exact[1]) <= 1e-7 * max(1.0, exact[1])
+        assert (A @ got[0] <= b + 1e-9 * max(1.0, np.abs(b).max(), np.abs(p).max())).all()
+
+
 def test_stacked_linear_algebra_matches_the_one_row_calls_bitwise():
     # the identities the stacked projection rests on; a LAPACK or BLAS build
     # that breaks one fails here rather than moving a reported value
@@ -983,8 +1032,8 @@ def test_stacked_linear_algebra_matches_the_one_row_calls_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# _inf_on_interval: the look-ahead probe table gives the polish of before bit
-# for bit
+# _inf_on_interval: the lockstep polish of every interval gives the polish of
+# before bit for bit
 
 
 def _reference_inf_on_interval(f, lo, hi, resolution=1601, polish=30):
@@ -1129,7 +1178,7 @@ def test_inf_on_intervals_in_lockstep_equal_the_polish_of_before(name, spans, re
 @pytest.mark.parametrize("block", [1, 100, 400, 8192])
 def test_inf_on_intervals_grid_blocks_that_raise_answer_their_intervals_alone(block):
     # a grid block with an interval across the pole fails as a whole; its
-    # intervals are answered alone (the one across the pole point by point)
+    # points are answered one at a time
     f = _pole_near(0.2001, 0.2002)
     centers = np.linspace(-0.3, 0.7, 25)
     lo, hi = centers - 0.05, centers + 0.05
@@ -1150,22 +1199,29 @@ def test_linspace_rows_equal_linspace_row_by_row():
 
 
 @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
-def test_inf_on_interval_probe_table_rejects_wrong_shapes_and_complex_values():
-    # the grid takes these values as before; the probe arrays give a wrong
-    # shape or complex values, so every probe takes its own scalar call
+def test_inf_on_intervals_probe_batches_reject_wrong_shapes_and_complex_values():
+    # the stacked grid of the four intervals takes these values as before;
+    # each probe batch gives a wrong shape or complex values, so every probe
+    # of it takes its own 0-d call
+    lo, hi = [-0.5, 0.1, 0.3, -0.0], [0.75, 0.2, 0.3, 0.0]
+    calls = []
+
     def wrong_shape(x):
+        calls.append(np.shape(x))
         x = arr(x)
-        return x * x if x.size in (1, 1601) else np.zeros(3)
+        return x * x if x.size in (1, 4 * 1601) else np.zeros(3)
 
     def complex_probes(x):
+        calls.append(np.shape(x))
         x = arr(x)
-        return x * x if x.size in (1, 1601) else x * x + 0j
+        return x * x if x.size in (1, 4 * 1601) else x * x + 0j
 
-    probes = intervals._probe_points(0.5, 0.01, 2, 0.0, 1.0).reshape(-1, 1)
     for f in (wrong_shape, complex_probes):
-        assert _eval_vectorized(f, probes, 1, 1, finite=False) is None
-        _same_inf(f, -0.5, 0.75)
-    assert len(_eval_vectorized(staircase_fn, probes, 1, 1, finite=False)) == 15
+        calls[:] = []
+        got = intervals._inf_on_intervals(f, lo, hi)
+        assert calls == [(4 * 1601,)] + [(4,), (), (), (), ()] * 60
+        ref = [_reference_inf_on_interval(f, a, b) for a, b in zip(lo, hi)]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in ref]
 
 
 # ---------------------------------------------------------------------------
