@@ -46,18 +46,14 @@ _ALLOWED_KEYS = {
     "certify": _COMMON_KEYS | {"example", "check", "constants", "oracle"},
     "cover": _COMMON_KEYS | {"example", "check", "constants"},
     "solve": _COMMON_KEYS | {"example", "eta", "adversarial", "x0", "max_iter", "stop_tol"},
-    "suite": _COMMON_KEYS | {"suite", "example", "kinds", "schedule"},
+    "suite": _COMMON_KEYS | {"suite"},
 }
 
-DEFAULT_CONFIG = {
-    "command": "suite",
-    "suite": "acceptance",
-    "seed": 42,
-    "norm": "euclidean",
-    "out": "reports",
-    "kinds": ["lopen", "sur", "semireg"],
-    "schedule": {"r0": 0.1, "rho": 0.5, "shells": 8, "samples_per_shell": 64},
-}
+#: the config of a run without ``--config``: the acceptance suite
+DEFAULT_CONFIG = {"command": "suite", "suite": "acceptance", "seed": 42, "norm": "euclidean", "out": "reports"}
+#: the ``kinds`` and ``schedule`` that a ``moduli`` config leaves out
+_DEFAULT_KINDS = ["lopen", "sur", "semireg"]
+_DEFAULT_SCHEDULE = {"r0": 0.1, "rho": 0.5, "shells": 8, "samples_per_shell": 64}
 
 #: named oracles available from config files (oracles are otherwise user code)
 NAMED_ORACLES = {
@@ -88,7 +84,7 @@ def validate_config(cfg: dict) -> dict:
 
 
 def _schedule_from(cfg: dict) -> LiminfSchedule:
-    sched = dict(DEFAULT_CONFIG["schedule"])
+    sched = dict(_DEFAULT_SCHEDULE)
     sched.update(cfg.get("schedule", {}))
     try:
         return LiminfSchedule(**sched)
@@ -181,7 +177,7 @@ def _cmd_moduli(cfg: dict):
         raise ConfigError(f"point has dimensions {point.x.size}, {point.y.size}; the map needs {F.n}, {F.m}")
     schedule = _schedule_from(cfg)
     estimates = {}
-    for kind in cfg.get("kinds", DEFAULT_CONFIG["kinds"]):
+    for kind in cfg.get("kinds", _DEFAULT_KINDS):
         t0 = time.perf_counter()
         try:
             est = estimate_modulus(kind, F, point, schedule, norm, seed)
@@ -315,32 +311,21 @@ def _cmd_solve(cfg: dict, out_dir: Path):
     )
 
 
-def _cmd_suite(cfg: dict, out_dir: Path):
+def _cmd_suite(cfg: dict):
     seed = cfg.get("seed", 42)
     suite = cfg.get("suite", "acceptance")
-    if suite == "acceptance":
-        for res in acceptance.run_acceptance(seed=seed, quiet=True):
-            verdict = "pass" if res["passed"] else "fail"
-            yield f"acceptance_{res['criterion']:02d}", make_report(
-                f"acceptance:criterion{res['criterion']}",
-                {},
-                seed,
-                verdict,
-                {"details": res["details"]},
-                runtime_ms=res["runtime_ms"],
-            )
-    elif suite == "moduli":
-        sub = dict(cfg)
-        sub["command"] = "moduli"
-        sub.pop("suite", None)
-        yield from _cmd_moduli(sub)
-    elif suite == "solve":
-        sub = dict(cfg)
-        sub["command"] = "solve"
-        sub.pop("suite", None)
-        yield from _cmd_solve(sub, out_dir)
-    else:
-        raise ConfigError(f"unknown suite {suite!r}")
+    if suite != "acceptance":
+        raise ConfigError(f"unknown suite {suite!r}; the one suite is 'acceptance'")
+    for res in acceptance.run_acceptance(seed=seed, quiet=True):
+        verdict = "pass" if res["passed"] else "fail"
+        yield f"acceptance_{res['criterion']:02d}", make_report(
+            f"acceptance:criterion{res['criterion']}",
+            {},
+            seed,
+            verdict,
+            {"details": res["details"]},
+            runtime_ms=res["runtime_ms"],
+        )
 
 
 def run_suite(cfg: dict, quiet: bool = False) -> int:
@@ -356,7 +341,7 @@ def run_suite(cfg: dict, quiet: bool = False) -> int:
     elif command == "solve":
         jobs = list(_cmd_solve(cfg, out_dir))
     else:
-        jobs = list(_cmd_suite(cfg, out_dir))
+        jobs = list(_cmd_suite(cfg))
 
     rows = []
     failed = False

@@ -72,20 +72,15 @@ def vec_dist(a, b, norm: str = "euclidean") -> float:
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed (default) or open ball."""
+    """The closed ball B[center, radius]."""
 
     center: np.ndarray
     radius: float
-    closed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
-
-    def contains(self, x, norm: str = "euclidean", tol: float = 0.0) -> bool:
-        d = vec_dist(x, self.center, norm)
-        return d <= self.radius + tol if self.closed else d < self.radius - tol
 
 
 @dataclass(frozen=True)

@@ -39,15 +39,6 @@ def _linspace_rows(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
     return out
 
 
-def _values(f, X: np.ndarray, vectorized: bool, skip: bool = False) -> np.ndarray:
-    """f at the points X through ``setmaps._eval_rows``: one call on all of
-    them, or one call per point where f is not vectorized.  Points of a (k, 1)
-    X that take their own call reach f as (1,) arrays, those of a (k,) X as
-    0-d arrays; NaN where a call raises and ``skip`` is set."""
-    parts = [X] if vectorized else X[:, None]
-    return np.concatenate([_eval_rows(f, p, 1, 1, finite=False, skip=skip)[0][:, 0] for p in parts])
-
-
 def _inf_on_intervals(f, lo, hi, resolution: int = 1601, polish: int = 30, vectorized: bool = True) -> list[float]:
     """inf of f over each [lo[i], hi[i]]: the least of ``resolution`` grid
     values, then ``polish`` rounds of probes at x + s and x - s with a halving
@@ -69,14 +60,15 @@ def _inf_on_intervals(f, lo, hi, resolution: int = 1601, polish: int = 30, vecto
     for start in range(0, lo.size, block):
         rows = slice(start, start + block)
         xs = _linspace_rows(lo[rows], hi[rows], resolution)
-        x[rows], best[rows] = _grid_min(xs, _values(f, xs.reshape(-1, 1), vectorized).reshape(xs.shape))
+        vals = _eval_rows(f, xs.reshape(-1, 1), 1, 1, finite=False, vectorized=vectorized)[0]
+        x[rows], best[rows] = _grid_min(xs, vals.reshape(xs.shape))
     step = (hi - lo) / (resolution - 1)
     # not _coordinate_polish: the step halves every round, moved or not, and
     # moves clamp to [lo, hi]
     for _ in range(polish):
         for s in (step, -step):
             z = _clamp(x + s, lo, hi)
-            fz = _values(f, z, vectorized, skip=True)
+            fz = _eval_rows(f, z, 1, 1, finite=False, skip=True, vectorized=vectorized)[0][:, 0]
             better = fz < best
             x, best = np.where(better, z, x), np.where(better, fz, best)
         step = step * 0.5
@@ -88,8 +80,3 @@ def _grid_min(xs: np.ndarray, vals: np.ndarray):
     rows = np.arange(len(xs))
     i = np.argmin(vals, axis=1)
     return xs[rows, i], vals[rows, i]
-
-
-def _inf_on_interval(f, lo: float, hi: float, resolution: int = 1601, polish: int = 30) -> float:
-    """inf of f over [lo, hi]: the one-interval call of :func:`_inf_on_intervals`."""
-    return _inf_on_intervals(f, [lo], [hi], resolution, polish)[0]

@@ -434,7 +434,8 @@ def estimate_modulus(
     Infimum-type moduli (sur, lopen, psopen, displacement) report per-shell
     infima; supremum-type ones (reg, lip, calm, semireg, subreg) per-shell
     suprema.  A shell with no admissible samples keeps the empty-set
-    convention (inf = +inf, sup = 0).
+    convention (inf = +inf, sup = 0); where that is the smallest shell, the
+    estimate carries a note saying so.
     """
     if kind not in MODULUS_KINDS:
         raise ValueError(f"unknown modulus kind {kind!r}")
@@ -526,10 +527,13 @@ def estimate_modulus(
         else:
             shell_stats.append(max(quotients))
 
-    if kind in ("lopen", "semireg") and shell_stats[-1] is None:
-        notes.append("all samples in the smallest shell were values of F(xbar): internal-point convention")
-    if kind in ("psopen", "subreg") and shell_stats[-1] is None:
-        notes.append("all samples in the smallest shell lay in the preimage: internal-point convention")
+    if shell_stats[-1] is None:
+        if kind in ("lopen", "semireg"):
+            notes.append("all samples in the smallest shell were values of F(xbar): internal-point convention")
+        elif kind in ("psopen", "subreg"):
+            notes.append("all samples in the smallest shell lay in the preimage: internal-point convention")
+        else:
+            notes.append("no admissible sample in the smallest shell: empty-set convention")
     return _assemble(kind, point, shell_stats, schedule, seed, norm, total, notes)
 
 

@@ -278,7 +278,7 @@ def solve_subproblem(
     elif isinstance(problem.F, NormalConeBox):
         sol = _solve_box_vi(x_k, A_k, fx, problem.F)
     elif isinstance(problem.F, FiniteValued):
-        sol = _solve_finite_branches(x_k, A_k, fx, problem.F, problem)
+        sol = _solve_finite_branches(x_k, A_k, fx, problem.F)
     else:
         raise SubproblemInfeasible(f"unsupported constraint map {problem.F.describe()}")
 
@@ -387,7 +387,7 @@ def _solve_box_vi(x_k, A_k, fx, box: NormalConeBox) -> SubproblemSolution:
     return SubproblemSolution(u.copy(), tag, lin_res, 0.0, free=[i for i, p in enumerate(pattern) if p == 1])
 
 
-def _solve_finite_branches(x_k, A_k, fx, F: FiniteValued, problem: GEProblem) -> SubproblemSolution:
+def _solve_finite_branches(x_k, A_k, fx, F: FiniteValued) -> SubproblemSolution:
     candidates = []
     for bi, branch in enumerate(F.branches):
         # solve assuming the branch value at the solution; iterate once for
@@ -508,21 +508,17 @@ def run_newton(
     x0=None,
     max_iter: int = 40,
     stop_tol: float = 1e-12,
-    policy: str = "first",
     seed: int = 42,
 ) -> IterationTrace:
     """Run the inexact Newton-type iteration from x0.
 
-    The matrix A_k is the first candidate of H(x_k) under the deterministic
-    policy, or a seeded-random candidate otherwise; every accepted step has
-    passed the intersection test within tolerance.  Subproblem failure stops
-    the loop and is recorded as the termination reason.
+    The matrix A_k is the first candidate of H(x_k) (the trace's policy
+    "first"); every accepted step has passed the intersection test within
+    tolerance.  Subproblem failure stops the loop and is recorded as the
+    termination reason.
     """
-    if policy not in ("first", "random"):
-        raise ValueError("policy must be 'first' or 'random'")
     R = R or InexactnessModel()
     x = as_vector(x0, problem.n)
-    rng = SplitMix64(derive_seed(seed, "policy"))
     xs = problem.known_solution
     records = [
         IterationRecord(
@@ -539,7 +535,7 @@ def run_newton(
         if not cands:
             termination = "no_derivative"
             break
-        A_k = cands[0] if policy == "first" else cands[rng.randint(len(cands))]
+        A_k = cands[0]
         try:
             sol = solve_subproblem(x, A_k, problem, R, seed=derive_seed(seed, f"sub{k}"))
         except SubproblemInfeasible as exc:
@@ -563,7 +559,7 @@ def run_newton(
         )
     if termination == "max_iter" and records[-1].residual <= stop_tol:
         termination = "converged"
-    return IterationTrace(records, termination, policy, seed, R.eta, R.adversarial, xs)
+    return IterationTrace(records, termination, "first", seed, R.eta, R.adversarial, xs)
 
 
 @dataclass
@@ -575,7 +571,7 @@ class RateReport(JsonReport):
     used_residuals: bool
 
 
-def rate_report(trace: IterationTrace, solution=None) -> RateReport:
+def rate_report(trace: IterationTrace) -> RateReport:
     """Convergence-rate certificate from a trace.
 
     t_hat is the worst error contraction over the last half of the run;
@@ -585,7 +581,7 @@ def rate_report(trace: IterationTrace, solution=None) -> RateReport:
     """
     if len(trace.records) < 3:
         raise ValueError("need at least 3 iterates for a rate report")
-    xs = solution if solution is not None else trace.known_solution
+    xs = trace.known_solution
     residuals = [r.residual for r in trace.records]
     res_ratios = [
         residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1) if residuals[i] > 1e-15

@@ -548,9 +548,8 @@ class SetMap:
     raises UnsupportedOperation.  ``analytic_preimage`` is the nearest point
     of ``inverse_value_set(y)``, so ``LinearOp``, ``NormalConeBox``,
     ``PolyhedralGraph`` and ``InverseView`` get their closed-form preimage
-    from their inverse (``FiniteValued`` takes its ``branch_inverses``
-    instead); 1D maps with vectorized branches, epigraphs and 1D sums of one
-    branch and a box normal cone have a 1D path.
+    from their inverse; 1D maps with vectorized branches, epigraphs and 1D
+    sums of one branch and a box normal cone have a 1D path.
     ``value_dist(y, x)`` is ``value_set(x).dist(y)``; ``PolyhedralGraph``
     answers it from ``batch_dist``.
     ``branch_values(X)`` gives one ``(k, m)`` array per branch, F(X[i]) =
@@ -608,7 +607,7 @@ class SetMap:
 
     def preimage_1d(self, x0: np.ndarray, ys: np.ndarray, grid: np.ndarray, norm: str, tol_feas: float):
         branches = scalar_branches(self)
-        return None if branches is None else _preimage_1d_branches(x0, branches, ys, grid, norm, tol_feas)
+        return None if branches is None else _preimage_1d_branches(x0, branches, ys, grid, tol_feas)
 
     def inverse_value_set(self, y: np.ndarray) -> ValueSet | None:
         return None
@@ -631,41 +630,22 @@ class SetMap:
 class FiniteValued(SetMap):
     """Finitely many branch values per point; branches are callables."""
 
-    def __init__(self, branches, n: int = 1, m: int = 1, vectorized: bool = True, branch_inverses=None):
+    def __init__(self, branches, n: int = 1, m: int = 1, vectorized: bool = True):
         if not branches:
             raise ValueError("need at least one branch")
         self.branches = list(branches)
         self.n = n
         self.m = m
         self.vectorized = vectorized
-        self.branch_inverses = branch_inverses
 
     def _value_set(self, x):
         return FinitePoints([as_vector(b(x), self.m) for b in self.branches])
 
     def branch_values(self, X, finite=True):
-        # a callable that is not vectorized takes one point per call
-        parts = [X] if self.vectorized else X[:, None]
-        return [np.array([_eval_rows(b, Z, self.n, self.m, finite)[0] for Z in parts]).reshape(len(X), self.m)
-                for b in self.branches]
+        return [_eval_rows(b, X, self.n, self.m, finite, vectorized=self.vectorized)[0] for b in self.branches]
 
     def scalar_branches(self):
         return list(self.branches) if self.vectorized else None
-
-    def analytic_preimage(self, x0, y, norm, tol_feas):
-        if self.branch_inverses is None:
-            return None
-        best, arg = INF, None
-        for inv in self.branch_inverses:
-            try:
-                cand = as_vector(inv(y), self.n)
-            except (DomainError, ValueError):
-                continue
-            if dist_to_value_set(y, self, cand, norm) <= tol_feas:
-                d = vec_dist(cand, x0, norm)
-                if d < best:
-                    best, arg = d, cand
-        return best, arg
 
     def sample_graph(self, s):
         for x in s.domain():
@@ -719,9 +699,8 @@ class Epigraph(SetMap):
             lo_f = _inf_on_intervals(self.f, X[:, 0] - T, X[:, 0] + T, resolution, vectorized=self.vectorized)
         else:
             grids = [_ball_grid(x, t, 41 if self.n == 2 else 11, norm) for x, t in zip(X, T)]
-            # a callable that is not vectorized takes one point per call
-            lo_f = [float(np.min([_eval_rows(self.f, Z, self.n, 1, finite=False)[0]
-                                  for Z in ([grid] if self.vectorized else grid[:, None])])) for grid in grids]
+            lo_f = [float(np.min(_eval_rows(self.f, grid, self.n, 1, finite=False, vectorized=self.vectorized)[0]))
+                    for grid in grids]
         return [max(0.0, (y - lo) / t) for y, lo, t in zip(Y[:, 0].tolist(), lo_f, T.tolist())]
 
     def sample_graph(self, s):
@@ -950,7 +929,7 @@ class SumMap(SetMap):
                 continue
             ends = [e for e in box if grid[0, 0] <= e <= grid[-1, 0]]
             out = []
-            for y0, found in zip(ys, _preimage_1d_branches(x0, branches, ys, grid, norm, tol_feas, bounds=box)):
+            for y0, found in zip(ys, _preimage_1d_branches(x0, branches, ys, grid, tol_feas, bounds=box)):
                 for e in ends if found is not None else ():
                     d = abs(e - float(x0[0]))
                     if d < found[0] and dist_to_value_set([y0], self, [e], norm) <= tol_feas:
@@ -1063,7 +1042,8 @@ def _eval_vectorized(fn, X: np.ndarray, n: int, m: int, finite: bool = True):
     return out if out.shape == (k, m) and (not finite or np.isfinite(out).all()) else None
 
 
-def _eval_rows(fn, X: np.ndarray, n: int, m: int, finite: bool = True, skip: bool = False):
+def _eval_rows(fn, X: np.ndarray, n: int, m: int, finite: bool = True, skip: bool = False,
+               vectorized: bool = True):
     """The values of a user callable fn: R^n -> R^m at the points X and the
     points it answered: the one place that decides how such a callable is
     evaluated.
@@ -1071,17 +1051,19 @@ def _eval_rows(fn, X: np.ndarray, n: int, m: int, finite: bool = True, skip: boo
     X is (k, n), or (k,) for k points of R, which fn takes as 0-d arrays
     where each point takes its own call.  A callable marked ``constant`` (a
     compiled expression that names no variable) is called at the first point
-    and its value tiled.  Otherwise k >= 2 points take one call
-    (``_eval_vectorized``); where that call fails, and for a single point,
-    each point takes its own call, whose value must pass the checks of
-    ``as_vector`` (real, m entries and, with ``finite``, finite) or raises as
-    it does.  A call that raises raises, or with ``skip`` leaves its point
+    and its value tiled.  Otherwise, with ``vectorized`` (the default), k >= 2
+    points take one call (``_eval_vectorized``); where that call fails, for a
+    single point, and for every point in the per-point mode (``vectorized``
+    False: a map whose callables are not vectorized, or a batch that already
+    failed), each point takes its own call, whose value must pass the checks
+    of ``as_vector`` (real, m entries and, with ``finite``, finite) or raises
+    as it does.  A call that raises raises, or with ``skip`` leaves its point
     unanswered.  Returns the (k, m) values (NaN where unanswered) and the
     (k,) mask of answered points.
     """
     k = len(X)
     const = k > 1 and getattr(fn, "constant", False)
-    out = None if const or k < 2 else _eval_vectorized(fn, X, n, m, finite)
+    out = None if const or k < 2 or not vectorized else _eval_vectorized(fn, X, n, m, finite)
     if out is not None:
         return out, np.ones(k, dtype=bool)
     rows = X[:1] if const else X
@@ -1179,7 +1161,7 @@ def _bisect_root(fn, a, b, fa, iters: int = 60) -> np.ndarray:
         return 0.5 * (a + b)
 
 
-def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, norm: str, tol_feas: float, bounds=None) -> list:
+def _preimage_1d_branches(x0, branches, ys, grid: np.ndarray, tol_feas: float, bounds=None) -> list:
     """Preimages (dist, point) of the targets ``ys`` for a 1D map given by its
     scalar branches, one entry per target; every point returned is checked,
     |b(x) - y| <= tol_feas for one branch b.
@@ -1278,10 +1260,9 @@ def _preimage_1d_epigraph(x0, F, ys, grid: np.ndarray, tol_feas: float) -> list:
     xs = grid[:, 0]
     ys = np.asarray(ys, dtype=float).reshape(-1)
     batch = _eval_vectorized(F.f, grid, 1, 1, finite=False)
-    each = batch is None and not getattr(F.f, "constant", False)  # _eval_rows tiles a constant f
 
     def f_rows(X):
-        return np.concatenate([_eval_rows(F.f, p, 1, 1, finite=False)[0] for p in (X[:, None] if each else [X])])
+        return _eval_rows(F.f, X, 1, 1, finite=False, vectorized=batch is not None)[0]
 
     vals = (f_rows(grid) if batch is None else batch).T - ys[:, None]
     feas = vals <= tol_feas
@@ -1451,13 +1432,13 @@ def _preimage_searches(x0, F: SetMap, ys, region, tol_feas, norm, resolution, re
     left = [i for i in todo if out[i] is None]
     if left:
         stage = _preimage_on_grid(F, [x0s[i] for i in left], [ys[i] for i in left],
-                                  [grids[i] for i in left], per_axis, tol_feas, norm, refine_steps)
+                                  [grids[i] for i in left], tol_feas, norm, refine_steps)
         for i, found in zip(left, stage):
             out[i] = found
     return out
 
 
-def _preimage_on_grid(F: SetMap, x0s, ys, grids, per_axis: int, tol_feas, norm, refine_steps) -> list:
+def _preimage_on_grid(F: SetMap, x0s, ys, grids, tol_feas, norm, refine_steps) -> list:
     """The grid stage for every target left: target t searches the grid
     ``grids[t]`` = (points, spacing) from ``x0s[t]``.  Its starts are the
     nearest feasible grid points, or else the local minima of infeasibility;
@@ -1471,7 +1452,7 @@ def _preimage_on_grid(F: SetMap, x0s, ys, grids, per_axis: int, tol_feas, norm, 
         feasible = feas <= tol_feas
         restore = not np.any(feasible)
         if restore:
-            picked = _local_minima_indices(feas, per_axis, F.n, limit=4 if F.n == 1 else 8)
+            picked = _local_minima_indices(feas, F.n, limit=4 if F.n == 1 else 8)
         else:
             picked = [i for i in np.argsort(np.where(feasible, dists, INF))[:4] if feasible[i]]
         starts += [grid[i] for i in picked]
@@ -1507,7 +1488,7 @@ def _preimage_on_grid(F: SetMap, x0s, ys, grids, per_axis: int, tol_feas, norm, 
     return out
 
 
-def _local_minima_indices(feas: np.ndarray, per_axis: int, n: int, limit: int) -> list[int]:
+def _local_minima_indices(feas: np.ndarray, n: int, limit: int) -> list[int]:
     """The ``limit`` most promising restoration starts on a grid of
     infeasibilities, lowest first (ties in index order): in 1D the local
     minima, plateaus included, else the 4 * limit lowest points."""

@@ -264,7 +264,7 @@ def test_checked_branch_path_equals_the_unchecked_one_on_continuous_branches(nam
         [grid[(grid[:, 0] > bounds[0]) & (grid[:, 0] < bounds[1]), 0],
          [e for e in bounds if grid[0, 0] <= e <= grid[-1, 0]]]))
     assume(all(f is None or f[1] is None or xs[0] <= f[1][0] <= xs[-1] for f in old))
-    assert _outcome(setmaps._preimage_1d_branches(*args, bounds=bounds)) == _outcome(old)
+    assert _outcome(setmaps._preimage_1d_branches(*args[:4], TOL_FEAS, bounds=bounds)) == _outcome(old)
 
 
 def test_tangential_starts_of_a_branch_take_one_polish(monkeypatch):
@@ -282,7 +282,7 @@ def test_tangential_starts_of_a_branch_take_one_polish(monkeypatch):
     branches = [lambda x: (arr(x) - 0.3013) ** 2, lambda x: 4.0 * (arr(x) - 0.5013) ** 2 * (arr(x) + 0.2013) ** 2]
     grid = _grid_axes(arr([0.0]), 1.0, 401)
     args = (arr([0.6]), branches, arr([0.0, 1e-9, -0.5, 0.0]), grid, "euclidean", TOL_FEAS)
-    got = setmaps._preimage_1d_branches(*args)
+    got = setmaps._preimage_1d_branches(*args[:4], TOL_FEAS)
     assert len(polishes) == len(branches) and min(polishes) >= 3
     monkeypatch.setattr(setmaps, "_coordinate_polish", polish)
     assert _outcome(got) == _outcome(_unchecked_preimage_1d_branches(*args))
@@ -298,7 +298,7 @@ def test_the_tangential_polish_stays_in_the_span_of_the_grid():
     args = (arr([0.3]), [square], arr([0.0]), grid, "euclidean", TOL_FEAS)
     old = _unchecked_preimage_1d_branches(*args)
     assert old[0][1][0] > grid[-1, 0]
-    assert setmaps._preimage_1d_branches(*args) == [(INF, None)]
+    assert setmaps._preimage_1d_branches(*args[:4], TOL_FEAS) == [(INF, None)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ def test_print_defaults(capsys):
     out = capsys.readouterr().out
     cfg = json.loads(out)
     assert cfg["command"] == "suite" and cfg["seed"] == 42
+    # a run without --config takes these defaults, so they must validate
+    assert validate_config(cfg) == cfg
 
 
 def test_config_validation_rejects_unknowns():
@@ -128,16 +130,21 @@ def test_failed_check_exits_one(tmp_path):
     assert run_cli(["--config", write_cfg(tmp_path, cfg), "--quiet"]) == 1
 
 
-def test_suite_moduli(tmp_path):
-    cfg = {
-        "command": "suite",
-        "suite": "moduli",
+def test_suite_moduli(tmp_path, capsys):
+    # the suite command runs the acceptance suite only: its old aliases of the
+    # moduli and solve commands are config errors, with or without their keys
+    moduli = {
         "example": "two_branch",
         "kinds": ["lopen", "semireg"],
         "schedule": {"r0": 0.1, "rho": 0.5, "shells": 4, "samples_per_shell": 16},
         "out": str(tmp_path / "r"),
     }
-    assert run_cli(["--config", write_cfg(tmp_path, cfg), "--quiet"]) == 0
+    for cfg in ({"command": "suite", "suite": "moduli", **moduli}, {"command": "suite", "suite": "moduli"},
+                {"command": "suite", "suite": "solve", "out": str(tmp_path / "r")}):
+        assert run_cli(["--config", write_cfg(tmp_path, cfg), "--quiet"]) == 2
+        assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    assert run_cli(["--config", write_cfg(tmp_path, {"command": "moduli", **moduli}), "--quiet"]) == 0
     names = {p.name for p in (tmp_path / "r").glob("*.json")}
     assert {"moduli_lopen.json", "moduli_semireg.json", "product_lopen_semireg.json"} <= names
 

@@ -6,7 +6,11 @@
   name, attribute, import, or as a string such as an ``__all__`` entry or a
   helper name wrapped by the benchmark tracer);
 * no function of ``src/reglab`` assigns a local that it never reads; names
-  that start with ``_`` are the marked unused ones.
+  that start with ``_`` are the marked unused ones;
+* every module-level function of ``src/reglab`` reads each of its
+  parameters but those that start with ``_``.  Methods are exempt, since an
+  override keeps the signature of its base hook, and so are nested
+  functions, since a callback keeps the signature of its caller.
 """
 
 import ast
@@ -98,3 +102,20 @@ def test_no_function_assigns_a_local_it_never_reads():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 dead += [f"{path.relative_to(ROOT)}: {fn.name}: {d}" for d in _dead_locals(fn)]
     assert not dead, "locals assigned but never read: " + "; ".join(dead)
+
+
+def _unread_parameters(fn) -> list[str]:
+    a = fn.args
+    params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+    # a read anywhere in the function, nested scopes included, counts
+    read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [p for p in params if p not in read and not p.startswith("_")]
+
+
+def test_every_function_reads_its_parameters():
+    unread = []
+    for path, tree in _trees(SRC):
+        for fn in tree.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unread += [f"{path.relative_to(ROOT)}:{fn.lineno} {fn.name}: {p}" for p in _unread_parameters(fn)]
+    assert not unread, "parameters never read: " + "; ".join(unread)

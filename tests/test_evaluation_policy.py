@@ -72,7 +72,7 @@ ORACLES = {
     "cover_many": lambda F: largest_covered_c_many(F, *_QUERIES),
     "sample": lambda F: graph_sample(F, GraphPoint([0.0], [0.0]), 0.5, 4),
     # the interval infimum behind an epigraph's covering rate
-    "inf_on_interval": lambda F: intervals._inf_on_interval(F.f, -1.0, 1.0),
+    "inf_on_interval": lambda F: intervals._inf_on_intervals(F.f, [-1.0], [1.0])[0],
 }
 
 #: batched oracle -> its per-point counterpart

@@ -136,6 +136,15 @@ def test_internal_point_convention():
     assert any("internal-point" in n for n in est.notes)
 
 
+def test_an_empty_smallest_shell_is_noted():
+    # the band |2x + y| <= 0.1 at (0, 0.1): every pair of the last shell lies
+    # in the graph, so reg reads the empty-set convention sup = 0
+    F = PolyhedralGraph([([[2.0, 1.0], [-2.0, -1.0]], [0.1, 0.1])], 1, 1)
+    est = estimate_modulus("reg", F, GraphPoint([0.0], [0.1]), LiminfSchedule(0.1, 0.5, 3, 8), seed=1287942484)
+    assert est.value == 0.0 and est.shell_infima == [0.5, 0.5, 0.0]
+    assert est.notes == ["no admissible sample in the smallest shell: empty-set convention"]
+
+
 def test_product_identities_on_finite_cases():
     for F in (LinearOp([[1.0]]), SingleValued(lambda x: 2.0 * arr(x)), two_branch()):
         lo = estimate_modulus("lopen", F, ORIGIN, FAST, seed=11).value

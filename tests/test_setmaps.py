@@ -584,7 +584,6 @@ _SEARCH_MAPS = {
     "staircase": (load_example("staircase").objects["setmap"], False),
     # fails on a batch, so the grid and the bisection take one point at a time
     "epigraph_pointwise": (Epigraph(lambda x: abs(np.asarray(x).item()) - 0.25), False),
-    "branch_inverses": (FiniteValued([lambda x: arr(x)], branch_inverses=[lambda y: y]), False),
 }
 
 
@@ -1032,7 +1031,7 @@ def test_stacked_linear_algebra_matches_the_one_row_calls_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# _inf_on_interval: the lockstep polish of every interval gives the polish of
+# _inf_on_intervals: the lockstep polish of every interval gives the polish of
 # before bit for bit
 
 
@@ -1063,7 +1062,7 @@ def _reference_inf_on_interval(f, lo, hi, resolution=1601, polish=30):
 
 
 def _same_inf(f, lo, hi, **kw):
-    got, ref = intervals._inf_on_interval(f, lo, hi, **kw), _reference_inf_on_interval(f, lo, hi, **kw)
+    got, ref = intervals._inf_on_intervals(f, [lo], [hi], **kw)[0], _reference_inf_on_interval(f, lo, hi, **kw)
     assert float(got).hex() == float(ref).hex()
 
 
@@ -1136,7 +1135,7 @@ def test_inf_on_interval_with_scalar_only_f_makes_the_calls_of_before():
             raise TypeError("one point at a time")
         return np.abs(arr(x) - 0.123)
 
-    got = intervals._inf_on_interval(f, 0.0, 1.0, resolution=101)
+    got = intervals._inf_on_intervals(f, [0.0], [1.0], resolution=101)[0]
     new_calls, calls[:] = list(calls), []
     ref = _reference_inf_on_interval(f, 0.0, 1.0, resolution=101)
     assert float(got).hex() == float(ref).hex()
@@ -1347,7 +1346,7 @@ _COMPLEX_EPIGRAPH_PATHS = {
     "covered_c_1d": lambda f: largest_covered_c(Epigraph(f), [0.5], [0.25], 0.1),
     "covered_c_2d": lambda f: largest_covered_c(
         Epigraph(lambda x: f(arr(x)[..., 0]), n=2), [0.5, 0.0], [0.25], 0.1),
-    "inf_on_interval": lambda f: intervals._inf_on_interval(f, 0.0, 1.0),
+    "inf_on_interval": lambda f: intervals._inf_on_intervals(f, [0.0], [1.0])[0],
     "preimage_1d_epigraph": lambda f: setmaps._preimage_1d_epigraph(
         np.array([0.0]), Epigraph(f), 0.5, _grid_axes(np.array([0.0]), 1.0, 401), TOL_FEAS),
     "preimage_search": lambda f: preimage_search([0.0], Epigraph(f), [0.5]),
@@ -1587,7 +1586,7 @@ def _reference_local_minima_indices(feas: np.ndarray, per_axis: int, n: int, lim
 )
 def test_local_minima_equal_the_scan_of_before(feas, limit, n):
     feas = np.array(feas)
-    got = setmaps._local_minima_indices(feas, 0, n, limit)
+    got = setmaps._local_minima_indices(feas, n, limit)
     assert got == [int(i) for i in _reference_local_minima_indices(feas, 0, n, limit)]
 
 
@@ -1600,10 +1599,10 @@ def test_local_minima_on_plateaus_and_ties():
         feas = dist_to_value_set_batch([y], F, xs, finite=False)
         for limit in (1, 4):
             want = [int(i) for i in _reference_local_minima_indices(feas, 401, 1, limit)]
-            assert setmaps._local_minima_indices(feas, 401, 1, limit) == want
+            assert setmaps._local_minima_indices(feas, 1, limit) == want
     plateau = np.array([1.0, 0.5, 0.5, 0.5, 2.0, 0.5, 0.5, 3.0, 0.25, 0.25])
-    assert setmaps._local_minima_indices(plateau, 0, 1, 4) == [8, 9, 1, 2]
-    assert setmaps._local_minima_indices(np.array([np.nan]), 0, 1, 4) == [0]
+    assert setmaps._local_minima_indices(plateau, 1, 4) == [8, 9, 1, 2]
+    assert setmaps._local_minima_indices(np.array([np.nan]), 1, 4) == [0]
 
 
 # ---------------------------------------------------------------------------
